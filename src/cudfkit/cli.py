@@ -100,7 +100,7 @@ def cmd_verify(args):
     try:
         entries = textio.parse_solution(_read(args.solution))
         after = textio.apply_solution(problem, entries)
-    except textio.UnknownSolutionKey as exc:
+    except (textio.UnknownSolutionKey, textio.MalformedSolution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = semantics.satisfies_request(problem, problem.request, after)
@@ -186,7 +186,11 @@ def cmd_dudf(args):
         errors = [v for v in violations if v.level == "error"]
         return EXIT_INVALID if errors else EXIT_OK
     if args.action == "show":
-        doc = dudf.xml_to_dudf(data)
+        try:
+            doc = dudf.xml_to_dudf(data)
+        except dudf.SchemaViolation as exc:
+            print(f"invalid: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         kind = "problem/outcome pair" if doc.outcome else "sole problem"
         print(f"dudf {doc.version} ({kind})")
         print(f"  uid: {doc.uid}")

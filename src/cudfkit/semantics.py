@@ -5,6 +5,9 @@ unversioned provide yields the symbolic set of every positive version
 (ALL) rather than an enumeration.  On top of installations the module
 implements constraint/formula/list satisfaction, disjointness,
 consistency, the successor relation and the request semantics.
+
+Consistency checking and problem compilation (``solver._compile``) read
+one FeatureIndex per document, so both are linear in the stanza count.
 """
 
 from __future__ import annotations
@@ -145,6 +148,47 @@ def disjoint(inst, lst):
 
 
 # ---------------------------------------------------------------------------
+# Name/feature index
+
+
+class FeatureIndex:
+    """Name and feature index over a sequence of stanzas, built in one pass.
+
+    ``by_name`` maps a package name to the positions of its stanzas.
+    ``providers`` maps a name or feature to (position, version) pairs: one
+    for each stanza's own name and version, and one for each of its
+    provides, with ALL for an unversioned provide.
+    """
+
+    __slots__ = ("stanzas", "by_name", "providers")
+
+    def __init__(self, stanzas):
+        self.stanzas = stanzas
+        self.by_name = {}
+        self.providers = {}
+        for i, item in enumerate(stanzas):
+            self.by_name.setdefault(item.name, []).append(i)
+            self.providers.setdefault(item.name, []).append((i, item.version))
+            for provide in item.provides.items:
+                c = provide.constraint
+                self.providers.setdefault(provide.name, []).append(
+                    (i, ALL if c.is_top else c.version)
+                )
+
+    def matches(self, atom):
+        """Positions of the stanzas contributing a version of atom.name
+        that satisfies atom.constraint, once per contribution."""
+        c = atom.constraint
+        for i, v in self.providers.get(atom.name, ()):
+            if constraint_satisfiable(c) if v is ALL else satisfies_constraint(v, c):
+                yield i
+
+    def provided(self, atom, exclude_key=None):
+        """Whether a stanza not keyed exclude_key contributes to atom."""
+        return any(self.stanzas[i].key != exclude_key for i in self.matches(atom))
+
+
+# ---------------------------------------------------------------------------
 # Consistency
 
 
@@ -168,20 +212,21 @@ class ConsistencyVerdict:
 def is_consistent(doc):
     """Every installed package has its dependencies satisfied and its
     conflicts disjoint from everything else installed (self-conflicts
-    are ignored by checking against the description minus the package)."""
-    merged = merge(current_installation(doc), current_features(doc))
+    are ignored by excluding the contributions of the package's own key)."""
+    installed = sorted((p for p in doc.packages if p.installed), key=lambda p: p.key)
+    index = FeatureIndex(installed)
     verdict = ConsistencyVerdict()
-    for item in sorted(doc.packages, key=lambda p: p.key):
-        if not item.installed:
-            continue
-        if not satisfies_formula(merged, item.depends):
+    for item in installed:
+        if not all(
+            any(index.provided(atom) for atom in clause)
+            for clause in item.depends.clauses
+        ):
             verdict.violations.append(
                 ConsistencyViolation(item.name, item.version, "depends",
                                      "unsatisfied dependency formula")
             )
-        reduced = doc.remove_package(item.name, item.version)
-        merged_wo = merge(current_installation(reduced), current_features(reduced))
-        if not disjoint(merged_wo, item.conflicts):
+        if any(index.provided(atom, exclude_key=item.key)
+               for atom in item.conflicts.items):
             verdict.violations.append(
                 ConsistencyViolation(item.name, item.version, "conflicts",
                                      "conflict with another installed package")
@@ -210,9 +255,19 @@ class SuccessorVerdict:
         return not self.violations
 
 
+def _first_by_key(doc):
+    """Stanzas keyed by (name, version); the first occurrence wins, as in
+    CudfDocument.lookup."""
+    out = {}
+    for item in doc.packages:
+        out.setdefault(item.key, item)
+    return out
+
+
 def is_successor(before, after):
     verdict = SuccessorVerdict()
-    dom_before, dom_after = before.domain(), after.domain()
+    by_key_before, by_key_after = _first_by_key(before), _first_by_key(after)
+    dom_before, dom_after = by_key_before.keys(), by_key_after.keys()
     for key in sorted(dom_before ^ dom_after):
         side = "missing from" if key in dom_before else "added by"
         verdict.violations.append(
@@ -222,7 +277,7 @@ def is_successor(before, after):
         return verdict
 
     for key in sorted(dom_before):
-        b, a = before.lookup(*key), after.lookup(*key)
+        b, a = by_key_before[key], by_key_after[key]
         if (b.keep, b.depends, b.conflicts, b.provides) != (
             a.keep, a.depends, a.conflicts, a.provides
         ):

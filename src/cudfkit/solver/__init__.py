@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .. import semantics
 from ..model import CudfDocument, RawValue
-from ._compile import compile_problem
+from ._compile import compile_problem, is_pinned
 from . import _kernel_py
 
 if os.environ.get("CUDFKIT_PURE"):
@@ -100,14 +100,15 @@ def solve(doc, request, costs, budget=DEFAULT_BUDGET):
     enumeration of Installed-flag assignments.
 
     keep 'version packages are pinned installed; everything else is
-    free.  Any returned solution is re-checked against the semantics
-    engine, never trusted from the search.  Ties break toward the
-    lexicographically smallest sorted installed set.
+    free.  The budget is checked on the free-stanza count before the
+    problem is compiled.  Any returned solution is re-checked against the
+    semantics engine, never trusted from the search.  Ties break toward
+    the lexicographically smallest sorted installed set.
     """
-    problem = compile_problem(doc, request, costs)
-    k = len(problem.free_bits)
+    k = sum(1 for p in doc.packages if not is_pinned(p))
     if k >= budget.bit_length() or (1 << k) > budget:
         return SolveResult(status="budget_exceeded", explored=0)
+    problem = compile_problem(doc, request, costs)
 
     kernel = _kernel if (_kernel is not None and problem.n <= 64) else _kernel_py
     try:

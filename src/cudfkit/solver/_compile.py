@@ -4,14 +4,15 @@ kernels.
 Stanzas are sorted by (name, version) and numbered; an installation
 candidate is the bitmask of installed stanzas.  Every semantic clause is
 reduced ahead of time to "mask must intersect M" or "mask must avoid M",
-so the kernels only do mask arithmetic.
+so the kernels only do mask arithmetic.  Masks are read off one
+semantics.FeatureIndex, so compilation is linear in the stanza count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..semantics import constraint_satisfiable, satisfies_constraint
+from ..semantics import FeatureIndex
 
 
 @dataclass
@@ -28,35 +29,28 @@ class CompiledProblem:
     upgrades: list = field(default_factory=list)  # (clause, name_bits, allowed_bits)
 
 
-def _atom_mask(atom, stanzas, exclude=None):
+def _bits(positions):
+    """Mask with the given bit positions set."""
+    mask = 0
+    for i in positions:
+        mask |= 1 << i
+    return mask
+
+
+def _atom_mask(index, atom):
     """Bits whose installation contributes a version of atom.name
     satisfying atom.constraint, through the package itself or a provide."""
-    mask = 0
-    for i, item in enumerate(stanzas):
-        if i == exclude:
-            continue
-        hit = False
-        if item.name == atom.name and satisfies_constraint(item.version, atom.constraint):
-            hit = True
-        else:
-            for provide in item.provides.items:
-                if provide.name != atom.name:
-                    continue
-                if provide.constraint.is_top:
-                    hit = constraint_satisfiable(atom.constraint)
-                else:
-                    hit = satisfies_constraint(
-                        provide.constraint.version, atom.constraint
-                    )
-                if hit:
-                    break
-        if hit:
-            mask |= 1 << i
-    return mask
+    return _bits(index.matches(atom))
+
+
+def is_pinned(item):
+    """Installed with keep 'version: the stanza stays installed."""
+    return item.installed and item.keep is not None and item.keep.chosen == "version"
 
 
 def compile_problem(doc, request, costs):
     stanzas = sorted(doc.packages, key=lambda p: p.key)
+    index = FeatureIndex(stanzas)
     n = len(stanzas)
     keys = [item.key for item in stanzas]
     cost_vec = [costs.get(key, 0) for key in keys]
@@ -64,52 +58,43 @@ def compile_problem(doc, request, costs):
     dep_clauses = []
     conflict_mask = []
     pinned = 0
+    free_bits = []
     required = []
     for i, item in enumerate(stanzas):
-        dep_clauses.append(
-            [_atom_mask_union(clause, stanzas) for clause in item.depends.clauses]
-        )
-        cmask = 0
-        for atom in item.conflicts.items:
-            cmask |= _atom_mask(atom, stanzas, exclude=i)
-        conflict_mask.append(cmask)
+        dep_clauses.append([
+            _bits(j for atom in clause for j in index.matches(atom))
+            for clause in item.depends.clauses
+        ])
+        conflict_mask.append(_bits(
+            j for atom in item.conflicts.items for j in index.matches(atom) if j != i
+        ))
+        if is_pinned(item):
+            pinned |= 1 << i
+            continue
+        free_bits.append(i)
         if item.installed and item.keep is not None:
             keep = item.keep.chosen
-            if keep == "version":
-                pinned |= 1 << i
-            elif keep == "package":
-                group = 0
-                for j, other in enumerate(stanzas):
-                    if other.name == item.name:
-                        group |= 1 << j
-                required.append(group)
+            if keep == "package":
+                required.append(_bits(index.by_name[item.name]))
             elif keep == "feature":
                 for provide in item.provides.items:
-                    required.append(_atom_mask(provide, stanzas))
+                    required.append(_atom_mask(index, provide))
 
     for atom in request.install.items:
-        required.append(_atom_mask(atom, stanzas))
+        required.append(_atom_mask(index, atom))
 
-    forbidden = [_atom_mask(atom, stanzas) for atom in request.remove.items]
+    forbidden = [_atom_mask(index, atom) for atom in request.remove.items]
 
     upgrades = []
-    before_installed = {}
-    for item in stanzas:
-        if item.installed:
-            before_installed.setdefault(item.name, []).append(item.version)
     for atom in request.upgrade.items:
-        clause = _atom_mask(atom, stanzas)
-        name_bits = 0
-        allowed = 0
-        floor = max(before_installed.get(atom.name, [0]))
-        for j, other in enumerate(stanzas):
-            if other.name == atom.name:
-                name_bits |= 1 << j
-                if other.version >= floor:
-                    allowed |= 1 << j
-        upgrades.append((clause, name_bits, allowed))
+        same_name = index.by_name.get(atom.name, [])
+        floor = max(
+            (stanzas[j].version for j in same_name if stanzas[j].installed),
+            default=0,
+        )
+        allowed = _bits(j for j in same_name if stanzas[j].version >= floor)
+        upgrades.append((_atom_mask(index, atom), _bits(same_name), allowed))
 
-    free_bits = [i for i in range(n) if not (pinned >> i) & 1]
     return CompiledProblem(
         n=n,
         keys=keys,
@@ -122,10 +107,3 @@ def compile_problem(doc, request, costs):
         forbidden=forbidden,
         upgrades=upgrades,
     )
-
-
-def _atom_mask_union(clause, stanzas):
-    mask = 0
-    for atom in clause:
-        mask |= _atom_mask(atom, stanzas)
-    return mask

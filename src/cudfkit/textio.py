@@ -145,6 +145,15 @@ def _parse_properties(lines, item_kind, registry):
     return fields
 
 
+def _parse_package(lines, registry):
+    """Property mapping of a package stanza with every required property."""
+    fields = _parse_properties(lines, "package", registry)
+    for name, schema in CORE_PACKAGE_SCHEMATA.items():
+        if schema.optionality == "required" and name not in fields:
+            raise _StanzaError(f"missing required property {name!r}")
+    return fields
+
+
 def parse_cudf(data, registry=None, strict_extras=False):
     """Parse CUDF bytes into a ParseReport.
 
@@ -162,17 +171,15 @@ def parse_cudf(data, registry=None, strict_extras=False):
     requests = []
     for stanza in stanzas:
         try:
-            fields = _parse_properties(stanza.lines, stanza.kind, registry)
             if stanza.kind == "package":
-                for name, schema in CORE_PACKAGE_SCHEMATA.items():
-                    if schema.optionality == "required" and name not in fields:
-                        raise _StanzaError(f"missing required property {name!r}")
+                fields = _parse_package(stanza.lines, registry)
                 if strict_extras:
                     fields = {
                         k: v for k, v in fields.items() if not isinstance(v, RawValue)
                     }
                 packages.append(apply_package_defaults(fields, registry))
             else:
+                fields = _parse_properties(stanza.lines, "problem", registry)
                 requests.append(
                     RequestItem(
                         problem_id=stanza.problem_id,
@@ -263,6 +270,10 @@ class UnknownSolutionKey(ValueError):
     pass
 
 
+class MalformedSolution(ValueError):
+    pass
+
+
 def serialize_solution(doc):
     """Solution file for a solved document: the installed (name, version)
     pairs as Package/Version/Installed stanzas, sorted for determinism."""
@@ -276,19 +287,27 @@ def serialize_solution(doc):
 
 
 def parse_solution(data):
-    """Parse a solution file into a list of ((name, version), installed)."""
+    """Parse a solution file into a list of ((name, version), installed).
+
+    Invalid UTF-8 is fatal, as for problem files; any other malformed
+    content raises MalformedSolution, since a solution has no stanza that
+    could be dropped and recovered from.
+    """
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FatalEncoding(str(exc)) from exc
     stanzas, errors = _split_stanzas(data)
     if errors:
-        raise _StanzaError(errors[0].reason)
+        raise MalformedSolution(errors[0].reason)
     entries = []
     for stanza in stanzas:
         if stanza.kind != "package":
-            raise _StanzaError("solution files contain package stanzas only")
-        fields = _parse_properties(stanza.lines, "package", None)
+            raise MalformedSolution("solution files contain package stanzas only")
+        try:
+            fields = _parse_package(stanza.lines, None)
+        except _StanzaError as exc:
+            raise MalformedSolution(f"stanza {stanza.index}: {exc}") from exc
         entries.append(((fields["Package"], fields["Version"]),
                         fields.get("Installed", True)))
     return entries

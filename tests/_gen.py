@@ -129,16 +129,36 @@ def _op(n, relop, v):
     return n <= v
 
 
-def _naive_merged(packages):
+def _naive_merged(packages, top=None):
+    """Installed versions per name and feature.  With `top`, an unversioned
+    provide stands for the explicit versions 1..top; without, the
+    document must have versioned provides only."""
     merged = {}
     for it in packages:
         if not it.installed:
             continue
         merged.setdefault(it.name, set()).add(it.version)
         for pr in it.provides.items:
-            assert not pr.constraint.is_top, "oracle needs versioned provides"
-            merged.setdefault(pr.name, set()).add(pr.constraint.version)
+            if pr.constraint.is_top:
+                assert top is not None, "oracle needs versioned provides"
+                merged.setdefault(pr.name, set()).update(range(1, top + 1))
+            else:
+                merged.setdefault(pr.name, set()).add(pr.constraint.version)
     return merged
+
+
+def _witness_top(*docs):
+    """One more than every version a constraint of the documents names, so
+    1..top holds a witness for every satisfiable constraint."""
+    top = 1
+    for d in docs:
+        for it in d.packages:
+            atoms = [a for clause in it.depends.clauses for a in clause]
+            atoms += list(it.conflicts.items) + list(it.provides.items)
+            for a in atoms:
+                if not a.constraint.is_top:
+                    top = max(top, a.constraint.version + 1)
+    return top
 
 
 def _naive_atom(merged, atom):
@@ -166,6 +186,152 @@ def naive_consistent(doc):
                 ):
                     return False
     return True
+
+
+def naive_consistency_violations(doc):
+    """(name, version, clause) of every consistency violation, installed
+    stanzas in key order, depends before conflicts; unversioned provides
+    are enumerated explicitly."""
+    top = _witness_top(doc)
+    merged = _naive_merged(doc.packages, top)
+    out = []
+    for it in sorted(doc.packages, key=lambda p: (p.name, p.version)):
+        if not it.installed:
+            continue
+        for clause in it.depends.clauses:
+            if not any(_naive_atom(merged, a) for a in clause):
+                out.append((it.name, it.version, "depends"))
+                break
+        others = [p for p in doc.packages if p.key != it.key]
+        merged_wo = _naive_merged(others, top)
+        if any(_naive_atom(merged_wo, a) for a in it.conflicts.items):
+            out.append((it.name, it.version, "conflicts"))
+    return out
+
+
+def naive_successor_violations(before, after):
+    """(clause, name, version) of every successor violation, in the order
+    the successor check reports them; a key names its first stanza."""
+
+    def first(d, key):
+        return next(p for p in d.packages if (p.name, p.version) == key)
+
+    keys_before = {(p.name, p.version) for p in before.packages}
+    keys_after = {(p.name, p.version) for p in after.packages}
+    domain = sorted(keys_before ^ keys_after)
+    if domain:
+        return [("domain",) + key for key in domain]
+    out = []
+    for key in sorted(keys_before):
+        b, a = first(before, key), first(after, key)
+        if (b.keep, b.depends, b.conflicts, b.provides) != (
+            a.keep, a.depends, a.conflicts, a.provides
+        ):
+            out.append(("metadata",) + key)
+    merged = _naive_merged(after.packages, _witness_top(before, after))
+    for it in sorted(before.packages, key=lambda p: (p.name, p.version)):
+        if not it.installed or it.keep is None:
+            continue
+        kind = it.keep.chosen
+        if kind == "version":
+            held = any(p.installed and p.name == it.name and p.version == it.version
+                       for p in after.packages)
+        elif kind == "package":
+            held = any(p.installed and p.name == it.name for p in after.packages)
+        else:
+            held = all(_naive_atom(merged, pr) for pr in it.provides.items)
+        if not held:
+            out.append(("keep", it.name, it.version))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-universe scan oracle for the compiled masks: every atom is matched
+# against every stanza, with no index.
+
+
+def _satisfies(n, c):
+    return c.is_top or _op(n, c.relop, c.version)
+
+
+def scan_atom_mask(atom, stanzas, exclude=None):
+    """Bits whose installation contributes a version of atom.name
+    satisfying atom.constraint, through the package itself or a provide."""
+    c = atom.constraint
+    mask = 0
+    for i, item in enumerate(stanzas):
+        if i == exclude:
+            continue
+        hit = False
+        if item.name == atom.name and _satisfies(item.version, c):
+            hit = True
+        else:
+            for provide in item.provides.items:
+                if provide.name != atom.name:
+                    continue
+                if provide.constraint.is_top:
+                    # some version in 1..v+1 satisfies (relop, v) if any does
+                    hit = c.is_top or any(
+                        _satisfies(n, c) for n in range(1, c.version + 2)
+                    )
+                else:
+                    hit = _satisfies(provide.constraint.version, c)
+                if hit:
+                    break
+        if hit:
+            mask |= 1 << i
+    return mask
+
+
+def scan_compile(doc, request):
+    """The masks compile_problem derives, by whole-universe scans."""
+    stanzas = sorted(doc.packages, key=lambda p: p.key)
+    out = {"pinned": 0, "dep_clauses": [], "conflict_mask": [], "required": []}
+    for i, item in enumerate(stanzas):
+        out["dep_clauses"].append([
+            _or(scan_atom_mask(atom, stanzas) for atom in clause)
+            for clause in item.depends.clauses
+        ])
+        out["conflict_mask"].append(
+            _or(scan_atom_mask(atom, stanzas, exclude=i)
+                for atom in item.conflicts.items)
+        )
+        if item.installed and item.keep is not None:
+            keep = item.keep.chosen
+            if keep == "version":
+                out["pinned"] |= 1 << i
+            elif keep == "package":
+                out["required"].append(
+                    _or(1 << j for j, other in enumerate(stanzas)
+                        if other.name == item.name)
+                )
+            else:
+                out["required"].extend(
+                    scan_atom_mask(provide, stanzas) for provide in item.provides.items
+                )
+    out["free_bits"] = [i for i in range(len(stanzas)) if not (out["pinned"] >> i) & 1]
+    out["required"].extend(
+        scan_atom_mask(atom, stanzas) for atom in request.install.items
+    )
+    out["forbidden"] = [scan_atom_mask(atom, stanzas) for atom in request.remove.items]
+    out["upgrades"] = []
+    for atom in request.upgrade.items:
+        floor = max([it.version for it in stanzas
+                     if it.installed and it.name == atom.name] or [0])
+        out["upgrades"].append((
+            scan_atom_mask(atom, stanzas),
+            _or(1 << j for j, it in enumerate(stanzas) if it.name == atom.name),
+            _or(1 << j for j, it in enumerate(stanzas)
+                if it.name == atom.name and it.version >= floor),
+        ))
+    return out
+
+
+def _or(masks):
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
 
 
 # ---------------------------------------------------------------------------

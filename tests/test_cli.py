@@ -119,6 +119,21 @@ def test_verify_unknown_key_is_usage_error(mta_path, tmp_path):
     assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
 
 
+def test_verify_solution_line_without_separator_is_usage_error(
+        mta_path, tmp_path, capsys):
+    bad = write(tmp_path, "bad.sol", "Package: postfix\nVersion: 2\ngarbage\n")
+    assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_solution_without_version_is_usage_error(mta_path, tmp_path, capsys):
+    bad = write(tmp_path, "bad.sol", "Package: postfix\nInstalled: true\n")
+    assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Version" in err
+
+
 def test_solve_unsatisfiable(tmp_path):
     path = write(tmp_path, "unsat.cudf",
                  "Package: aa\nVersion: 1\nDepends: bb\n\n"
@@ -197,6 +212,13 @@ def test_dudf_validate_rejects_broken_xml(tmp_path):
     path = tmp_path / "broken.xml"
     path.write_bytes(b"<not-dudf/>")
     assert cli.main(["dudf", "validate", str(path)]) == 1
+
+
+def test_dudf_show_rejects_non_dudf_xml(tmp_path, capsys):
+    path = tmp_path / "broken.xml"
+    path.write_bytes(b"<not-dudf/>")
+    assert cli.main(["dudf", "show", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid: ")
 
 
 def test_dudf_convert_roundtrips_through_check(tmp_path, capsysbinary):

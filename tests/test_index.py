@@ -1,0 +1,152 @@
+"""The name/feature index behind consistency checking and compilation,
+checked against the naive oracles and the whole-universe scan oracle."""
+
+import random
+from dataclasses import replace
+
+from _gen import (
+    naive_consistency_violations,
+    naive_successor_violations,
+    rand_document,
+    scan_compile,
+)
+from cudfkit.model import CudfDocument, PackageItem, RequestItem
+from cudfkit.semantics import is_consistent, is_successor
+from cudfkit.solver._compile import compile_problem
+from cudfkit.types import EnumValue, VersionConstraint, VPkg, VpkgList
+
+MASK_FIELDS = ("pinned", "free_bits", "dep_clauses", "conflict_mask", "required",
+               "forbidden", "upgrades")
+
+
+def pkg(name, version, conflicts=(), provides=(), installed=False):
+    return PackageItem(name=name, version=version,
+                       conflicts=VpkgList(tuple(conflicts)),
+                       provides=VpkgList(tuple(provides)), installed=installed)
+
+
+def doc(*packages, install=()):
+    return CudfDocument(packages=tuple(packages),
+                        request=RequestItem("pb", install=VpkgList(tuple(install))))
+
+
+def eq(v):
+    return VersionConstraint("=", v)
+
+
+def consistency(d):
+    return [(v.package, v.version, v.clause) for v in is_consistent(d).violations]
+
+
+def compiled_masks(d):
+    problem = compile_problem(d, d.request, {})
+    return {name: getattr(problem, name) for name in MASK_FIELDS}
+
+
+def random_documents(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        yield rng, rand_document(rng, max_names=3 + i % 6, max_versions=1 + i % 4)
+
+
+# -- differential: index against the oracles ----------------------------------
+
+def test_compiled_masks_match_scan_oracle():
+    for _, d in random_documents(404, 600):
+        assert compiled_masks(d) == scan_compile(d, d.request)
+
+
+def test_consistency_violations_match_naive_oracle():
+    for _, d in random_documents(405, 600):
+        assert consistency(d) == naive_consistency_violations(d)
+
+
+def test_successor_violations_match_naive_oracle():
+    for rng, before in random_documents(406, 600):
+        packages = [p.with_installed(rng.random() < 0.5) for p in before.packages]
+        roll = rng.random()
+        if roll < 0.15:
+            packages.pop(rng.randrange(len(packages)))
+        elif roll < 0.3:
+            i = rng.randrange(len(packages))
+            packages[i] = replace(packages[i], conflicts=VpkgList((VPkg("zz"),)))
+        after = CudfDocument(packages=tuple(packages), request=before.request)
+        got = [(v.clause, v.package, v.version)
+               for v in is_successor(before, after).violations]
+        assert got == naive_successor_violations(before, after)
+
+
+# -- hand-built edge cases ----------------------------------------------------
+
+def test_duplicate_keys_exclude_by_key_in_semantics_and_by_position_in_compile():
+    twin = pkg("pp", 1, conflicts=[VPkg("pp")], installed=True)
+    d = doc(twin, twin)
+    assert consistency(d) == []
+    assert compile_problem(d, d.request, {}).conflict_mask == [0b10, 0b01]
+
+
+def test_duplicate_keys_successor_reads_first_stanza():
+    first = pkg("pp", 1, conflicts=[VPkg("qq")])
+    before = doc(first, pkg("pp", 1))
+    assert is_successor(before, doc(first, pkg("pp", 1, conflicts=[VPkg("rr")]))).ok
+    verdict = is_successor(before, doc(pkg("pp", 1), first))
+    assert [v.clause for v in verdict.violations] == ["metadata"]
+
+
+def test_package_providing_its_own_name():
+    own = pkg("pp", 1, provides=[VPkg("pp", eq(3))],
+              conflicts=[VPkg("pp", VersionConstraint(">=", 2))], installed=True)
+    assert consistency(doc(own)) == []
+    assert consistency(doc(own, pkg("pp", 2, installed=True))) == [
+        ("pp", 1, "conflicts")
+    ]
+    d = doc(own, pkg("pp", 2), install=[VPkg("pp", eq(3))])
+    problem = compile_problem(d, d.request, {})
+    assert problem.required == [0b01]
+    assert problem.conflict_mask == [0b10, 0]
+
+
+def test_unversioned_provide_hit_by_conflict():
+    provider = pkg("bb", 1, provides=[VPkg("ff")], installed=True)
+    hit = pkg("aa", 1, conflicts=[VPkg("ff", eq(7))], installed=True)
+    assert consistency(doc(hit, provider)) == [("aa", 1, "conflicts")]
+    assert compile_problem(doc(hit, provider), RequestItem(), {}).conflict_mask == [
+        0b10, 0
+    ]
+    # no version satisfies "< 1", not even through an unversioned provide
+    miss = pkg("aa", 1, conflicts=[VPkg("ff", VersionConstraint("<", 1))],
+               installed=True)
+    assert consistency(doc(miss, provider)) == []
+    assert compile_problem(doc(miss, provider), RequestItem(), {}).conflict_mask == [
+        0, 0
+    ]
+
+
+def test_self_conflict_through_own_provide():
+    def mta(name, version):
+        return pkg(name, version, conflicts=[VPkg("mta")], provides=[VPkg("mta")],
+                   installed=True)
+
+    assert consistency(doc(mta("exim", 1))) == []
+    assert compile_problem(doc(mta("exim", 1)), RequestItem(), {}).conflict_mask == [0]
+    assert consistency(doc(mta("exim", 1), mta("exim", 2))) == [
+        ("exim", 1, "conflicts"), ("exim", 2, "conflicts")
+    ]
+
+
+def test_keep_package_group_and_upgrade_bits_from_name_index():
+    keep = EnumValue(("version", "package", "feature"), "package")
+    d = CudfDocument(
+        packages=(
+            PackageItem("aa", 2, installed=True, keep=keep),
+            PackageItem("bb", 1, provides=VpkgList((VPkg("aa", eq(9)),))),
+            PackageItem("aa", 1),
+            PackageItem("aa", 3),
+        ),
+        request=RequestItem("pb", upgrade=VpkgList((VPkg("aa"),))),
+    )
+    problem = compile_problem(d, d.request, {})
+    assert problem.keys == [("aa", 1), ("aa", 2), ("aa", 3), ("bb", 1)]
+    # the provider of feature aa is in neither group, only in the clause
+    assert problem.required == [0b0111]
+    assert problem.upgrades == [(0b1111, 0b0111, 0b0110)]

@@ -164,6 +164,27 @@ def test_budget_exceeded():
     assert result.status == "solution"
 
 
+def test_budget_checked_before_compiling(monkeypatch):
+    def never(*args):
+        raise AssertionError("compiled a problem over budget")
+
+    monkeypatch.setattr(solver, "compile_problem", never)
+    d = doc(*(pkg(f"p{i:03d}", 1) for i in range(500)))
+    result = solve(d, d.request, {})
+    assert (result.status, result.explored) == ("budget_exceeded", 0)
+
+
+def test_budget_counts_only_unpinned_stanzas():
+    from cudfkit.types import EnumValue
+
+    version = EnumValue(("version", "package", "feature"), "version")
+    pinned = [PackageItem(f"p{i:02d}", 1, installed=True, keep=version)
+              for i in range(30)]
+    d = doc(*pinned, pkg("aa", 1), pkg("bb", 1), pkg("cc", 1))
+    result = solve(d, d.request, {}, budget=8)
+    assert result.status == "solution"
+
+
 def test_solve_is_deterministic():
     rng = random.Random(11)
     d = with_sizes(rand_document(rng, max_names=3, max_versions=2), rng)
