@@ -100,7 +100,8 @@ def cmd_verify(args):
     try:
         entries = textio.parse_solution(_read(args.solution))
         after = textio.apply_solution(problem, entries)
-    except (textio.UnknownSolutionKey, textio.MalformedSolution) as exc:
+    except (textio.UnknownSolutionKey, textio.MalformedSolution,
+            textio.FatalEncoding) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = semantics.satisfies_request(problem, problem.request, after)

@@ -1,15 +1,13 @@
 """Cost-based optimization over the request semantics.
 
-Exhaustive desk-scale solver: candidates are assignments of the
-Installed flags over the existing domain (the successor relation forbids
-adding or removing stanzas, so this space is complete).  The hot
-enumeration loop runs in a compiled kernel when available, with a
-pure-Python fallback selected at import time.
+Exact desk-scale solver: candidates are assignments of the Installed
+flags over the existing domain (the successor relation forbids adding or
+removing stanzas, so this space is complete).  The compiled problem is
+searched depth-first by branch-and-bound with unit propagation.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .. import semantics
@@ -17,15 +15,7 @@ from ..model import CudfDocument, RawValue
 from ._compile import compile_problem, is_pinned
 from . import _kernel_py
 
-if os.environ.get("CUDFKIT_PURE"):
-    _kernel = None
-else:
-    try:
-        from . import _kernel
-    except ImportError:
-        _kernel = None
-
-KERNEL = "compiled" if _kernel is not None else "pure"
+KERNEL = "branch-and-bound"
 
 CRITERIA = ("installed-size", "download-size", "prefer-latest", "min-new", "min-removed")
 
@@ -96,25 +86,21 @@ def preset_costs(doc, request, criterion):
 
 
 def solve(doc, request, costs, budget=DEFAULT_BUDGET):
-    """Minimum-cost successor satisfying the request, by exhaustive
-    enumeration of Installed-flag assignments.
+    """Minimum-cost successor satisfying the request, by branch-and-bound
+    over Installed-flag assignments.
 
     keep 'version packages are pinned installed; everything else is
-    free.  The budget is checked on the free-stanza count before the
-    problem is compiled.  Any returned solution is re-checked against the
-    semantics engine, never trusted from the search.  Ties break toward
-    the lexicographically smallest sorted installed set.
+    free.  The budget bounds the 2**k candidate space of the k free
+    stanzas and is checked before the problem is compiled.  Any returned
+    solution is re-checked against the semantics engine, never trusted
+    from the search.  Ties break toward the lexicographically smallest
+    sorted installed set; explored counts search nodes.
     """
     k = sum(1 for p in doc.packages if not is_pinned(p))
     if k >= budget.bit_length() or (1 << k) > budget:
         return SolveResult(status="budget_exceeded", explored=0)
     problem = compile_problem(doc, request, costs)
-
-    kernel = _kernel if (_kernel is not None and problem.n <= 64) else _kernel_py
-    try:
-        found, best_mask, best_cost, explored = kernel.search(problem)
-    except OverflowError:
-        found, best_mask, best_cost, explored = _kernel_py.search(problem)
+    found, best_mask, best_cost, explored = _kernel_py.search(problem)
 
     if not found:
         return SolveResult(status="no_solution", explored=explored)

@@ -1,10 +1,9 @@
-"""Compile a document + request + costs into bitmask form for the search
-kernels.
+"""Compile a document + request + costs into bitmask form for the search.
 
 Stanzas are sorted by (name, version) and numbered; an installation
 candidate is the bitmask of installed stanzas.  Every semantic clause is
 reduced ahead of time to "mask must intersect M" or "mask must avoid M",
-so the kernels only do mask arithmetic.  Masks are read off one
+so the search only does mask arithmetic.  Masks are read off one
 semantics.FeatureIndex, so compilation is linear in the stanza count.
 """
 

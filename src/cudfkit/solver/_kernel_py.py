@@ -1,88 +1,124 @@
-"""Pure-Python search kernel over compiled problems.
+"""Depth-first branch-and-bound over compiled problems.
 
-Reference implementation of the candidate enumeration; the Cython kernel
-in _kernel.pyx mirrors this loop exactly.  Unlimited stanza counts are
-supported since Python integers serve as bitmasks.
+A search node decides some free bits: `ones` holds the bits set, `zeros`
+the bits cleared.  Unit propagation over the compiled masks extends both
+to a fixpoint or shows that no candidate extends the node; a node whose
+cost lower bound cannot beat the best candidate found so far is cut.
+Python integers serve as bitmasks, so any stanza count works, and an
+explicit stack keeps deep searches off the interpreter's call stack.
 """
 
 from __future__ import annotations
 
 
-def _mask_less(a, b):
-    """Whether installed-set a precedes b in the tie-break order
-    (lexicographic on the sorted (name, version) sequences; bit order is
-    already sorted by key)."""
-    d = a ^ b
-    if d == 0:
-        return False
-    m = d & -d
-    above = ~((m << 1) - 1)
-    if a & m:
-        return bool(b & above)
-    return not (a & above)
-
-
-def _candidate_ok(mask, problem):
-    for i in range(problem.n):
-        if not (mask >> i) & 1:
-            continue
-        for clause in problem.dep_clauses[i]:
-            if not mask & clause:
-                return False
-        if mask & problem.conflict_mask[i]:
-            return False
-    for req in problem.required:
-        if not mask & req:
-            return False
-    for bad in problem.forbidden:
-        if mask & bad:
-            return False
-    for clause, name_bits, allowed in problem.upgrades:
-        if not mask & clause:
-            return False
-        chosen = mask & name_bits
-        if chosen == 0 or chosen & (chosen - 1):
-            return False
-        if not chosen & allowed:
-            return False
-    return True
+def _bit_indices(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def search(problem):
-    """Enumerate all assignments of the free installed flags.
+    """Minimum-cost candidate of a compiled problem.
 
-    Returns (found, best_mask, best_cost, explored); the minimum-cost
-    passing candidate wins, ties broken by _mask_less.
+    Returns (found, best_mask, best_cost, explored), where explored counts
+    search nodes.  Ties go to the candidate whose sorted installed set is
+    lexicographically smallest: branching on the lowest undecided bit,
+    include first, and trying the leaf that sets no further bit before
+    both when no set bit lies above the branch bit, meets candidates in
+    exactly that order, so only a strictly cheaper one replaces the best.
     """
-    free = problem.free_bits
-    k = len(free)
+    n = problem.n
     costs = problem.costs
-    best_mask = 0
-    best_cost = 0
+    neg = [min(c, 0) for c in costs]
+    neg_bits = sum(1 << i for i, c in enumerate(neg) if c)
+    deps = problem.dep_clauses
+
+    # excl[i]: bits that cannot be installed together with bit i.  Conflicts
+    # are made symmetric so that either side of a pair clears the other.
+    excl = list(problem.conflict_mask)
+    for i, mask in enumerate(problem.conflict_mask):
+        for j in _bit_indices(mask):
+            excl[j] |= 1 << i
+    clauses = list(problem.required)
+    zeros = 0
+    for bad in problem.forbidden:
+        zeros |= bad
+    for clause, name_bits, allowed in problem.upgrades:
+        zeros |= name_bits & ~allowed
+        clauses += [clause, name_bits]  # at least one version of the name
+        for i in _bit_indices(name_bits):
+            excl[i] |= name_bits & ~(1 << i)  # at most one
+
+    def propagate(ones, zeros, clauses, cost, left, todo):
+        """Fixpoint of the node; None when no candidate extends it.
+
+        todo holds the bits of ones whose clauses and exclusions are not
+        applied yet; cost is that of the applied bits, and left the sum of
+        the negative costs of the bits in neither ones nor zeros."""
+        if ones & zeros:
+            return None
+        while True:
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i = low.bit_length() - 1
+                if excl[i] & ones:
+                    return None
+                cleared = excl[i] & ~zeros
+                zeros |= cleared
+                cost += costs[i]
+                left -= neg[i]
+                for j in _bit_indices(cleared & neg_bits):
+                    left -= neg[j]
+                if deps[i]:
+                    clauses = clauses + deps[i]
+            still_open = []
+            for clause in clauses:
+                if clause & ones:
+                    continue
+                clause &= ~zeros
+                if not clause:
+                    return None
+                if clause & (clause - 1):
+                    still_open.append(clause)
+                else:
+                    todo |= clause
+            clauses = still_open
+            if not todo:
+                return ones, zeros, clauses, cost, left
+            ones |= todo
+
+    full = (1 << n) - 1
+    left = sum(neg[i] for i in _bit_indices(full & ~zeros))
+    stack = [(problem.pinned, zeros, clauses, 0, left, problem.pinned)]
     found = False
-    for sub in range(1 << k):
-        mask = problem.pinned
-        s = sub
-        idx = 0
-        while s:
-            if s & 1:
-                mask |= 1 << free[idx]
-            s >>= 1
-            idx += 1
-        if not _candidate_ok(mask, problem):
+    best_mask = best_cost = explored = 0
+    while stack:
+        explored += 1
+        node = propagate(*stack.pop())
+        if node is None:
             continue
-        cost = 0
-        m = mask
-        while m:
-            low = m & -m
-            cost += costs[low.bit_length() - 1]
-            m ^= low
-        if (
-            not found
-            or cost < best_cost
-            or (cost == best_cost and _mask_less(mask, best_mask))
-        ):
-            found = True
-            best_mask = mask
-            best_cost = cost
-    return found, best_mask, best_cost, 1 << k
+        ones, zeros, clauses, cost, left = node
+        if found and cost + left >= best_cost:
+            continue
+        undecided = full & ~(ones | zeros)
+        if not undecided:
+            found, best_mask, best_cost = True, ones, cost
+            continue
+        low = undecided & -undecided
+        left_off = left - neg[low.bit_length() - 1]
+        include = (ones | low, zeros, clauses, cost, left, low)
+        if ones < low:
+            # No set bit above the branch bit: the leaf clearing every
+            # undecided bit precedes the whole subtree, and the exclude
+            # branch keeps only candidates that set some bit above it.
+            rest = undecided ^ low
+            if rest:
+                stack.append((ones, zeros | low, clauses + [rest], cost, left_off, 0))
+            stack.append(include)
+            stack.append((ones, zeros | undecided, clauses, cost, 0, 0))
+        else:
+            stack.append((ones, zeros | low, clauses, cost, left_off, 0))
+            stack.append(include)
+    return found, best_mask, best_cost, explored

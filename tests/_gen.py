@@ -356,3 +356,61 @@ def enumerate_solutions(doc, request):
             installed = frozenset(it.key for it in candidate.packages if it.installed)
             out[installed] = candidate
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive search oracle over a compiled problem: every assignment of the
+# free bits, checked clause by clause, the cheapest kept with an explicit
+# tie-break.
+
+
+def mask_less(a, b):
+    """Whether installed-set a precedes b in the tie-break order
+    (lexicographic on the sorted (name, version) sequences; bit order is
+    already sorted by key)."""
+    d = a ^ b
+    if d == 0:
+        return False
+    m = d & -d
+    above = ~((m << 1) - 1)
+    if a & m:
+        return bool(b & above)
+    return not (a & above)
+
+
+def _mask_ok(mask, problem):
+    for i in range(problem.n):
+        if (mask >> i) & 1:
+            if any(not mask & clause for clause in problem.dep_clauses[i]):
+                return False
+            if mask & problem.conflict_mask[i]:
+                return False
+    if any(not mask & req for req in problem.required):
+        return False
+    if any(mask & bad for bad in problem.forbidden):
+        return False
+    for clause, name_bits, allowed in problem.upgrades:
+        chosen = mask & name_bits
+        if not mask & clause or bin(chosen).count("1") != 1 or not chosen & allowed:
+            return False
+    return True
+
+
+def exhaustive_search(problem):
+    """(found, best_mask, best_cost, 2**k) by enumerating all 2**k
+    assignments of the k free bits."""
+    free = problem.free_bits
+    found, best_mask, best_cost = False, 0, 0
+    for sub in range(1 << len(free)):
+        mask = problem.pinned
+        for idx, bit in enumerate(free):
+            if (sub >> idx) & 1:
+                mask |= 1 << bit
+        if not _mask_ok(mask, problem):
+            continue
+        cost = sum(problem.costs[i] for i in range(problem.n) if (mask >> i) & 1)
+        if not found or cost < best_cost or (
+            cost == best_cost and mask_less(mask, best_mask)
+        ):
+            found, best_mask, best_cost = True, mask, cost
+    return found, best_mask, best_cost, 1 << len(free)

@@ -134,6 +134,14 @@ def test_verify_solution_without_version_is_usage_error(mta_path, tmp_path, caps
     assert err.startswith("error: ") and "Version" in err
 
 
+def test_verify_solution_not_utf8_is_usage_error(mta_path, tmp_path, capsys):
+    bad = tmp_path / "bad.sol"
+    bad.write_bytes(b"Package: postfix\xff\nVersion: 2\nInstalled: true\n")
+    assert cli.main(["verify", "--problem", mta_path, "--solution", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_unsatisfiable(tmp_path):
     path = write(tmp_path, "unsat.cudf",
                  "Package: aa\nVersion: 1\nDepends: bb\n\n"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _gen import enumerate_solutions, rand_document
+from _gen import enumerate_solutions, exhaustive_search, mask_less, rand_document
 from cudfkit import solver
 from cudfkit.model import (
     CudfDocument,
@@ -130,7 +130,7 @@ def test_solve_no_solution():
     r = req(install=[VPkg("aa")])
     result = solve(d, r, {})
     assert result.status == "no_solution"
-    assert result.explored == 2
+    assert result.explored == 1  # propagation refutes the root node
 
 
 def test_solve_tie_break_is_lexicographic():
@@ -225,17 +225,50 @@ def test_solve_matches_enumeration_oracle():
     assert checked > 0
 
 
-# -- kernel parity ------------------------------------------------------------
+# -- search vs exhaustive oracle ---------------------------------------------
 
-def test_kernels_agree():
-    if solver.KERNEL != "compiled":
-        pytest.skip("compiled kernel unavailable")
+COST_SHAPES = {
+    "signed": lambda rng: rng.randint(-9, 9),
+    "zero-one": lambda rng: rng.randint(0, 1),
+    "minus-one-zero": lambda rng: rng.randint(-1, 0),
+    "all-zero": lambda rng: 0,
+}
+
+
+def test_search_matches_exhaustive_oracle():
     rng = random.Random(515)
-    for _ in range(60):
-        d = rand_document(rng, max_names=3, max_versions=2)
-        costs = {p.key: rng.randint(-9, 9) for p in d.packages}
-        problem = compile_problem(d, d.request, costs)
-        assert solver._kernel.search(problem) == _kernel_py.search(problem)
+    found = 0
+    for _ in range(1000):
+        d = rand_document(rng)
+        for shape, draw in COST_SHAPES.items():
+            costs = {p.key: draw(rng) for p in d.packages}
+            problem = compile_problem(d, d.request, costs)
+            got = _kernel_py.search(problem)
+            assert got[:3] == exhaustive_search(problem)[:3], shape
+            found += got[0]
+    assert 0 < found < 4000
+
+
+def test_search_deep_problem_has_no_recursion_limit():
+    d = doc(*(pkg(f"p{i:04d}", 1) for i in range(1500)))
+    result = solve(d, d.request, {}, budget=2 ** 2000)
+    assert (result.status, result.cost) == ("solution", 0)
+    d = doc(*(pkg(f"p{i:04d}", 1, installed=True) for i in range(1500)))
+    result = solve(d, d.request, preset_costs(d, d.request, "min-removed"),
+                   budget=2 ** 2000)
+    assert (result.status, result.cost) == ("solution", -1500)
+    assert all(p.installed for p in result.document.packages)
+
+
+def test_search_bound_counts_negative_costs():
+    # The empty candidate (cost 0) is found first.  Installing aa alone
+    # costs 0 too, so only a bound that counts bb's -1 below it keeps the
+    # branch that leads to the optimum {aa, bb}.
+    d = doc(pkg("aa", 1),
+            pkg("bb", 1, installed=True, depends=VpkgFormula(((VPkg("aa"),),))))
+    result = solve(d, d.request, preset_costs(d, d.request, "min-removed"))
+    installed = {p.key for p in result.document.packages if p.installed}
+    assert (result.cost, installed) == (-1, {("aa", 1), ("bb", 1)})
 
 
 def test_mask_less_reference():
@@ -247,4 +280,4 @@ def test_mask_less_reference():
     rng = random.Random(8)
     for _ in range(2000):
         a, b = rng.randrange(256), rng.randrange(256)
-        assert _kernel_py._mask_less(a, b) == ref_less(a, b)
+        assert mask_less(a, b) == ref_less(a, b)
