@@ -8,6 +8,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,7 +64,8 @@ def cmd_check(args):
     payload = {
         "packages": len(report.document.packages),
         "recovered_errors": [
-            {"stanza": e.stanza_index, "reason": e.reason}
+            {"stanza": e.stanza_index, "line": e.line, "bytes": e.byte_range,
+             "reason": e.reason}
             for e in report.recovered_errors
         ],
         "violations": [
@@ -77,7 +79,8 @@ def cmd_check(args):
     else:
         print(f"packages: {payload['packages']}")
         for e in report.recovered_errors:
-            print(f"warning: stanza {e.stanza_index}: {e.reason}", file=sys.stderr)
+            print(f"warning: stanza {e.stanza_index} (line {e.line}): {e.reason}",
+                  file=sys.stderr)
         for v in violations:
             print(f"invalid: {v.detail}", file=sys.stderr)
     if args.strict and (report.recovered_errors or violations):
@@ -214,7 +217,9 @@ def cmd_dudf(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and reused by every main()."""
     parser = argparse.ArgumentParser(prog="cudfkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

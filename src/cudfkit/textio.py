@@ -25,6 +25,7 @@ from .model import (
 
 PACKAGE_POSTMARK = "Package: "
 PROBLEM_POSTMARK = "Problem: "
+_POSTMARKS = (PACKAGE_POSTMARK, PROBLEM_POSTMARK)
 
 _PROP_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*$")
 
@@ -56,6 +57,7 @@ class RecoveredError:
     stanza_index: int
     byte_range: tuple[int, int]
     reason: str
+    line: int  # 1-based first line of the dropped stanza or junk line
 
 
 @dataclass
@@ -68,6 +70,7 @@ class ParseReport:
 class _RawStanza:
     kind: str  # "package" | "problem" | "junk"
     index: int
+    line: int  # 1-based line of the postmark
     byte_range: tuple[int, int]
     lines: list  # property lines, postmark line included for packages
     problem_id: str = ""
@@ -76,38 +79,48 @@ class _RawStanza:
 def _split_stanzas(data):
     """Split raw bytes into stanzas at postmark lines.
 
-    Returns (stanzas, recovered_errors_for_preamble). Blank lines between
-    stanzas are dropped; \r is stripped before the newline check.
+    Returns (stanzas, recovered_errors_for_preamble); invalid UTF-8 raises
+    FatalEncoding. Blank lines between stanzas are dropped; \r is stripped
+    before the newline check. A stanza's byte range ends where the line
+    that closes it (a blank line or the next postmark) starts, or at the
+    end of the data.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FatalEncoding(str(exc)) from exc
     stanzas = []
     errors = []
     current = None
-    index = 0
     offset = 0
-    raw_lines = data.split(b"\n")
-    for i, raw in enumerate(raw_lines):
-        line_len = len(raw) + (1 if i < len(raw_lines) - 1 else 0)
-        line = raw.decode("utf-8")
+    # 0x0A never occurs inside a multi-byte UTF-8 sequence, so the text
+    # and byte splits have the same lines.
+    sizes = map(len, data.split(b"\n"))
+    for number, (line, size) in enumerate(zip(text.split("\n"), sizes), 1):
+        start = offset
+        offset += size + 1
         if line.endswith("\r"):
             line = line[:-1]
-        start, end = offset, offset + line_len
-        offset = end
-        if line.startswith(PACKAGE_POSTMARK) or line.startswith(PROBLEM_POSTMARK):
-            kind = "package" if line.startswith(PACKAGE_POSTMARK) else "problem"
-            current = _RawStanza(kind, index, (start, end), [])
-            index += 1
-            if kind == "package":
-                current.lines.append(line)
+        if line.startswith(_POSTMARKS):
+            if current is not None:
+                current.byte_range = (current.byte_range[0], start)
+            if line.startswith(PACKAGE_POSTMARK):
+                current = _RawStanza("package", len(stanzas), number, (start, start), [line])
             else:
-                current.problem_id = line[len(PROBLEM_POSTMARK):]
+                current = _RawStanza("problem", len(stanzas), number, (start, start), [],
+                                     line[len(PROBLEM_POSTMARK):])
             stanzas.append(current)
-        elif line.strip(" \t") == "":
-            current = None  # blank line ends the stanza
+        elif not line.strip(" \t"):
+            if current is not None:  # blank line ends the stanza
+                current.byte_range = (current.byte_range[0], start)
+                current = None
         elif current is None:
-            errors.append(RecoveredError(-1, (start, end), "content outside any stanza"))
+            errors.append(RecoveredError(-1, (start, min(offset, len(data))),
+                                         "content outside any stanza", number))
         else:
             current.lines.append(line)
-            current.byte_range = (current.byte_range[0], end)
+    if current is not None:
+        current.byte_range = (current.byte_range[0], len(data))
     return stanzas, errors
 
 
@@ -115,41 +128,56 @@ class _StanzaError(ValueError):
     pass
 
 
-def _parse_properties(lines, item_kind, registry):
-    """Parse "Name: value" lines into a field mapping; raises _StanzaError."""
+_UNPARSED = object()
+_REQUIRED_PACKAGE_PROPS = tuple(
+    name for name, schema in CORE_PACKAGE_SCHEMATA.items()
+    if schema.optionality == "required"
+)
+
+
+def _parse_properties(lines, item_kind, registry, memo):
+    """Parse "Name: value" lines into a field mapping; raises _StanzaError.
+
+    `memo` maps (value type, lexical) to the parsed value for the length of
+    one document: values are immutable, so a repeated line is parsed once.
+    """
     fields = {}
     core = CORE_PACKAGE_SCHEMATA if item_kind == "package" else CORE_PROBLEM_SCHEMATA
     for line in lines:
-        if ": " in line:
-            name, value = line.split(": ", 1)
-        elif line.endswith(":"):
+        name, sep, value = line.partition(": ")
+        if not sep:
+            if not line.endswith(":"):
+                raise _StanzaError(f"missing ': ' separator in {line!r}")
             name, value = line[:-1], ""
-        else:
-            raise _StanzaError(f"missing ': ' separator in {line!r}")
-        if not _PROP_NAME_RE.match(name):
-            raise _StanzaError(f"invalid property name {name!r}")
+        schema = core.get(name)
+        if schema is None:
+            if not _PROP_NAME_RE.match(name):
+                raise _StanzaError(f"invalid property name {name!r}")
+            if registry is not None:
+                schema = registry.get(item_kind, name)
         if name in fields:
             raise _StanzaError(f"duplicate property {name!r}")
-        schema = core.get(name)
-        if schema is None and registry is not None:
-            schema = registry.get(item_kind, name)
         if schema is None:
             if item_kind == "problem":
                 raise _StanzaError(f"unknown problem property {name!r}")
             fields[name] = RawValue(value)
-        else:
+            continue
+        key = (schema.value_type, value)
+        parsed = memo.get(key, _UNPARSED)
+        if parsed is _UNPARSED:
             try:
-                fields[name] = types.parse_value(schema.value_type, value)
+                parsed = memo[key] = types.parse_value(schema.value_type, value)
             except types.LexicalError as exc:
                 raise _StanzaError(f"{name}: {exc.reason}") from exc
+        fields[name] = parsed
     return fields
 
 
-def _parse_package(lines, registry):
+def _parse_package(lines, registry, memo):
     """Property mapping of a package stanza with every required property."""
-    fields = _parse_properties(lines, "package", registry)
-    for name, schema in CORE_PACKAGE_SCHEMATA.items():
-        if schema.optionality == "required" and name not in fields:
+    fields = _parse_properties(lines, "package", registry, memo)
+    for name in _REQUIRED_PACKAGE_PROPS:
+        if name not in fields:
             raise _StanzaError(f"missing required property {name!r}")
     return fields
 
@@ -161,25 +189,21 @@ def parse_cudf(data, registry=None, strict_extras=False):
     encoding failures and a surviving problem-stanza count other than one
     are fatal.
     """
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FatalEncoding(str(exc)) from exc
-
     stanzas, errors = _split_stanzas(data)
+    memo = {}
     packages = []
     requests = []
     for stanza in stanzas:
         try:
             if stanza.kind == "package":
-                fields = _parse_package(stanza.lines, registry)
+                fields = _parse_package(stanza.lines, registry, memo)
                 if strict_extras:
                     fields = {
                         k: v for k, v in fields.items() if not isinstance(v, RawValue)
                     }
                 packages.append(apply_package_defaults(fields, registry))
             else:
-                fields = _parse_properties(stanza.lines, "problem", registry)
+                fields = _parse_properties(stanza.lines, "problem", registry, memo)
                 requests.append(
                     RequestItem(
                         problem_id=stanza.problem_id,
@@ -189,7 +213,9 @@ def parse_cudf(data, registry=None, strict_extras=False):
                     )
                 )
         except _StanzaError as exc:
-            errors.append(RecoveredError(stanza.index, stanza.byte_range, str(exc)))
+            errors.append(
+                RecoveredError(stanza.index, stanza.byte_range, str(exc), stanza.line)
+            )
 
     if len(requests) == 0:
         raise FatalNoProblemStanza("no surviving problem stanza")
@@ -212,15 +238,9 @@ def _prop_line(name, value):
 
 def serialize_package(item, registry=None, canonical=True):
     out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
-    for name in _PACKAGE_PROP_ORDER:
+    values = (item.depends, item.conflicts, item.provides, item.installed, item.keep)
+    for name, value in zip(_PACKAGE_PROP_ORDER, values):
         schema = CORE_PACKAGE_SCHEMATA[name]
-        value = {
-            "Depends": item.depends,
-            "Conflicts": item.conflicts,
-            "Provides": item.provides,
-            "Installed": item.installed,
-            "Keep": item.keep,
-        }[name]
         if value is None:
             continue
         if canonical and schema.has_default and value == schema.default:
@@ -293,19 +313,16 @@ def parse_solution(data):
     content raises MalformedSolution, since a solution has no stanza that
     could be dropped and recovered from.
     """
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FatalEncoding(str(exc)) from exc
     stanzas, errors = _split_stanzas(data)
     if errors:
         raise MalformedSolution(errors[0].reason)
+    memo = {}
     entries = []
     for stanza in stanzas:
         if stanza.kind != "package":
             raise MalformedSolution("solution files contain package stanzas only")
         try:
-            fields = _parse_package(stanza.lines, None)
+            fields = _parse_package(stanza.lines, None, memo)
         except _StanzaError as exc:
             raise MalformedSolution(f"stanza {stanza.index}: {exc}") from exc
         entries.append(((fields["Package"], fields["Version"]),
@@ -317,7 +334,8 @@ def apply_solution(problem_doc, entries):
     """Rebuild the outcome document from the problem plus solution flags.
 
     Unlisted packages end up not installed; keys outside the problem
-    domain raise UnknownSolutionKey.
+    domain raise UnknownSolutionKey.  A stanza whose flag does not change
+    is shared with the problem document.
     """
     domain = problem_doc.domain()
     flags = {}
@@ -325,7 +343,8 @@ def apply_solution(problem_doc, entries):
         if key not in domain:
             raise UnknownSolutionKey(f"{key[0]} {key[1]} not in the problem domain")
         flags[key] = installed
-    packages = tuple(
-        p.with_installed(flags.get(p.key, False)) for p in problem_doc.packages
-    )
-    return CudfDocument(packages=packages, request=problem_doc.request)
+    packages = []
+    for p in problem_doc.packages:
+        flag = flags.get(p.key, False)
+        packages.append(p if p.installed is flag else p.with_installed(flag))
+    return CudfDocument(packages=tuple(packages), request=problem_doc.request)

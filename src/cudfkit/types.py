@@ -137,121 +137,71 @@ def is_identifier(s):
 # Parsing
 
 
-class _Scanner:
-    """Tokenizer for the vpkg/vpkglist/vpkgformula grammars.
+# One atom of a vpkg, vpkglist or vpkgformula: a package name, optionally
+# followed by a relop and a version.  Only U+0020 counts as a space; runs
+# of spaces are accepted anywhere between tokens.  "," and "|" cannot
+# occur in a name, relop or number, so a value is split on them first.
+# Each run of spaces can match at one place only, so a failed match takes
+# linear time (a separate trailing " *" would make it quadratic).
+_ATOM_RE = re.compile(r" *([a-z][a-z0-9.-]+) *(?:(!=|>=|<=|=|>|<) *([0-9]+) *)?")
 
-    Only U+0020 counts as a space; runs of spaces are accepted anywhere
-    between tokens.
-    """
 
-    def __init__(self, text, type_tag):
-        self.text = text
-        self.pos = 0
-        self.type_tag = type_tag
+def _to_int(digits, type_tag, position):
+    """int(digits); a string longer than the interpreter converts is a
+    lexical error, not a ValueError escaping the parser."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise LexicalError(type_tag, position, "too many digits") from None
 
-    def error(self, reason):
-        raise LexicalError(self.type_tag, self.pos, reason)
 
-    def skip_spaces(self):
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def at_end(self):
-        self.skip_spaces()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self.skip_spaces()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        self.skip_spaces()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def pkgname(self):
-        self.skip_spaces()
-        m = re.match(r"[a-z][a-z0-9.-]+", self.text[self.pos:])
-        if not m:
-            self.error("expected a package name")
-        self.pos += m.end()
-        return m.group()
-
-    def relop(self):
-        self.skip_spaces()
-        for op in RELOPS:  # ordered longest-first for shared prefixes
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return op
-        return None
-
-    def posint(self):
-        self.skip_spaces()
-        m = re.match(r"[0-9]+", self.text[self.pos:])
-        if not m:
-            self.error("expected a version number")
-        self.pos += m.end()
-        value = int(m.group())
-        if value < 1:
-            self.error("version must be positive")
-        return value
-
-    def vpkg(self):
-        name = self.pkgname()
-        op = self.relop()
-        if op is None:
-            return VPkg(name)
-        return VPkg(name, VersionConstraint(op, self.posint()))
+def _parse_atom(text, type_tag, position):
+    """The VPkg spelled by `text`, which starts at `position` in the value."""
+    m = _ATOM_RE.fullmatch(text)
+    if m is None:
+        reason = "empty" if not text.strip(" ") else f"not a package atom: {text!r}"
+        raise LexicalError(type_tag, position, reason)
+    name, relop, digits = m.groups()
+    if relop is None:
+        return VPkg(name)
+    version = _to_int(digits, type_tag, position)
+    if version < 1:
+        raise LexicalError(type_tag, position, "version must be positive")
+    return VPkg(name, VersionConstraint(relop, version))
 
 
 def _parse_int(lexical, type_tag, lower):
     s = lexical.strip(" ")
     if not _INT_RE.match(s):
         raise LexicalError(type_tag, 0, f"not an integer: {lexical!r}")
-    value = int(s)
+    value = _to_int(s, type_tag, 0)
     if lower is not None and value < lower:
         raise LexicalError(type_tag, 0, f"{value} below the {type_tag} domain")
     return value
 
 
-def _parse_vpkg(lexical, type_tag="vpkg"):
-    sc = _Scanner(lexical, type_tag)
-    atom = sc.vpkg()
-    if not sc.at_end():
-        sc.error("trailing characters")
-    return atom
-
-
 def _parse_vpkglist(lexical, type_tag="vpkglist"):
-    sc = _Scanner(lexical, type_tag)
-    if sc.at_end():
-        return VpkgList()
-    items = [sc.vpkg()]
-    while sc.take(","):
-        items.append(sc.vpkg())
-    if not sc.at_end():
-        sc.error("trailing characters")
+    if not lexical.strip(" "):
+        return EMPTY_LIST
+    items = []
+    position = 0
+    for text in lexical.split(","):
+        items.append(_parse_atom(text, type_tag, position))
+        position += len(text) + 1
     return VpkgList(tuple(items))
 
 
 def _parse_formula(lexical):
-    sc = _Scanner(lexical, "vpkgformula")
-    if sc.at_end():
-        sc.error("empty formula (True has no lexical form)")
-
-    def or_fla():
-        atoms = [sc.vpkg()]
-        while sc.take("|"):
-            atoms.append(sc.vpkg())
-        return tuple(atoms)
-
-    clauses = [or_fla()]
-    while sc.take(","):
-        clauses.append(or_fla())
-    if not sc.at_end():
-        sc.error("trailing characters")
+    if not lexical.strip(" "):
+        raise LexicalError("vpkgformula", 0, "empty formula (True has no lexical form)")
+    clauses = []
+    position = 0
+    for clause in lexical.split(","):
+        atoms = []
+        for text in clause.split("|"):
+            atoms.append(_parse_atom(text, "vpkgformula", position))
+            position += len(text) + 1
+        clauses.append(tuple(atoms))
     return VpkgFormula(tuple(clauses))
 
 
@@ -292,9 +242,9 @@ def parse_value(type_tag, lexical):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
     if type_tag == "vpkg":
-        return _parse_vpkg(lexical)
+        return _parse_atom(lexical, "vpkg", 0)
     if type_tag == "veqpkg":
-        atom = _parse_vpkg(lexical, "veqpkg")
+        atom = _parse_atom(lexical, "veqpkg", 0)
         if not is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom

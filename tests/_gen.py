@@ -414,3 +414,151 @@ def exhaustive_search(problem):
         ):
             found, best_mask, best_cost = True, mask, cost
     return found, best_mask, best_cost, 1 << len(free)
+
+
+# ---------------------------------------------------------------------------
+# Character-scanner oracle for the vpkg grammars: a token-at-a-time reading
+# of the CUDF grammar, independent of the library's split-and-match parser.
+
+
+class ScanReject(ValueError):
+    """The scanner oracle's rejection of a lexical string."""
+
+
+_SCAN_RELOPS = ("!=", ">=", "<=", "=", ">", "<")  # longest first
+_NAME_START = "abcdefghijklmnopqrstuvwxyz"
+_NAME_REST = _NAME_START + "0123456789.-"
+
+
+class _Scan:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def spaces(self):
+        while self.pos < len(self.text) and self.text[self.pos] == " ":
+            self.pos += 1
+
+    def at_end(self):
+        self.spaces()
+        return self.pos >= len(self.text)
+
+    def take(self, ch):
+        self.spaces()
+        if self.text.startswith(ch, self.pos):
+            self.pos += len(ch)
+            return True
+        return False
+
+    def name(self):
+        self.spaces()
+        start = self.pos
+        if start >= len(self.text) or self.text[start] not in _NAME_START:
+            raise ScanReject("expected a package name")
+        self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos] in _NAME_REST:
+            self.pos += 1
+        if self.pos - start < 2:
+            raise ScanReject("package names have at least two characters")
+        return self.text[start:self.pos]
+
+    def number(self):
+        self.spaces()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+            self.pos += 1
+        if self.pos == start:
+            raise ScanReject("expected a version number")
+        try:
+            value = int(self.text[start:self.pos])
+        except ValueError:  # longer than the interpreter converts
+            raise ScanReject("too many digits") from None
+        if value < 1:
+            raise ScanReject("version must be positive")
+        return value
+
+    def atom(self):
+        name = self.name()
+        for op in _SCAN_RELOPS:
+            if self.take(op):
+                return VPkg(name, VersionConstraint(op, self.number()))
+        return VPkg(name)
+
+    def finish(self, value):
+        if not self.at_end():
+            raise ScanReject("trailing characters")
+        return value
+
+
+def scan_parse_value(type_tag, lexical):
+    """Value of a vpkg, veqpkg, vpkglist, veqpkglist or vpkgformula string;
+    raises ScanReject outside the type's lexical space."""
+    sc = _Scan(lexical)
+    if type_tag in ("vpkg", "veqpkg"):
+        value = sc.finish(sc.atom())
+        atoms = [value]
+    elif type_tag in ("vpkglist", "veqpkglist"):
+        atoms = []
+        if not sc.at_end():
+            atoms.append(sc.atom())
+            while sc.take(","):
+                atoms.append(sc.atom())
+        value = sc.finish(VpkgList(tuple(atoms)))
+    elif type_tag == "vpkgformula":
+        if sc.at_end():
+            raise ScanReject("the True formula has no lexical form")
+        clauses = []
+        while True:
+            clause = [sc.atom()]
+            while sc.take("|"):
+                clause.append(sc.atom())
+            clauses.append(tuple(clause))
+            if not sc.take(","):
+                break
+        value = sc.finish(VpkgFormula(tuple(clauses)))
+        atoms = []
+    else:
+        raise KeyError(type_tag)
+    if type_tag.startswith("veq") and any(
+        a.constraint.relop not in (None, "=") for a in atoms
+    ):
+        raise ScanReject("version constraint other than '='")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Line-at-a-time splitter oracle: every line decoded on its own, byte
+# offsets summed from the raw line lengths.
+
+
+def split_oracle(data):
+    """(stanzas, junk) of a CUDF byte string: stanzas as (kind, index,
+    first line, (start, end), property lines, problem id), junk lines as
+    (first line, (start, end)); byte ranges include the final newline."""
+    stanzas, junk = [], []
+    current = None
+    offset = 0
+    raw_lines = data.split(b"\n")
+    for i, raw in enumerate(raw_lines):
+        end = offset + len(raw) + (1 if i < len(raw_lines) - 1 else 0)
+        line = raw.decode("utf-8")
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line.startswith("Package: ") or line.startswith("Problem: "):
+            kind = "package" if line.startswith("Package: ") else "problem"
+            current = [kind, len(stanzas), i + 1, [offset, end], [], ""]
+            if kind == "package":
+                current[4].append(line)
+            else:
+                current[5] = line[len("Problem: "):]
+            stanzas.append(current)
+        elif line.strip(" \t") == "":
+            current = None
+        elif current is None:
+            junk.append((i + 1, (offset, end)))
+        else:
+            current[4].append(line)
+            current[3][1] = end
+        offset = end
+    return ([(k, n, first, tuple(rng), lines, pid)
+             for k, n, first, rng, lines, pid in stanzas], junk)

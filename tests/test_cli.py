@@ -53,6 +53,36 @@ def test_check_json(mta_path, capsys):
     assert payload["violations"] == []
 
 
+def test_check_reports_lines_and_bytes(tmp_path, capsys):
+    data = ("Package: aa\r\nVersion: 1\r\nDescr: café ✓\r\n\r\n"
+            "Package: bb\r\nDescr: ünï\r\nVersion: zero\r\n\r\n"
+            "Problem: pb\r\n").encode("utf-8")
+    path = tmp_path / "crlf.cudf"
+    path.write_bytes(data)
+    assert cli.main(["check", str(path), "--json"]) == 0
+    (error,) = json.loads(capsys.readouterr().out)["recovered_errors"]
+    assert error["stanza"] == 1 and error["line"] == 5 and error["reason"]
+    lo, hi = error["bytes"]
+    assert data[lo:hi] == "Package: bb\r\nDescr: ünï\r\nVersion: zero\r\n".encode()
+    assert cli.main(["check", str(path)]) == 0
+    assert "warning: stanza 1 (line 5): Version" in capsys.readouterr().err
+
+
+OVERLONG = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("line", [f"Version: {OVERLONG}",
+                                  f"Version: 1\nDepends: bb >= {OVERLONG}"])
+def test_check_drops_stanza_with_overlong_number(tmp_path, capsys, line):
+    path = write(tmp_path, "huge.cudf",
+                 f"Package: aa\n{line}\n\nPackage: bb\nVersion: 1\n\nProblem: pb\n")
+    assert cli.main(["check", path, "--strict", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["packages"] == 1
+    assert [e["stanza"] for e in payload["recovered_errors"]] == [0]
+    assert "too many digits" in payload["recovered_errors"][0]["reason"]
+
+
 def test_check_fatal_file(tmp_path):
     path = write(tmp_path, "nop.cudf", "Package: aa\nVersion: 1\n")
     assert cli.main(["check", path]) == 1
@@ -140,6 +170,16 @@ def test_verify_solution_not_utf8_is_usage_error(mta_path, tmp_path, capsys):
     assert cli.main(["verify", "--problem", mta_path, "--solution", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", [f"Version: {OVERLONG}",
+                                  f"Version: 2\nDepends: bb >= {OVERLONG}"])
+def test_verify_solution_with_overlong_number_is_usage_error(
+        mta_path, tmp_path, capsys, line):
+    bad = write(tmp_path, "bad.sol", f"Package: postfix\n{line}\nInstalled: true\n")
+    assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too many digits" in err
 
 
 def test_solve_unsatisfiable(tmp_path):

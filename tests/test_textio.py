@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from _gen import rand_document
+from _gen import rand_document, split_oracle
 from cudfkit import textio
 from cudfkit.model import PackageItem, PropertySchema, RawValue, SchemaRegistry
 from cudfkit.types import TRUE, VersionConstraint, VPkg, VpkgFormula, VpkgList
@@ -174,6 +174,42 @@ def test_golden_files_parse_and_fmt_idempotent():
         assert once == again, path.name
 
 
+# -- splitter against the line-at-a-time oracle --------------------------------
+
+def mutate_document_text(rng, text):
+    """CUDF text with non-ASCII extra properties, CRLF line ends, junk and
+    whitespace-only lines, and sometimes no final newline."""
+    out = []
+    if rng.random() < 0.5:
+        out.append(rng.choice(["junk before any stanza", "Descr: ünïcødé ✓", " x"]))
+    for line in text.split("\n"):
+        out.append(line)
+        if line.startswith("Package: ") and rng.random() < 0.5:
+            out.append(rng.choice(["Descr: naïve ✓", "Note: 日本語", "X-Emoji: 🙂 ok"]))
+        if line == "" and rng.random() < 0.2:
+            out.append(rng.choice(["stray line between stanzas", "ß: junk"]))
+        if line == "" and rng.random() < 0.2:
+            out.append(rng.choice([" \t", "\t", "  "]))
+    ends = ["\n", "\r\n"] if rng.random() < 0.5 else ["\n"]
+    data = "".join(line + rng.choice(ends) for line in out)
+    if rng.random() < 0.3:
+        data = data.rstrip("\r\n")
+    return data.encode("utf-8")
+
+
+def test_splitter_matches_line_oracle():
+    rng = random.Random(4051)
+    for _ in range(300):
+        data = mutate_document_text(rng, textio.serialize_cudf(rand_document(rng)).decode())
+        stanzas, errors = textio._split_stanzas(data)
+        expected_stanzas, expected_junk = split_oracle(data)
+        got = [(s.kind, s.index, s.line, s.byte_range, s.lines, s.problem_id)
+               for s in stanzas]
+        assert got == expected_stanzas
+        assert [(e.line, e.byte_range) for e in errors] == expected_junk
+        assert all(e.stanza_index == -1 for e in errors)
+
+
 # -- solution files -----------------------------------------------------------
 
 def test_solution_roundtrip_and_apply():
@@ -193,6 +229,20 @@ def test_solution_roundtrip_and_apply():
     assert textio.apply_solution(doc, entries) == solved
     with pytest.raises(textio.UnknownSolutionKey):
         textio.apply_solution(doc, [(("zz", 9), True)])
+
+
+def test_apply_solution_shares_unchanged_stanzas():
+    doc = parse(
+        "Package: aa\nVersion: 1\nInstalled: true\n\n"
+        "Package: aa\nVersion: 2\n\n"
+        "Package: bb\nVersion: 1\n\n"
+        "Problem: pb\n"
+    ).document
+    after = textio.apply_solution(doc, [(("aa", 1), True), (("bb", 1), True)])
+    assert [p.installed for p in after.packages] == [True, False, True]
+    assert after.packages[0] is doc.packages[0]
+    assert after.packages[1] is doc.packages[1]
+    assert after.packages[2] is not doc.packages[2]
 
 
 # -- agreement with a header-block message splitter ---------------------------

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from _gen import ScanReject, scan_parse_value
 from cudfkit.types import (
     RELOPS,
     TOP,
@@ -87,6 +88,32 @@ def test_parse_lists():
     ))
     with pytest.raises(LexicalError):
         parse_value("veqpkglist", "aa, bb > 1")
+
+
+def test_lexical_error_carries_the_atom_offset():
+    with pytest.raises(LexicalError) as info:
+        parse_value("vpkgformula", "aa, bb | cc = 0")
+    assert info.value.position == len("aa, bb |")
+    with pytest.raises(LexicalError) as info:
+        parse_value("vpkglist", "aa,  Bad")
+    assert info.value.position == len("aa,")
+
+
+# More digits than int() converts (4300 by default): a lexical error on
+# both integer paths, not a ValueError.
+OVERLONG = "1" * 5000
+
+
+def test_overlong_integer_is_a_lexical_error():
+    for tag in ("int", "nat", "posint"):
+        with pytest.raises(LexicalError):
+            parse_value(tag, OVERLONG)
+
+
+def test_overlong_version_is_a_lexical_error():
+    for tag in ("vpkg", "veqpkg", "vpkglist", "veqpkglist", "vpkgformula"):
+        with pytest.raises(LexicalError):
+            parse_value(tag, f"bb = {OVERLONG}")
 
 
 def test_parse_formula_shape():
@@ -216,3 +243,43 @@ def test_subtype_coherence(value):
         assert is_subtype_value(value, "vpkg")
     if not value.constraint.is_top and value.constraint.relop != "=":
         assert not is_subtype_value(value, "veqpkg")
+
+
+# -- differential test against the character-scanner oracle --------------------
+
+VPKG_TAGS = ("vpkg", "veqpkg", "vpkglist", "veqpkglist", "vpkgformula")
+# Token soup over the grammar's alphabet, and near-valid values: atoms with
+# random spacing (tab and CR included), relops and numbers, joined by
+# random separators.
+token_soup = st.lists(
+    st.sampled_from([
+        "a", "aa", "b2", "z.", "-", "q-1", "A", "0", "1", "9", "00", "10",
+        " ", "  ", "\t", "\r", ".", ",", "|", "!", *RELOPS,
+    ]),
+    max_size=12,
+).map("".join)
+gaps = st.sampled_from(["", " ", "  ", "\t", "\r"])
+near_atoms = st.tuples(
+    gaps, st.sampled_from(["aa", "b", "x-1.2", "0a"]), gaps,
+    st.sampled_from(["", "", *RELOPS]), gaps,
+    st.sampled_from(["", "0", "1", "007", "42"]), gaps,
+).map("".join)
+near_values = st.lists(
+    st.tuples(near_atoms, st.sampled_from([",", "|"])), max_size=4,
+).map(lambda pairs: "".join(atom + sep for atom, sep in pairs)[:-1])
+grammar_strings = token_soup | near_values
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(grammar_strings)
+def test_atom_grammar_matches_scanner_oracle(text):
+    """Same accept/reject result and the same value as a token-at-a-time
+    scanner, for every vpkg type."""
+    for tag in VPKG_TAGS:
+        try:
+            expected = scan_parse_value(tag, text)
+        except ScanReject:
+            with pytest.raises(LexicalError):
+                parse_value(tag, text)
+        else:
+            assert parse_value(tag, text) == expected, (tag, text)
