@@ -12,8 +12,8 @@ import functools
 import json
 import sys
 
-from . import dudf, semantics, solver, textio
-from .model import PropertySchema, SchemaRegistry, validate_document
+from . import semantics, solver, textio, types
+from .model import NameCollision, PropertySchema, SchemaRegistry, validate_document
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -40,10 +40,17 @@ def _cost_registry(args):
     if (criterion is None) == (cost_property is None):
         raise _UsageError("exactly one of --criterion / --cost-property is required")
     registry = SchemaRegistry()
-    if cost_property:
-        registry.register(
-            PropertySchema(cost_property, "int", "package", "optional", 0)
-        )
+    if cost_property is not None:
+        # No CUDF line can carry a name outside the identifier syntax, so
+        # such a name would price every package at 0.
+        if not types.is_identifier(cost_property):
+            raise _UsageError(f"--cost-property {cost_property!r} is not a property name")
+        try:
+            registry.register(
+                PropertySchema(cost_property, "int", "package", "optional", 0)
+            )
+        except NameCollision as exc:
+            raise _UsageError(f"--cost-property: {exc}") from exc
     elif criterion in ("installed-size", "download-size"):
         prop = "Installed-Size" if criterion == "installed-size" else "Download-Size"
         registry.register(PropertySchema(prop, "posint", "package", "optional"))
@@ -177,6 +184,8 @@ def cmd_cost(args):
 
 
 def cmd_dudf(args):
+    from . import dudf  # only this subcommand needs the XML and mail modules
+
     data = _read(args.path)
     if args.action == "validate":
         try:

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import types
-from .types import EMPTY_LIST, TRUE, EnumValue, VpkgFormula, VpkgList
+from .types import EMPTY_LIST, TRUE, EnumValue, VPkg, VpkgFormula, VpkgList
 
 _MISSING = object()
 
-KEEP_ENUM = "enum(version, package, feature)"
+KEEP_SYMBOLS = ("version", "package", "feature")
+KEEP_ENUM = f"enum({', '.join(KEEP_SYMBOLS)})"
 
 
 class NameCollision(ValueError):
@@ -184,19 +185,24 @@ def _check_item_types(item, registry):
                       item.name, item.version)
         )
 
-    if not types.is_subtype_value(item.name, "pkgname"):
+    name, version = item.name, item.version
+    if not types.is_pkgname(name):
         bad("Package", "pkgname")
-    if not types.is_subtype_value(item.version, "posint"):
+    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
         bad("Version", "posint")
-    if not types.is_subtype_value(item.depends, "vpkgformula"):
+    if not isinstance(item.depends, VpkgFormula):
         bad("Depends", "vpkgformula")
-    if not types.is_subtype_value(item.conflicts, "vpkglist"):
+    if not isinstance(item.conflicts, VpkgList):
         bad("Conflicts", "vpkglist")
-    if not types.is_subtype_value(item.provides, "veqpkglist"):
+    provides = item.provides
+    if not isinstance(provides, VpkgList) or not all(
+        isinstance(a, VPkg) and a.constraint.relop in (None, "=") for a in provides.items
+    ):
         bad("Provides", "veqpkglist")
-    if not types.is_subtype_value(item.installed, "bool"):
+    if not isinstance(item.installed, bool):
         bad("Installed", "bool")
-    if item.keep is not None and not types.is_subtype_value(item.keep, KEEP_ENUM):
+    keep = item.keep
+    if keep is not None and not (isinstance(keep, EnumValue) and keep.chosen in KEEP_SYMBOLS):
         bad("Keep", KEEP_ENUM)
     for prop, value in item.extra:
         if isinstance(value, RawValue):
@@ -213,22 +219,33 @@ def apply_package_defaults(fields, registry=None):
     `fields` maps property name to parsed value; returns a PackageItem.
     Unregistered extras should already be RawValue instances.
     """
-    extra = {}
-    for prop, value in fields.items():
-        if prop not in CORE_PACKAGE_SCHEMATA:
-            extra[prop] = value
-    if registry:
-        for schema in registry.package_extras():
-            if schema.name not in extra and schema.has_default:
-                extra[schema.name] = schema.default
-    keep = fields.get("Keep")
+    return package_from_fields(fields, package_extra_defaults(registry))
+
+
+def package_extra_defaults(registry):
+    """(name, default) of every registered package extra with a default."""
+    if not registry:
+        return ()
+    return tuple((s.name, s.default) for s in registry.package_extras() if s.has_default)
+
+
+def package_from_fields(fields, extra_defaults):
+    """The PackageItem of a field mapping, given
+    package_extra_defaults(registry): a reader of many stanzas computes
+    those once."""
+    extra = [(prop, value) for prop, value in fields.items()
+             if prop not in CORE_PACKAGE_SCHEMATA]
+    for prop, default in extra_defaults:
+        if prop not in fields:
+            extra.append((prop, default))
+    extra.sort()
     return PackageItem(
-        name=fields["Package"],
-        version=fields["Version"],
-        depends=fields.get("Depends", TRUE),
-        conflicts=fields.get("Conflicts", EMPTY_LIST),
-        provides=fields.get("Provides", EMPTY_LIST),
-        installed=fields.get("Installed", False),
-        keep=keep,
-        extra=make_extra(extra),
+        fields["Package"],
+        fields["Version"],
+        fields.get("Depends", TRUE),
+        fields.get("Conflicts", EMPTY_LIST),
+        fields.get("Provides", EMPTY_LIST),
+        fields.get("Installed", False),
+        fields.get("Keep"),
+        tuple(extra),
     )

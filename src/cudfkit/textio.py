@@ -8,8 +8,11 @@ multiple surviving problem stanzas) are fatal.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import model, types
 from .model import (
@@ -18,8 +21,8 @@ from .model import (
     CudfDocument,
     RawValue,
     RequestItem,
-    Violation,
-    apply_package_defaults,
+    package_extra_defaults,
+    package_from_fields,
     validate_document,
 )
 
@@ -66,14 +69,44 @@ class ParseReport:
     recovered_errors: list
 
 
+class _LineOffsets:
+    """Byte offsets of the lines of one document, computed on first use.
+
+    0x0A never occurs inside a multi-byte UTF-8 sequence, so the text and
+    byte splits have the same lines.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        self._starts = None
+
+    def byte_range(self, first, end):
+        """Bytes of lines first..end-1 (1-based), cut at the end of the data."""
+        if self._starts is None:
+            self._starts = list(accumulate(
+                (len(line) + 1 for line in self.data.split(b"\n")), initial=0))
+        return self._starts[first - 1], min(self._starts[end - 1], len(self.data))
+
+
 @dataclass
 class _RawStanza:
-    kind: str  # "package" | "problem" | "junk"
+    kind: str  # "package" | "problem"
     index: int
     line: int  # 1-based line of the postmark
-    byte_range: tuple[int, int]
-    lines: list  # property lines, postmark line included for packages
+    offsets: _LineOffsets
     problem_id: str = ""
+    end: int = 0  # line that closes the stanza; one past the last at the end of data
+    lines: list = None  # property lines, postmark line included for packages
+
+    def close(self, end, lines):
+        self.end = end
+        self.lines = lines[self.line - (self.kind == "package"):end - 1]
+
+    @property
+    def byte_range(self):
+        """Bytes from the postmark to where the closing line starts, or to
+        the end of the data."""
+        return self.offsets.byte_range(self.line, self.end)
 
 
 def _split_stanzas(data):
@@ -81,46 +114,39 @@ def _split_stanzas(data):
 
     Returns (stanzas, recovered_errors_for_preamble); invalid UTF-8 raises
     FatalEncoding. Blank lines between stanzas are dropped; \r is stripped
-    before the newline check. A stanza's byte range ends where the line
-    that closes it (a blank line or the next postmark) starts, or at the
-    end of the data.
+    before the newline check. A stanza ends at the line that closes it (a
+    blank line or the next postmark), or at the end of the data.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FatalEncoding(str(exc)) from exc
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    offsets = _LineOffsets(data)
     stanzas = []
     errors = []
     current = None
-    offset = 0
-    # 0x0A never occurs inside a multi-byte UTF-8 sequence, so the text
-    # and byte splits have the same lines.
-    sizes = map(len, data.split(b"\n"))
-    for number, (line, size) in enumerate(zip(text.split("\n"), sizes), 1):
-        start = offset
-        offset += size + 1
-        if line.endswith("\r"):
-            line = line[:-1]
+    for number, line in enumerate(lines, 1):
         if line.startswith(_POSTMARKS):
             if current is not None:
-                current.byte_range = (current.byte_range[0], start)
+                current.close(number, lines)
             if line.startswith(PACKAGE_POSTMARK):
-                current = _RawStanza("package", len(stanzas), number, (start, start), [line])
+                current = _RawStanza("package", len(stanzas), number, offsets)
             else:
-                current = _RawStanza("problem", len(stanzas), number, (start, start), [],
+                current = _RawStanza("problem", len(stanzas), number, offsets,
                                      line[len(PROBLEM_POSTMARK):])
             stanzas.append(current)
         elif not line.strip(" \t"):
             if current is not None:  # blank line ends the stanza
-                current.byte_range = (current.byte_range[0], start)
+                current.close(number, lines)
                 current = None
         elif current is None:
-            errors.append(RecoveredError(-1, (start, min(offset, len(data))),
+            errors.append(RecoveredError(-1, offsets.byte_range(number, number + 1),
                                          "content outside any stanza", number))
-        else:
-            current.lines.append(line)
     if current is not None:
-        current.byte_range = (current.byte_range[0], len(data))
+        current.close(len(lines) + 1, lines)
     return stanzas, errors
 
 
@@ -129,57 +155,110 @@ class _StanzaError(ValueError):
 
 
 _UNPARSED = object()
+_INVALID_NAME = object()
 _REQUIRED_PACKAGE_PROPS = tuple(
     name for name, schema in CORE_PACKAGE_SCHEMATA.items()
     if schema.optionality == "required"
 )
 
 
-def _parse_properties(lines, item_kind, registry, memo):
-    """Parse "Name: value" lines into a field mapping; raises _StanzaError.
+class _Reader:
+    """The tables of one document being read: each property name resolved
+    once, and each lexical value and each package atom parsed once.
+    Values are immutable, so stanzas share them.  A reader lives for one
+    parse call; nothing is kept across calls."""
 
-    `memo` maps (value type, lexical) to the parsed value for the length of
-    one document: values are immutable, so a repeated line is parsed once.
-    """
-    fields = {}
-    core = CORE_PACKAGE_SCHEMATA if item_kind == "package" else CORE_PROBLEM_SCHEMATA
-    for line in lines:
-        name, sep, value = line.partition(": ")
-        if not sep:
-            if not line.endswith(":"):
-                raise _StanzaError(f"missing ': ' separator in {line!r}")
-            name, value = line[:-1], ""
+    def __init__(self, registry=None, strict_extras=False):
+        self.registry = registry
+        self.strict_extras = strict_extras
+        self.extra_defaults = package_extra_defaults(registry)
+        self.props = {"package": {}, "problem": {}}  # kind -> name -> property
+        self.atoms = {}
+
+    def _property(self, item_kind, name):
+        """(value type or None, value memo) of a property name, or
+        _INVALID_NAME."""
+        core = CORE_PACKAGE_SCHEMATA if item_kind == "package" else CORE_PROBLEM_SCHEMATA
         schema = core.get(name)
         if schema is None:
             if not _PROP_NAME_RE.match(name):
+                return _INVALID_NAME
+            if self.registry is not None:
+                schema = self.registry.get(item_kind, name)
+        return (schema.value_type if schema else None), {}
+
+    def properties(self, lines, item_kind):
+        """Parse "Name: value" lines into a field mapping; raises _StanzaError."""
+        fields = {}
+        props = self.props[item_kind]
+        for line in lines:
+            name, sep, value = line.partition(": ")
+            if not sep:
+                if not line.endswith(":"):
+                    raise _StanzaError(f"missing ': ' separator in {line!r}")
+                name, value = line[:-1], ""
+            prop = props.get(name)
+            if prop is None:
+                prop = props[name] = self._property(item_kind, name)
+            if prop is _INVALID_NAME:
                 raise _StanzaError(f"invalid property name {name!r}")
-            if registry is not None:
-                schema = registry.get(item_kind, name)
-        if name in fields:
-            raise _StanzaError(f"duplicate property {name!r}")
-        if schema is None:
-            if item_kind == "problem":
-                raise _StanzaError(f"unknown problem property {name!r}")
-            fields[name] = RawValue(value)
-            continue
-        key = (schema.value_type, value)
-        parsed = memo.get(key, _UNPARSED)
-        if parsed is _UNPARSED:
-            try:
-                parsed = memo[key] = types.parse_value(schema.value_type, value)
-            except types.LexicalError as exc:
-                raise _StanzaError(f"{name}: {exc.reason}") from exc
-        fields[name] = parsed
-    return fields
+            if name in fields:
+                raise _StanzaError(f"duplicate property {name!r}")
+            value_type, values = prop
+            parsed = values.get(value, _UNPARSED)
+            if parsed is _UNPARSED:
+                if value_type is None:
+                    if item_kind == "problem":
+                        raise _StanzaError(f"unknown problem property {name!r}")
+                    parsed = RawValue(value)
+                else:
+                    try:
+                        parsed = types.parse_value(value_type, value, self.atoms)
+                    except types.LexicalError as exc:
+                        raise _StanzaError(f"{name}: {exc.reason}") from exc
+                values[value] = parsed
+            fields[name] = parsed
+        return fields
+
+    def package_fields(self, lines):
+        """Field mapping of a package stanza with every required property."""
+        fields = self.properties(lines, "package")
+        for name in _REQUIRED_PACKAGE_PROPS:
+            if name not in fields:
+                raise _StanzaError(f"missing required property {name!r}")
+        return fields
+
+    def package(self, lines):
+        fields = self.package_fields(lines)
+        if self.strict_extras:
+            fields = {k: v for k, v in fields.items() if not isinstance(v, RawValue)}
+        return package_from_fields(fields, self.extra_defaults)
+
+    def request(self, stanza):
+        fields = self.properties(stanza.lines, "problem")
+        return RequestItem(
+            problem_id=stanza.problem_id,
+            install=fields.get("Install", types.EMPTY_LIST),
+            remove=fields.get("Remove", types.EMPTY_LIST),
+            upgrade=fields.get("Upgrade", types.EMPTY_LIST),
+        )
 
 
-def _parse_package(lines, registry, memo):
-    """Property mapping of a package stanza with every required property."""
-    fields = _parse_properties(lines, "package", registry, memo)
-    for name in _REQUIRED_PACKAGE_PROPS:
-        if name not in fields:
-            raise _StanzaError(f"missing required property {name!r}")
-    return fields
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit.
+
+    A parse allocates a few container objects per stanza and creates no
+    reference cycles; each full collection would walk all of them again,
+    which makes a large parse superlinear.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_cudf(data, registry=None, strict_extras=False):
@@ -189,39 +268,26 @@ def parse_cudf(data, registry=None, strict_extras=False):
     encoding failures and a surviving problem-stanza count other than one
     are fatal.
     """
-    stanzas, errors = _split_stanzas(data)
-    memo = {}
-    packages = []
-    requests = []
-    for stanza in stanzas:
-        try:
-            if stanza.kind == "package":
-                fields = _parse_package(stanza.lines, registry, memo)
-                if strict_extras:
-                    fields = {
-                        k: v for k, v in fields.items() if not isinstance(v, RawValue)
-                    }
-                packages.append(apply_package_defaults(fields, registry))
-            else:
-                fields = _parse_properties(stanza.lines, "problem", registry, memo)
-                requests.append(
-                    RequestItem(
-                        problem_id=stanza.problem_id,
-                        install=fields.get("Install", types.EMPTY_LIST),
-                        remove=fields.get("Remove", types.EMPTY_LIST),
-                        upgrade=fields.get("Upgrade", types.EMPTY_LIST),
-                    )
+    with _collector_paused():
+        stanzas, errors = _split_stanzas(data)
+        reader = _Reader(registry, strict_extras)
+        packages = []
+        requests = []
+        for stanza in stanzas:
+            try:
+                if stanza.kind == "package":
+                    packages.append(reader.package(stanza.lines))
+                else:
+                    requests.append(reader.request(stanza))
+            except _StanzaError as exc:
+                errors.append(
+                    RecoveredError(stanza.index, stanza.byte_range, str(exc), stanza.line)
                 )
-        except _StanzaError as exc:
-            errors.append(
-                RecoveredError(stanza.index, stanza.byte_range, str(exc), stanza.line)
-            )
-
-    if len(requests) == 0:
-        raise FatalNoProblemStanza("no surviving problem stanza")
-    if len(requests) > 1:
-        raise FatalMultipleProblemStanzas(f"{len(requests)} problem stanzas")
-    doc = CudfDocument(packages=tuple(packages), request=requests[0])
+        if len(requests) == 0:
+            raise FatalNoProblemStanza("no surviving problem stanza")
+        if len(requests) > 1:
+            raise FatalMultipleProblemStanzas(f"{len(requests)} problem stanzas")
+        doc = CudfDocument(packages=tuple(packages), request=requests[0])
     return ParseReport(document=doc, recovered_errors=errors)
 
 
@@ -313,20 +379,21 @@ def parse_solution(data):
     content raises MalformedSolution, since a solution has no stanza that
     could be dropped and recovered from.
     """
-    stanzas, errors = _split_stanzas(data)
-    if errors:
-        raise MalformedSolution(errors[0].reason)
-    memo = {}
-    entries = []
-    for stanza in stanzas:
-        if stanza.kind != "package":
-            raise MalformedSolution("solution files contain package stanzas only")
-        try:
-            fields = _parse_package(stanza.lines, None, memo)
-        except _StanzaError as exc:
-            raise MalformedSolution(f"stanza {stanza.index}: {exc}") from exc
-        entries.append(((fields["Package"], fields["Version"]),
-                        fields.get("Installed", True)))
+    with _collector_paused():
+        stanzas, errors = _split_stanzas(data)
+        if errors:
+            raise MalformedSolution(errors[0].reason)
+        reader = _Reader()
+        entries = []
+        for stanza in stanzas:
+            if stanza.kind != "package":
+                raise MalformedSolution("solution files contain package stanzas only")
+            try:
+                fields = reader.package_fields(stanza.lines)
+            except _StanzaError as exc:
+                raise MalformedSolution(f"stanza {stanza.index}: {exc}") from exc
+            entries.append(((fields["Package"], fields["Version"]),
+                            fields.get("Installed", True)))
     return entries
 
 

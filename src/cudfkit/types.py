@@ -129,8 +129,12 @@ class EnumValue:
             raise ValueError(f"{self.chosen!r} not among {self.symbols}")
 
 
+def is_pkgname(s):
+    return isinstance(s, str) and _PKGNAME_RE.match(s) is not None
+
+
 def is_identifier(s):
-    return bool(_IDENT_RE.match(s))
+    return _IDENT_RE.fullmatch(s) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +159,29 @@ def _to_int(digits, type_tag, position):
         raise LexicalError(type_tag, position, "too many digits") from None
 
 
-def _parse_atom(text, type_tag, position):
-    """The VPkg spelled by `text`, which starts at `position` in the value."""
+def _parse_atom(text, type_tag, position, atoms):
+    """The VPkg spelled by `text`, which starts at `position` in the value.
+
+    `atoms` maps atom texts already parsed to their VPkg; a new one is
+    added to it.
+    """
+    atom = atoms.get(text)
+    if atom is not None:
+        return atom
     m = _ATOM_RE.fullmatch(text)
     if m is None:
         reason = "empty" if not text.strip(" ") else f"not a package atom: {text!r}"
         raise LexicalError(type_tag, position, reason)
     name, relop, digits = m.groups()
     if relop is None:
-        return VPkg(name)
-    version = _to_int(digits, type_tag, position)
-    if version < 1:
-        raise LexicalError(type_tag, position, "version must be positive")
-    return VPkg(name, VersionConstraint(relop, version))
+        atom = VPkg(name)
+    else:
+        version = _to_int(digits, type_tag, position)
+        if version < 1:
+            raise LexicalError(type_tag, position, "version must be positive")
+        atom = VPkg(name, VersionConstraint(relop, version))
+    atoms[text] = atom
+    return atom
 
 
 def _parse_int(lexical, type_tag, lower):
@@ -180,28 +194,28 @@ def _parse_int(lexical, type_tag, lower):
     return value
 
 
-def _parse_vpkglist(lexical, type_tag="vpkglist"):
+def _parse_vpkglist(lexical, type_tag, atoms):
     if not lexical.strip(" "):
         return EMPTY_LIST
     items = []
     position = 0
     for text in lexical.split(","):
-        items.append(_parse_atom(text, type_tag, position))
+        items.append(_parse_atom(text, type_tag, position, atoms))
         position += len(text) + 1
     return VpkgList(tuple(items))
 
 
-def _parse_formula(lexical):
+def _parse_formula(lexical, atoms):
     if not lexical.strip(" "):
         raise LexicalError("vpkgformula", 0, "empty formula (True has no lexical form)")
     clauses = []
     position = 0
     for clause in lexical.split(","):
-        atoms = []
+        disjuncts = []
         for text in clause.split("|"):
-            atoms.append(_parse_atom(text, "vpkgformula", position))
+            disjuncts.append(_parse_atom(text, "vpkgformula", position, atoms))
             position += len(text) + 1
-        clauses.append(tuple(atoms))
+        clauses.append(tuple(disjuncts))
     return VpkgFormula(tuple(clauses))
 
 
@@ -212,12 +226,17 @@ def _enum_symbols(type_tag):
     return tuple(s.strip() for s in m.group(1).split(",") if s.strip())
 
 
-def parse_value(type_tag, lexical):
+def parse_value(type_tag, lexical, atoms=None):
     """Parse a lexical string into a value of the named type.
 
     Raises LexicalError when the string is outside the type's lexical
-    space, UnknownType for an unrecognized type tag.
+    space, UnknownType for an unrecognized type tag.  `atoms`, a dict
+    from atom text to VPkg, lets the package atoms of many values (say,
+    of one document) be parsed once: atoms found in it are reused and
+    new ones are added.  Without it, every atom is parsed afresh.
     """
+    if atoms is None:
+        atoms = {}
     if type_tag == "bool":
         s = lexical.strip(" ")
         if s == "true":
@@ -242,22 +261,22 @@ def parse_value(type_tag, lexical):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
     if type_tag == "vpkg":
-        return _parse_atom(lexical, "vpkg", 0)
+        return _parse_atom(lexical, "vpkg", 0, atoms)
     if type_tag == "veqpkg":
-        atom = _parse_atom(lexical, "veqpkg", 0)
+        atom = _parse_atom(lexical, "veqpkg", 0, atoms)
         if not is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
     if type_tag == "vpkglist":
-        return _parse_vpkglist(lexical)
+        return _parse_vpkglist(lexical, "vpkglist", atoms)
     if type_tag == "veqpkglist":
-        lst = _parse_vpkglist(lexical, "veqpkglist")
+        lst = _parse_vpkglist(lexical, "veqpkglist", atoms)
         for item in lst.items:
             if not is_subtype_value(item, "veqpkg"):
                 raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
     if type_tag == "vpkgformula":
-        return _parse_formula(lexical)
+        return _parse_formula(lexical, atoms)
     if type_tag.startswith("enum("):
         symbols = _enum_symbols(type_tag)
         s = lexical.strip(" ")
@@ -334,7 +353,7 @@ def is_subtype_value(value, target):
         if target == "oneliner":
             return "\n" not in value and "\r" not in value
         if target == "pkgname":
-            return bool(_PKGNAME_RE.match(value))
+            return is_pkgname(value)
         return True
     if target in ("vpkg", "veqpkg"):
         if not isinstance(value, VPkg):

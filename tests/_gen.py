@@ -6,6 +6,7 @@ code path with the library.
 """
 
 import random
+import re
 
 from cudfkit.model import CudfDocument, PackageItem, RequestItem, make_extra
 from cudfkit.types import (
@@ -562,3 +563,178 @@ def split_oracle(data):
         offset = end
     return ([(k, n, first, tuple(rng), lines, pid)
              for k, n, first, rng, lines, pid in stanzas], junk)
+
+
+# ---------------------------------------------------------------------------
+# Field-type oracle for validate_document: each core field checked through
+# the string-dispatched subtype test, as the validator did before it read
+# the fields directly.
+
+
+def subtype_item_violations(item, registry):
+    """The TypeError violations of one package item."""
+    from cudfkit.model import KEEP_ENUM, RawValue, Violation
+    from cudfkit.types import is_subtype_value
+
+    out = []
+
+    def bad(prop, value_type):
+        out.append(Violation("TypeError", f"{prop} value outside {value_type}",
+                             item.name, item.version))
+
+    for prop, value, value_type in (
+        ("Package", item.name, "pkgname"),
+        ("Version", item.version, "posint"),
+        ("Depends", item.depends, "vpkgformula"),
+        ("Conflicts", item.conflicts, "vpkglist"),
+        ("Provides", item.provides, "veqpkglist"),
+        ("Installed", item.installed, "bool"),
+    ):
+        if not is_subtype_value(value, value_type):
+            bad(prop, value_type)
+    if item.keep is not None and not is_subtype_value(item.keep, KEEP_ENUM):
+        bad("Keep", KEEP_ENUM)
+    for prop, value in item.extra:
+        if isinstance(value, RawValue):
+            continue
+        schema = registry.get("package", prop) if registry else None
+        if schema and not is_subtype_value(value, schema.value_type):
+            bad(prop, schema.value_type)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-reader oracle: split_oracle's stanzas, scan_parse_value's atoms and
+# its own scalar grammar, property-name rule and defaults.  It shares no
+# parsing code with the library, only the value classes it builds.
+
+
+class OracleFatal(ValueError):
+    """The oracle reader's document-level failure; `kind` is "encoding",
+    "no problem" or "multiple problems"."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.kind = kind
+
+
+class _Drop(ValueError):
+    pass
+
+
+_ORACLE_PACKAGE_TYPES = {
+    "Package": "pkgname", "Version": "posint", "Depends": "vpkgformula",
+    "Conflicts": "vpkglist", "Provides": "veqpkglist", "Installed": "bool",
+    "Keep": "enum(version, package, feature)",
+}
+_ORACLE_PROBLEM_TYPES = {"Install": "vpkglist", "Remove": "vpkglist", "Upgrade": "vpkglist"}
+
+
+def _oracle_int(text, lower):
+    s = text.strip(" ")
+    if not re.fullmatch(r"[+-]?[0-9]+", s):
+        raise _Drop("not an integer")
+    try:
+        value = int(s)
+    except ValueError:  # longer than the interpreter converts
+        raise _Drop("too many digits") from None
+    if lower is not None and value < lower:
+        raise _Drop("below the domain")
+    return value
+
+
+def _oracle_value(value_type, text):
+    if value_type == "bool":
+        s = text.strip(" ")
+        if s not in ("true", "false"):
+            raise _Drop("not a boolean")
+        return s == "true"
+    if value_type in ("int", "nat", "posint"):
+        return _oracle_int(text, {"int": None, "nat": 0, "posint": 1}[value_type])
+    if value_type == "string":
+        return text
+    if value_type == "oneliner":
+        if "\r" in text:
+            raise _Drop("embedded newline")
+        return text
+    if value_type == "pkgname":
+        if not re.fullmatch(r"[a-z][a-z0-9.-]+", text):
+            raise _Drop("not a package name")
+        return text
+    if value_type.startswith("enum("):
+        symbols = tuple(s.strip() for s in value_type[5:-1].split(",") if s.strip())
+        s = text.strip(" ")
+        if s not in symbols:
+            raise _Drop("not in the enum")
+        return EnumValue(symbols, s)
+    try:
+        return scan_parse_value(value_type, text)
+    except ScanReject as exc:
+        raise _Drop(str(exc)) from None
+
+
+def oracle_parse_cudf(data, extras=None, strict_extras=False):
+    """(document, recovered errors) of CUDF bytes, errors as (stanza index,
+    first line, byte range, reason).  `extras` maps (item kind, property
+    name) to (value type, default or None) for registered extra
+    properties.  Raises OracleFatal."""
+    from cudfkit.model import RawValue
+
+    extras = extras or {}
+    try:
+        stanzas, junk = split_oracle(data)
+    except UnicodeDecodeError:
+        raise OracleFatal("encoding") from None
+    errors = [(-1, line, rng, "content outside any stanza") for line, rng in junk]
+    packages, requests = [], []
+    for kind, index, first, rng, lines, problem_id in stanzas:
+        core = _ORACLE_PACKAGE_TYPES if kind == "package" else _ORACLE_PROBLEM_TYPES
+        try:
+            fields = {}
+            for line in lines:
+                if ": " in line:
+                    name, value = line.split(": ", 1)
+                elif line.endswith(":"):
+                    name, value = line[:-1], ""
+                else:
+                    raise _Drop("no separator")
+                value_type = core.get(name)
+                if value_type is None:
+                    if not re.fullmatch(r"[a-zA-Z][a-zA-Z0-9-]*", name):
+                        raise _Drop("bad property name")
+                    value_type = extras.get((kind, name), (None,))[0]
+                if name in fields:
+                    raise _Drop("duplicate")
+                if value_type is None and kind == "problem":
+                    raise _Drop("unknown problem property")
+                fields[name] = (RawValue(value) if value_type is None
+                                else _oracle_value(value_type, value))
+            if kind == "problem":
+                requests.append(RequestItem(
+                    problem_id, fields.get("Install", VpkgList()),
+                    fields.get("Remove", VpkgList()), fields.get("Upgrade", VpkgList())))
+                continue
+            if "Package" not in fields or "Version" not in fields:
+                raise _Drop("missing required property")
+        except _Drop as exc:
+            errors.append((index, first, rng, str(exc)))
+            continue
+        extra = {name: value for name, value in fields.items()
+                 if name not in core and not (strict_extras and isinstance(value, RawValue))}
+        for (item_kind, name), (_, default) in extras.items():
+            if item_kind == "package" and default is not None:
+                extra.setdefault(name, default)
+        packages.append(PackageItem(
+            name=fields["Package"], version=fields["Version"],
+            depends=fields.get("Depends", VpkgFormula()),
+            conflicts=fields.get("Conflicts", VpkgList()),
+            provides=fields.get("Provides", VpkgList()),
+            installed=fields.get("Installed", False),
+            keep=fields.get("Keep"),
+            extra=tuple(sorted(extra.items())),
+        ))
+    if not requests:
+        raise OracleFatal("no problem")
+    if len(requests) > 1:
+        raise OracleFatal("multiple problems")
+    return CudfDocument(packages=tuple(packages), request=requests[0]), errors

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,18 @@ def test_cost_presets_and_properties(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "40"
 
 
+@pytest.mark.parametrize("command", ["solve", "cost"])
+@pytest.mark.parametrize("prop", ["Version", "9bad", ""])
+def test_cost_property_outside_the_extra_names_is_usage_error(
+        mta_path, capsys, command, prop):
+    # A core name collides with the schema; a name outside the identifier
+    # syntax can occur in no file and would price everything at 0.
+    assert cli.main([command, mta_path, "--cost-property", prop]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
 def test_cost_missing_size_property(tmp_path):
     path = write(tmp_path, "bare.cudf",
                  "Package: aa\nVersion: 1\nInstalled: true\n\nProblem: pb\n")
@@ -223,6 +238,16 @@ def test_cost_missing_size_property(tmp_path):
 
 
 # -- dudf ---------------------------------------------------------------------
+
+def test_cli_import_loads_no_dudf_modules():
+    code = ("import sys, cudfkit.cli; "
+            "print([m for m in ('cudfkit.dudf', 'email.utils', 'xml.etree.ElementTree') "
+            "if m in sys.modules])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60).stdout
+    assert out.strip() == "[]"
+
 
 def dudf_fixture(tmp_path):
     doc = dudf.DudfDocument(

@@ -1,5 +1,9 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+from _gen import rand_document, subtype_item_violations
 from cudfkit.model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,
@@ -143,3 +147,35 @@ def test_request_defaults():
     assert req.install == EMPTY_LIST
     assert req.remove == EMPTY_LIST
     assert req.upgrade == EMPTY_LIST
+
+
+def test_item_type_checks_match_subtype_oracle():
+    reg = SchemaRegistry([
+        PropertySchema("Size", "posint", "package", "optional"),
+        PropertySchema("Note", "oneliner", "package", "optional"),
+        PropertySchema("Alt", "veqpkglist", "package", "optional"),
+    ])
+    rng = random.Random(5031)
+    items = [p for _ in range(300) for p in rand_document(rng).packages]
+    keep = EnumValue(("version", "package", "feature"), "package")
+    other_keep = EnumValue(("version", "package", "feature", "other"), "other")
+    ge = VpkgList((VPkg("aa", VersionConstraint(">=", 2)),))
+    base = PackageItem("aa", 1)
+    wrong = [
+        {"version": True}, {"version": False}, {"version": 0}, {"version": -3},
+        {"version": "1"}, {"version": 1.0}, {"name": "AA"}, {"name": "a"},
+        {"name": 7}, {"depends": "bb"}, {"depends": EMPTY_LIST},
+        {"conflicts": "bb"}, {"conflicts": TRUE}, {"provides": "bb = 1"},
+        {"provides": ge}, {"provides": TRUE}, {"installed": 1},
+        {"installed": "true"}, {"keep": "version"}, {"keep": other_keep},
+        {"keep": keep},
+        {"extra": make_extra({"Size": 0, "Note": "a\rb", "Alt": ge})},
+        {"extra": make_extra({"Size": True, "Note": 5, "Alt": EMPTY_LIST})},
+        {"extra": make_extra({"Size": 12, "Other": RawValue("x"), "Note": "ok"})},
+        {"version": 0, "depends": "x", "keep": "feature", "installed": None},
+    ]
+    items += [replace(base, **change) for change in wrong]
+    for registry in (None, reg):
+        for item in items:
+            assert (validate_document(CudfDocument(packages=(item,)), registry)
+                    == subtype_item_violations(item, registry)), item

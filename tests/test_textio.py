@@ -1,11 +1,12 @@
 import email.parser
+import gc
 import random
 import re
 from pathlib import Path
 
 import pytest
 
-from _gen import rand_document, split_oracle
+from _gen import OracleFatal, oracle_parse_cudf, rand_document, split_oracle
 from cudfkit import textio
 from cudfkit.model import PackageItem, PropertySchema, RawValue, SchemaRegistry
 from cudfkit.types import TRUE, VersionConstraint, VPkg, VpkgFormula, VpkgList
@@ -208,6 +209,160 @@ def test_splitter_matches_line_oracle():
         assert got == expected_stanzas
         assert [(e.line, e.byte_range) for e in errors] == expected_junk
         assert all(e.stanza_index == -1 for e in errors)
+
+
+# -- the whole reader against the oracle reader ---------------------------------
+
+ORACLE_SCHEMATA = (
+    ("package", "Cost", "int", 0),
+    ("package", "Size", "posint", None),
+    ("package", "Note", "oneliner", None),
+    ("package", "Alt", "veqpkglist", None),
+    ("package", "Tier", "enum(low, high)", None),
+    ("problem", "Urgency", "nat", None),
+)
+BAD_VALUES = ("zero", "0", "-1", "+2", "9" * 4400, "aa >= ", "| bb", "AA", "aa = 0",
+              "aa >= 1 |", "", "  ", "true", "maybe", "feat-x > 2", "aa,,bb",
+              "aa\r", "aa\tbb", "high", " low ", "é")
+EXTRA_LINES = ("Cost: 5", "Cost: -7", "Cost: x", "Size: 12", "Size: 0", "Note: ünï ✓",
+               "Alt: feat-x = 2, feat-y", "Alt: feat-x >= 2", "Tier: high",
+               "Tier: mid", "X-Raw: ? !", "1bad: x", "bad_name: x", "Empty:",
+               "Version", ": x", "Urgency: 3")
+
+
+def mutate_stanza_lines(rng, text):
+    """CUDF text with stanza-level faults: bad values and names, lost,
+    doubled or split lines, extra properties, and lost or doubled
+    problem stanzas."""
+    out = []
+    for line in text.split("\n"):
+        roll = rng.random()
+        if roll < 0.06 and ": " in line:
+            line = line.split(": ", 1)[0] + ": " + rng.choice(BAD_VALUES)
+        elif roll < 0.08:
+            continue
+        elif roll < 0.10:
+            out.append(line)
+        elif roll < 0.12 and line:
+            out.append("")  # a blank line inside a stanza
+        out.append(line)
+        if line.startswith(("Package: ", "Problem: ")) and rng.random() < 0.5:
+            out.extend(rng.sample(EXTRA_LINES, rng.randint(1, 2)))
+    if rng.random() < 0.05:
+        out = [line for line in out if not line.startswith("Problem: ")]
+    elif rng.random() < 0.05:
+        out += ["", "Problem: second"]
+    return "\n".join(out)
+
+
+def oracle_fatal_kind(exc):
+    return {textio.FatalEncoding: "encoding",
+            textio.FatalNoProblemStanza: "no problem",
+            textio.FatalMultipleProblemStanzas: "multiple problems"}[type(exc)]
+
+
+def test_reader_matches_oracle_reader():
+    registry = SchemaRegistry([PropertySchema(name, value_type, kind, "optional", default)
+                               if default is not None else
+                               PropertySchema(name, value_type, kind, "optional")
+                               for kind, name, value_type, default in ORACLE_SCHEMATA])
+    extras = {(kind, name): (value_type, default)
+              for kind, name, value_type, default in ORACLE_SCHEMATA}
+    rng = random.Random(5077)
+    seen_errors = seen_fatal = 0
+    for i in range(1200):
+        text = mutate_stanza_lines(rng, textio.serialize_cudf(rand_document(rng)).decode())
+        data = mutate_document_text(rng, text)
+        if i % 50 == 0:
+            data = data.replace(b"Version", b"Versi\xff", 1)
+        for reg, extra_spec in ((None, None), (registry, extras)):
+            for strict in (False, True):
+                try:
+                    expected = oracle_parse_cudf(data, extra_spec, strict)
+                except OracleFatal as exc:
+                    with pytest.raises(textio.FatalParseError) as info:
+                        textio.parse_cudf(data, registry=reg, strict_extras=strict)
+                    assert oracle_fatal_kind(info.value) == exc.kind
+                    seen_fatal += 1
+                    continue
+                report = textio.parse_cudf(data, registry=reg, strict_extras=strict)
+                doc, errors = expected
+                assert report.document == doc
+                assert [(e.stanza_index, e.line, e.byte_range)
+                        for e in report.recovered_errors] == [e[:3] for e in errors]
+                assert all(e.reason for e in report.recovered_errors)
+                seen_errors += len(errors)
+    assert seen_errors > 1000 and seen_fatal > 100
+
+
+# -- what a parse leaves behind ----------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("call, data, error", [
+    (textio.parse_cudf, b"Package: aa\nVersion: 1\n\nProblem: pb\n", None),
+    (textio.parse_cudf, b"Package: aa\nVersion: 1\n", textio.FatalParseError),
+    (textio.parse_cudf, b"Problem: \xff\n", textio.FatalParseError),
+    (textio.parse_solution, b"Package: aa\nVersion: 1\nInstalled: true\n", None),
+    (textio.parse_solution, b"Package: aa\nInstalled: true\n", textio.MalformedSolution),
+])
+def test_parse_restores_the_collector_state(enabled, call, data, error):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            call(data)
+        else:
+            with pytest.raises(error):
+                call(data)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def value_objects(doc):
+    """Every non-scalar value of a document, by identity."""
+    out = {}
+    for item in doc.packages:
+        values = [item.depends, item.conflicts, item.provides, item.keep]
+        values += [value for _, value in item.extra]
+        values += [atom for clause in item.depends.clauses for atom in clause]
+        values += list(item.conflicts.items) + list(item.provides.items)
+        for value in values:
+            if value is not None and value not in (TRUE, VpkgList()):
+                out[id(value)] = value
+    return out
+
+
+def test_two_parses_share_no_values():
+    reg = SchemaRegistry([PropertySchema("Tier", "enum(low, high)", "package", "optional")])
+    data = textio.serialize_cudf(rand_document(random.Random(5))).replace(
+        b"\n\n", b"\nTier: low\nX-Raw: same\n\n", 3)
+    first = textio.parse_cudf(data, registry=reg).document
+    second = textio.parse_cudf(data, registry=reg).document
+    assert first == second
+    ids = value_objects(first)
+    assert len(ids) > 10
+    assert not ids.keys() & value_objects(second).keys()
+
+
+def test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges():
+    huge = "1" * 5000
+    data = ("junk\r\n\r\n"
+            "Package: aa\r\nVersion: 1\r\nDescr: café\r\n\r\n"
+            f"Package: bb\r\nVersion: {huge}\r\n\r\n"
+            "Package: cc\r\nVersion: 1\r\n"
+            f"Package: dd\r\nVersion: 1\r\nDepends: aa >= {huge}\r\n \t\r\n"
+            "Problem: pb\r\n").encode("utf-8")
+    report = textio.parse_cudf(data)
+    assert [p.name for p in report.document.packages] == ["aa", "cc"]
+    junk, bb, dd = report.recovered_errors
+    assert (junk.stanza_index, junk.line, junk.byte_range) == (-1, 1, (0, 6))
+    assert (bb.stanza_index, bb.line) == (1, 7)
+    assert data[slice(*bb.byte_range)] == f"Package: bb\r\nVersion: {huge}\r\n".encode()
+    assert (dd.stanza_index, dd.line) == (3, 12)
+    assert data[slice(*dd.byte_range)] == (
+        f"Package: dd\r\nVersion: 1\r\nDepends: aa >= {huge}\r\n".encode())
+    assert "too many digits" in bb.reason and "too many digits" in dd.reason
 
 
 # -- solution files -----------------------------------------------------------
