@@ -35,8 +35,7 @@ class _UsageError(Exception):
 
 def _cost_registry(args):
     """Registry + cost-source from --criterion/--cost-property flags."""
-    criterion = getattr(args, "criterion", None)
-    cost_property = getattr(args, "cost_property", None)
+    criterion, cost_property = args.criterion, args.cost_property
     if (criterion is None) == (cost_property is None):
         raise _UsageError("exactly one of --criterion / --cost-property is required")
     registry = SchemaRegistry()
@@ -65,6 +64,13 @@ def _costs_for(doc, request, args):
     return solver.preset_costs(doc, request, args.criterion)
 
 
+def _warn_recovered(report):
+    """One warning line per stanza or junk line the parse dropped."""
+    for e in report.recovered_errors:
+        print(f"warning: stanza {e.stanza_index} (line {e.line}): {e.reason}",
+              file=sys.stderr)
+
+
 def cmd_check(args):
     report = textio.parse_cudf(_read(args.path))
     violations = validate_document(report.document)
@@ -85,9 +91,7 @@ def cmd_check(args):
         print(json.dumps(payload, indent=2))
     else:
         print(f"packages: {payload['packages']}")
-        for e in report.recovered_errors:
-            print(f"warning: stanza {e.stanza_index} (line {e.line}): {e.reason}",
-                  file=sys.stderr)
+        _warn_recovered(report)
         for v in violations:
             print(f"invalid: {v.detail}", file=sys.stderr)
     if args.strict and (report.recovered_errors or violations):
@@ -106,7 +110,9 @@ def cmd_fmt(args):
 
 
 def cmd_verify(args):
-    problem = textio.parse_cudf(_read(args.problem)).document
+    report = textio.parse_cudf(_read(args.problem))
+    _warn_recovered(report)
+    problem = report.document
     try:
         entries = textio.parse_solution(_read(args.solution))
         after = textio.apply_solution(problem, entries)
@@ -124,15 +130,12 @@ def cmd_verify(args):
 
 def _verdict_json(verdict):
     items = []
-    for v in verdict.successor.violations:
-        items.append({"clause": f"successor/{v.clause}", "package": v.package,
-                      "version": v.version, "reason": v.detail})
-    for v in verdict.consistency.violations:
-        items.append({"clause": f"consistency/{v.clause}", "package": v.package,
-                      "version": v.version, "reason": v.detail})
-    for v in verdict.violations:
-        items.append({"clause": v.clause, "package": v.package,
-                      "version": v.version, "reason": v.detail})
+    for prefix, violations in (("successor/", verdict.successor.violations),
+                               ("consistency/", verdict.consistency.violations),
+                               ("", verdict.violations)):
+        for v in violations:
+            items.append({"clause": prefix + v.clause, "package": v.package,
+                          "version": v.version, "reason": v.detail})
     return {"ok": verdict.ok, "violations": items}
 
 
@@ -150,6 +153,7 @@ def _explain(verdict):
 def cmd_solve(args):
     registry = _cost_registry(args)
     report = textio.parse_cudf(_read(args.path), registry=registry)
+    _warn_recovered(report)
     doc = report.document
     costs = _costs_for(doc, doc.request, args)
     result = solver.solve(doc, doc.request, costs, budget=args.budget)
@@ -173,12 +177,9 @@ def cmd_solve(args):
 def cmd_cost(args):
     registry = _cost_registry(args)
     report = textio.parse_cudf(_read(args.path), registry=registry)
+    _warn_recovered(report)
     doc = report.document
-    try:
-        costs = _costs_for(doc, doc.request, args)
-    except solver.MissingSizeProperty as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    costs = _costs_for(doc, doc.request, args)
     print(solver.installation_cost(doc, costs))
     return EXIT_OK
 
@@ -186,24 +187,18 @@ def cmd_cost(args):
 def cmd_dudf(args):
     from . import dudf  # only this subcommand needs the XML and mail modules
 
-    data = _read(args.path)
+    try:
+        doc = dudf.xml_to_dudf(_read(args.path))
+    except dudf.SchemaViolation as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.action == "validate":
-        try:
-            doc = dudf.xml_to_dudf(data)
-        except dudf.SchemaViolation as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         violations = dudf.validate_dudf(doc)
         for v in violations:
             print(f"{v.level}: {v.path}: {v.detail}", file=sys.stderr)
         errors = [v for v in violations if v.level == "error"]
         return EXIT_INVALID if errors else EXIT_OK
     if args.action == "show":
-        try:
-            doc = dudf.xml_to_dudf(data)
-        except dudf.SchemaViolation as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         kind = "problem/outcome pair" if doc.outcome else "sole problem"
         print(f"dudf {doc.version} ({kind})")
         print(f"  uid: {doc.uid}")
@@ -217,9 +212,8 @@ def cmd_dudf(args):
         return EXIT_OK
     # convert
     try:
-        doc = dudf.xml_to_dudf(data)
         cudf_doc = dudf.toy_convert(doc)
-    except (dudf.SchemaViolation, dudf.ConversionError) as exc:
+    except dudf.ConversionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     sys.stdout.buffer.write(textio.serialize_cudf(cudf_doc))

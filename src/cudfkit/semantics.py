@@ -12,9 +12,8 @@ one FeatureIndex per document, so both are linear in the stanza count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-
-from .types import TOP, VersionConstraint, VpkgList
 
 
 class _AllVersions:
@@ -93,18 +92,20 @@ def merge(a, b):
     return Installation(out)
 
 
+_RELOPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
+
+
 def satisfies_constraint(n, c):
     if c.is_top:
         return True
-    v = c.version
-    return {
-        "=": n == v,
-        "!=": n != v,
-        ">": n > v,
-        "<": n < v,
-        ">=": n >= v,
-        "<=": n <= v,
-    }[c.relop]
+    return _RELOPS[c.relop](n, c.version)
 
 
 def constraint_satisfiable(c):
@@ -137,14 +138,7 @@ def satisfies_list(inst, lst):
 
 def disjoint(inst, lst):
     """No installed version of any listed package satisfies its constraint."""
-    for atom in lst.items:
-        vs = inst.versions(atom.name)
-        if vs is ALL:
-            if constraint_satisfiable(atom.constraint):
-                return False
-        elif any(satisfies_constraint(n, atom.constraint) for n in vs):
-            return False
-    return True
+    return not any(_atom_satisfied(inst, atom) for atom in lst.items)
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +183,32 @@ class FeatureIndex:
 
 
 # ---------------------------------------------------------------------------
-# Consistency
+# Verdicts
 
 
 @dataclass(frozen=True)
-class ConsistencyViolation:
-    package: str
-    version: int
-    clause: str  # "depends" | "conflicts"
+class Violation:
+    """One failed clause: "depends" or "conflicts" (consistency); "domain",
+    "metadata" or "keep" (successor); "install", "remove" or "upgrade"
+    (request)."""
+
+    clause: str
     detail: str
+    package: str | None = None
+    version: int | None = None
 
 
 @dataclass
-class ConsistencyVerdict:
+class Verdict:
     violations: list = field(default_factory=list)
 
     @property
     def ok(self):
         return not self.violations
+
+
+# ---------------------------------------------------------------------------
+# Consistency
 
 
 def is_consistent(doc):
@@ -215,44 +217,27 @@ def is_consistent(doc):
     are ignored by excluding the contributions of the package's own key)."""
     installed = sorted((p for p in doc.packages if p.installed), key=lambda p: p.key)
     index = FeatureIndex(installed)
-    verdict = ConsistencyVerdict()
+    verdict = Verdict()
     for item in installed:
         if not all(
             any(index.provided(atom) for atom in clause)
             for clause in item.depends.clauses
         ):
             verdict.violations.append(
-                ConsistencyViolation(item.name, item.version, "depends",
-                                     "unsatisfied dependency formula")
+                Violation("depends", "unsatisfied dependency formula",
+                          item.name, item.version)
             )
         if any(index.provided(atom, exclude_key=item.key)
                for atom in item.conflicts.items):
             verdict.violations.append(
-                ConsistencyViolation(item.name, item.version, "conflicts",
-                                     "conflict with another installed package")
+                Violation("conflicts", "conflict with another installed package",
+                          item.name, item.version)
             )
     return verdict
 
 
 # ---------------------------------------------------------------------------
 # Successor relation
-
-
-@dataclass(frozen=True)
-class SuccessorViolation:
-    clause: str  # "domain" | "metadata" | "keep"
-    detail: str
-    package: str | None = None
-    version: int | None = None
-
-
-@dataclass
-class SuccessorVerdict:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def _first_by_key(doc):
@@ -265,13 +250,13 @@ def _first_by_key(doc):
 
 
 def is_successor(before, after):
-    verdict = SuccessorVerdict()
+    verdict = Verdict()
     by_key_before, by_key_after = _first_by_key(before), _first_by_key(after)
     dom_before, dom_after = by_key_before.keys(), by_key_after.keys()
     for key in sorted(dom_before ^ dom_after):
         side = "missing from" if key in dom_before else "added by"
         verdict.violations.append(
-            SuccessorViolation("domain", f"{key} {side} the successor", *key)
+            Violation("domain", f"{key} {side} the successor", *key)
         )
     if verdict.violations:
         return verdict
@@ -282,10 +267,9 @@ def is_successor(before, after):
             a.keep, a.depends, a.conflicts, a.provides
         ):
             verdict.violations.append(
-                SuccessorViolation("metadata", "non-Installed property changed", *key)
+                Violation("metadata", "non-Installed property changed", *key)
             )
 
-    i_before = current_installation(before)
     i_after = current_installation(after)
     merged_after = merge(i_after, current_features(after))
     for item in sorted(before.packages, key=lambda p: p.key):
@@ -294,18 +278,15 @@ def is_successor(before, after):
         keep = item.keep.chosen
         if keep == "version" and item.version not in i_after.versions(item.name):
             verdict.violations.append(
-                SuccessorViolation("keep", "keep 'version not honored",
-                                   item.name, item.version)
+                Violation("keep", "keep 'version not honored", item.name, item.version)
             )
         elif keep == "package" and not i_after.versions(item.name):
             verdict.violations.append(
-                SuccessorViolation("keep", "keep 'package not honored",
-                                   item.name, item.version)
+                Violation("keep", "keep 'package not honored", item.name, item.version)
             )
         elif keep == "feature" and not satisfies_list(merged_after, item.provides):
             verdict.violations.append(
-                SuccessorViolation("keep", "keep 'feature not honored",
-                                   item.name, item.version)
+                Violation("keep", "keep 'feature not honored", item.name, item.version)
             )
     return verdict
 
@@ -314,18 +295,10 @@ def is_successor(before, after):
 # Request semantics
 
 
-@dataclass(frozen=True)
-class RequestViolation:
-    clause: str  # "successor" | "consistency" | "install" | "remove" | "upgrade"
-    detail: str
-    package: str | None = None
-    version: int | None = None
-
-
 @dataclass
 class RequestVerdict:
-    successor: SuccessorVerdict
-    consistency: ConsistencyVerdict
+    successor: Verdict
+    consistency: Verdict
     violations: list = field(default_factory=list)
 
     @property
@@ -357,32 +330,29 @@ def satisfies_request(before, request, after):
     for atom in request.install.items:
         if not _atom_satisfied(merged, atom):
             verdict.violations.append(
-                RequestViolation("install", "install target not satisfied", atom.name)
+                Violation("install", "install target not satisfied", atom.name)
             )
-    if not disjoint(merged, request.remove):
-        for atom in request.remove.items:
-            if not disjoint(merged, VpkgList((atom,))):
-                verdict.violations.append(
-                    RequestViolation("remove", "removed package still present",
-                                     atom.name)
-                )
+    for atom in request.remove.items:
+        if _atom_satisfied(merged, atom):
+            verdict.violations.append(
+                Violation("remove", "removed package still present", atom.name)
+            )
     for atom in request.upgrade.items:
         if not _atom_satisfied(merged, atom):
             verdict.violations.append(
-                RequestViolation("upgrade", "upgrade target not satisfied", atom.name)
+                Violation("upgrade", "upgrade target not satisfied", atom.name)
             )
         after_versions = i_after.versions(atom.name)
         if len(after_versions) != 1:
             verdict.violations.append(
-                RequestViolation("upgrade",
-                                 "upgraded package is not a singleton version",
-                                 atom.name)
+                Violation("upgrade", "upgraded package is not a singleton version",
+                          atom.name)
             )
         else:
             (n,) = after_versions
             if any(n < m for m in i_before.versions(atom.name)):
                 verdict.violations.append(
-                    RequestViolation("upgrade", "upgrade went to an older version",
-                                     atom.name, n)
+                    Violation("upgrade", "upgrade went to an older version",
+                              atom.name, n)
                 )
     return verdict

@@ -26,10 +26,6 @@ class MissingSizeProperty(ValueError):
     pass
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 @dataclass
 class SolveResult:
     status: str  # "solution" | "no_solution" | "budget_exceeded"

@@ -36,12 +36,6 @@ def _bits(positions):
     return mask
 
 
-def _atom_mask(index, atom):
-    """Bits whose installation contributes a version of atom.name
-    satisfying atom.constraint, through the package itself or a provide."""
-    return _bits(index.matches(atom))
-
-
 def is_pinned(item):
     """Installed with keep 'version: the stanza stays installed."""
     return item.installed and item.keep is not None and item.keep.chosen == "version"
@@ -77,12 +71,12 @@ def compile_problem(doc, request, costs):
                 required.append(_bits(index.by_name[item.name]))
             elif keep == "feature":
                 for provide in item.provides.items:
-                    required.append(_atom_mask(index, provide))
+                    required.append(_bits(index.matches(provide)))
 
     for atom in request.install.items:
-        required.append(_atom_mask(index, atom))
+        required.append(_bits(index.matches(atom)))
 
-    forbidden = [_atom_mask(index, atom) for atom in request.remove.items]
+    forbidden = [_bits(index.matches(atom)) for atom in request.remove.items]
 
     upgrades = []
     for atom in request.upgrade.items:
@@ -92,7 +86,7 @@ def compile_problem(doc, request, costs):
             default=0,
         )
         allowed = _bits(j for j in same_name if stanzas[j].version >= floor)
-        upgrades.append((_atom_mask(index, atom), _bits(same_name), allowed))
+        upgrades.append((_bits(index.matches(atom)), _bits(same_name), allowed))
 
     return CompiledProblem(
         n=n,

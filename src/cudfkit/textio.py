@@ -9,7 +9,6 @@ multiple surviving problem stanzas) are fatal.
 from __future__ import annotations
 
 import gc
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,8 +28,6 @@ from .model import (
 PACKAGE_POSTMARK = "Package: "
 PROBLEM_POSTMARK = "Problem: "
 _POSTMARKS = (PACKAGE_POSTMARK, PROBLEM_POSTMARK)
-
-_PROP_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*$")
 
 
 class FatalParseError(ValueError):
@@ -181,7 +178,7 @@ class _Reader:
         core = CORE_PACKAGE_SCHEMATA if item_kind == "package" else CORE_PROBLEM_SCHEMATA
         schema = core.get(name)
         if schema is None:
-            if not _PROP_NAME_RE.match(name):
+            if not types.is_identifier(name):
                 return _INVALID_NAME
             if self.registry is not None:
                 schema = self.registry.get(item_kind, name)
@@ -302,14 +299,14 @@ def _prop_line(name, value):
     return f"{name}: {types.serialize_value(value)}\n"
 
 
-def serialize_package(item, registry=None, canonical=True):
+def serialize_package(item, registry=None):
     out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
     values = (item.depends, item.conflicts, item.provides, item.installed, item.keep)
     for name, value in zip(_PACKAGE_PROP_ORDER, values):
         schema = CORE_PACKAGE_SCHEMATA[name]
         if value is None:
             continue
-        if canonical and schema.has_default and value == schema.default:
+        if schema.has_default and value == schema.default:
             continue
         if isinstance(value, types.VpkgFormula) and value.is_true:
             continue  # True only serializes via omission
@@ -319,32 +316,29 @@ def serialize_package(item, registry=None, canonical=True):
             out.append(f"{prop}: {value.text}\n")
             continue
         schema = registry.get("package", prop) if registry else None
-        if canonical and schema and schema.has_default and value == schema.default:
+        if schema and schema.has_default and value == schema.default:
             continue
         out.append(_prop_line(prop, value))
     return "".join(out)
 
 
-def serialize_request(request, canonical=True):
+def serialize_request(request):
     out = [f"Problem: {request.problem_id}\n"]
     for name in _PROBLEM_PROP_ORDER:
         value = getattr(request, name.lower())
-        if canonical and value == types.EMPTY_LIST:
-            continue
-        if not canonical and value == types.EMPTY_LIST:
-            out.append(f"{name}: \n")
+        if value == types.EMPTY_LIST:
             continue
         out.append(_prop_line(name, value))
     return "".join(out)
 
 
-def serialize_cudf(doc, registry=None, canonical=True):
+def serialize_cudf(doc, registry=None):
     """Serialize a valid document as UTF-8 bytes in canonical ordering."""
     violations = validate_document(doc, registry)
     if violations:
         raise InvalidDocument(violations)
-    chunks = [serialize_package(p, registry, canonical) for p in doc.packages]
-    chunks.append(serialize_request(doc.request, canonical))
+    chunks = [serialize_package(p, registry) for p in doc.packages]
+    chunks.append(serialize_request(doc.request))
     return "\n".join(chunks).encode("utf-8")
 
 

@@ -35,10 +35,11 @@ class SerializeError(ValueError):
 
 RELOPS = ("=", "!=", ">=", ">", "<=", "<")
 
-_PKGNAME_RE = re.compile(r"[a-z][a-z0-9.-]+$")
-_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*$")
-_INT_RE = re.compile(r"[+-]?[0-9]+$")
-_ENUM_TAG_RE = re.compile(r"enum\(([^)]*)\)$")
+# Each is used with fullmatch: "$" would also match before a final "\n".
+_PKGNAME_RE = re.compile(r"[a-z][a-z0-9.-]+")
+_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_ENUM_TAG_RE = re.compile(r"enum\(([^)]*)\)")
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class VPkg:
     constraint: VersionConstraint = TOP
 
     def __post_init__(self):
-        if not _PKGNAME_RE.match(self.name):
+        if not _PKGNAME_RE.fullmatch(self.name):
             raise ValueError(f"bad package name {self.name!r}")
 
 
@@ -123,14 +124,14 @@ class EnumValue:
 
     def __post_init__(self):
         for sym in self.symbols:
-            if not _IDENT_RE.match(sym):
+            if not _IDENT_RE.fullmatch(sym):
                 raise ValueError(f"enum symbol {sym!r} is not an identifier")
         if self.chosen not in self.symbols:
             raise ValueError(f"{self.chosen!r} not among {self.symbols}")
 
 
 def is_pkgname(s):
-    return isinstance(s, str) and _PKGNAME_RE.match(s) is not None
+    return isinstance(s, str) and _PKGNAME_RE.fullmatch(s) is not None
 
 
 def is_identifier(s):
@@ -186,7 +187,7 @@ def _parse_atom(text, type_tag, position, atoms):
 
 def _parse_int(lexical, type_tag, lower):
     s = lexical.strip(" ")
-    if not _INT_RE.match(s):
+    if not _INT_RE.fullmatch(s):
         raise LexicalError(type_tag, 0, f"not an integer: {lexical!r}")
     value = _to_int(s, type_tag, 0)
     if lower is not None and value < lower:
@@ -220,7 +221,7 @@ def _parse_formula(lexical, atoms):
 
 
 def _enum_symbols(type_tag):
-    m = _ENUM_TAG_RE.match(type_tag)
+    m = _ENUM_TAG_RE.fullmatch(type_tag)
     if not m:
         raise UnknownType(type_tag)
     return tuple(s.strip() for s in m.group(1).split(",") if s.strip())
@@ -257,7 +258,7 @@ def parse_value(type_tag, lexical, atoms=None):
             raise LexicalError("oneliner", 0, "embedded newline")
         return lexical
     if type_tag == "pkgname":
-        if not _PKGNAME_RE.match(lexical):
+        if not _PKGNAME_RE.fullmatch(lexical):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
     if type_tag == "vpkg":

@@ -237,6 +237,42 @@ def test_cost_missing_size_property(tmp_path):
     assert cli.main(["cost", path, "--criterion", "installed-size"]) == 2
 
 
+# A stanza dropped while reading leaves the universe; every subcommand that
+# reads a problem says so, as check does, and keeps its exit code.
+
+DROPPED_COST = ("Package: aa\nVersion: 1\nCost: x\n\n"
+                "Package: aa\nVersion: 2\nCost: 5\n\n"
+                "Problem: p\nInstall: aa\n")
+COST_WARNING = "warning: stanza 0 (line 1): Cost: not an integer: 'x'\n"
+
+
+def test_solve_warns_about_dropped_stanzas(tmp_path, capsys):
+    path = write(tmp_path, "drop.cudf", DROPPED_COST)
+    out = str(tmp_path / "solution.cudf")
+    assert cli.main(["solve", path, "--cost-property", "Cost", "--out", out]) == 0
+    assert capsys.readouterr() == ("cost: 5\n", COST_WARNING)
+    assert textio.parse_solution(Path(out).read_bytes()) == [(("aa", 2), True)]
+
+
+def test_cost_warns_about_dropped_stanzas(tmp_path, capsys):
+    path = write(tmp_path, "drop.cudf", DROPPED_COST)
+    assert cli.main(["cost", path, "--cost-property", "Cost"]) == 0
+    assert capsys.readouterr() == ("0\n", COST_WARNING)
+
+
+def test_verify_warns_about_dropped_problem_stanzas(tmp_path, capsys):
+    problem = write(tmp_path, "drop.cudf",
+                    "Package: aa\nVersion: 1\nInstalled: x\n\n"
+                    "Package: aa\nVersion: 2\n\n"
+                    "Problem: p\nInstall: aa\n")
+    solution = write(tmp_path, "drop.sol", "Package: aa\nVersion: 2\n")
+    assert cli.main(["verify", "--problem", problem, "--solution", solution,
+                     "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"ok": True, "violations": []}
+    assert err == "warning: stanza 0 (line 1): Installed: not a boolean: 'x'\n"
+
+
 # -- dudf ---------------------------------------------------------------------
 
 def test_cli_import_loads_no_dudf_modules():
@@ -291,6 +327,13 @@ def test_dudf_show_rejects_non_dudf_xml(tmp_path, capsys):
     path = tmp_path / "broken.xml"
     path.write_bytes(b"<not-dudf/>")
     assert cli.main(["dudf", "show", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid: ")
+
+
+def test_dudf_convert_rejects_non_dudf_xml(tmp_path, capsys):
+    path = tmp_path / "broken.xml"
+    path.write_bytes(b"<not-dudf/>")
+    assert cli.main(["dudf", "convert", str(path)]) == 1
     assert capsys.readouterr().err.startswith("invalid: ")
 
 

@@ -100,6 +100,11 @@ def test_validate_reports_duplicates_and_type_errors():
     assert [v.kind for v in validate_document(bad)] == ["TypeError"]
 
 
+def test_validate_rejects_a_name_with_a_trailing_newline():
+    doc = CudfDocument(packages=(PackageItem("aa\n", 1),))
+    assert [v.kind for v in validate_document(doc)] == ["TypeError"]
+
+
 def test_validate_checks_registered_extras():
     reg = SchemaRegistry([PropertySchema("Size", "posint", "package", "optional")])
     good = CudfDocument(packages=(

@@ -1,6 +1,6 @@
 import random
 
-from _gen import enumerate_solutions, naive_consistent, rand_document
+from _gen import _op, enumerate_solutions, naive_consistent, rand_document
 from cudfkit import semantics
 from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.semantics import (
@@ -20,6 +20,7 @@ from cudfkit.semantics import (
     set_satisfies,
 )
 from cudfkit.types import (
+    RELOPS,
     TOP,
     TRUE,
     EnumValue,
@@ -87,6 +88,14 @@ def test_constraint_satisfaction():
     assert set_satisfies(ALL, VersionConstraint("=", 99))
     assert not set_satisfies(ALL, VersionConstraint("<", 1))
     assert not set_satisfies(frozenset(), TOP)
+
+
+def test_constraint_satisfaction_matches_oracle_on_every_relop():
+    for relop in RELOPS:
+        for v in range(1, 6):
+            for n in range(1, 6):
+                assert satisfies_constraint(n, VersionConstraint(relop, v)) == _op(
+                    n, relop, v), (n, relop, v)
 
 
 def test_formula_and_list_satisfaction():

@@ -153,6 +153,14 @@ def test_serialize_rejects_invalid_documents():
         textio.serialize_cudf(doc)
 
 
+def test_serialize_rejects_a_name_with_a_trailing_newline():
+    from cudfkit.model import CudfDocument
+
+    doc = CudfDocument(packages=(PackageItem("aa\n", 1),))
+    with pytest.raises(textio.InvalidDocument):
+        textio.serialize_cudf(doc)
+
+
 def test_roundtrip_random_documents():
     rng = random.Random(4021)
     for _ in range(100):

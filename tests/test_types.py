@@ -55,6 +55,23 @@ def test_parse_scalar_rejections():
         parse_value("float", "1.5")
 
 
+@pytest.mark.parametrize("tag, text", [("pkgname", "aa\n"), ("int", "5\n"),
+                                       ("nat", "5\n"), ("posint", "5\n")])
+def test_trailing_newline_is_rejected(tag, text):
+    with pytest.raises(LexicalError):
+        parse_value(tag, text)
+
+
+def test_trailing_newline_fails_the_name_and_tag_checks():
+    with pytest.raises(ValueError):
+        VPkg("aa\n")
+    with pytest.raises(ValueError):
+        EnumValue(("aa\n",), "aa\n")
+    with pytest.raises(UnknownType):
+        parse_value("enum(aa, bb)\n", "aa")
+    assert not is_subtype_value("aa\n", "pkgname")
+
+
 def test_parse_vpkg():
     assert parse_value("vpkg", "libfoo") == VPkg("libfoo")
     assert parse_value("vpkg", "libfoo >= 2") == VPkg(
