@@ -13,7 +13,13 @@ import json
 import sys
 
 from . import semantics, solver, textio, types
-from .model import NameCollision, PropertySchema, SchemaRegistry, validate_document
+from .model import (
+    InvalidDocument,
+    NameCollision,
+    PropertySchema,
+    SchemaRegistry,
+    validate_document,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -100,11 +106,7 @@ def cmd_check(args):
 
 
 def cmd_fmt(args):
-    try:
-        report = textio.parse_cudf(_read(args.path))
-    except textio.FatalParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = textio.parse_cudf(_read(args.path))
     sys.stdout.buffer.write(textio.serialize_cudf(report.document))
     return EXIT_OK
 
@@ -278,6 +280,9 @@ def main(argv=None):
         return EXIT_USAGE
     except textio.FatalParseError as exc:
         print(f"fatal: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except InvalidDocument as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -103,7 +103,7 @@ class DudfViolation:
     level: str = "error"  # "error" | "warning"
 
 
-def validate_dudf(doc, strict=True):
+def validate_dudf(doc):
     """Structural and side-condition violations of the DUDF skeleton."""
     out = []
     if doc.version != DUDF_VERSION:
@@ -123,7 +123,7 @@ def validate_dudf(doc, strict=True):
     for label, pair in (("installer", doc.installer), ("meta-installer", doc.meta_installer)):
         if not pair[0]:
             out.append(DudfViolation(f"dudf/{label}/name", "tool name missing"))
-    if strict and not doc.problem.package_universe:
+    if not doc.problem.package_universe:
         out.append(
             DudfViolation("dudf/problem/package-universe", "no package lists")
         )
@@ -136,24 +136,30 @@ def validate_dudf(doc, strict=True):
                 )
             )
     if doc.outcome is not None:
-        if doc.outcome.result not in ("success", "failure"):
-            out.append(DudfViolation("dudf/outcome", "result must be success or failure"))
-        if doc.outcome.result == "failure":
-            if doc.outcome.error is None:
-                out.append(DudfViolation("dudf/outcome/error", "failure carries an error"))
-            if doc.outcome.package_status is not None:
-                out.append(
-                    DudfViolation("dudf/outcome/package-status",
-                                  "package-status only on success")
-                )
-        else:
-            if doc.outcome.package_status is None:
-                out.append(
-                    DudfViolation("dudf/outcome/package-status",
-                                  "success carries the new package status")
-                )
-            if doc.outcome.error is not None:
-                out.append(DudfViolation("dudf/outcome/error", "error only on failure"))
+        out.extend(_outcome_violations(
+            doc.outcome.result, doc.outcome.error, doc.outcome.package_status))
+    return out
+
+
+def _outcome_violations(result, error, package_status):
+    """The outcome rules, in the order xml_to_dudf raises them.  `error`
+    and `package_status` are the holes, or the XML elements that hold
+    them, or None when absent."""
+    out = []
+    if result not in ("success", "failure"):
+        out.append(DudfViolation("dudf/outcome", "dudf:result must be success or failure"))
+    if result == "failure":
+        if package_status is not None:
+            out.append(DudfViolation("dudf/outcome/package-status",
+                                     "package-status only on success"))
+        if error is None:
+            out.append(DudfViolation("dudf/outcome/error", "failure carries an error"))
+    else:
+        if error is not None:
+            out.append(DudfViolation("dudf/outcome/error", "error only on failure"))
+        if package_status is None:
+            out.append(DudfViolation("dudf/outcome/package-status",
+                                     "success carries the new package status"))
     return out
 
 
@@ -240,22 +246,21 @@ def _q(tag):
     return f"{{{DUDF_NS}}}{tag}"
 
 
-def _hole_from(elem, path):
+def _hole_from(elem):
     ref = elem.get(_q("reference"))
     if ref is not None:
         return Intensional(ref)
     return Extensional(elem.text or "")
 
 
-def _child(elem, tag, path, required=True):
+def _child(elem, tag, path):
     found = elem.find(_q(tag))
-    if found is None and required:
+    if found is None:
         raise SchemaViolation(f"{path}/{tag}", "missing element")
     return found
 
-def _check_children(elem, allowed, path, strict):
-    if not strict:
-        return
+
+def _check_children(elem, allowed, path):
     for child in elem:
         name = child.tag.split("}")[-1] if "}" in child.tag else child.tag
         if child.tag.startswith(f"{{{DUDF_NS}}}"):
@@ -265,25 +270,25 @@ def _check_children(elem, allowed, path, strict):
             raise SchemaViolation(f"{path}/{child.tag}", "foreign namespace")
 
 
-def _status_from(elem, path, strict):
-    _check_children(elem, {"installer", "meta-installer"}, path, strict)
+def _status_from(elem, path):
+    _check_children(elem, {"installer", "meta-installer"}, path)
     installer = _child(elem, "installer", path)
     meta = elem.find(_q("meta-installer"))
     return PackageStatus(
-        installer=_hole_from(installer, path),
-        meta_installer=None if meta is None else _hole_from(meta, path),
+        installer=_hole_from(installer),
+        meta_installer=None if meta is None else _hole_from(meta),
     )
 
 
-def _tool_from(elem, path, strict):
-    _check_children(elem, {"name", "version"}, path, strict)
+def _tool_from(elem, path):
+    _check_children(elem, {"name", "version"}, path)
     name = _child(elem, "name", path)
     version = _child(elem, "version", path)
     return (name.text or "", version.text or "")
 
 
-def xml_to_dudf(data, strict=True):
-    """Inverse of dudf_to_xml; rejects foreign elements in strict mode."""
+def xml_to_dudf(data):
+    """Inverse of dudf_to_xml; rejects foreign and unexpected elements."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -297,17 +302,17 @@ def xml_to_dudf(data, strict=True):
         root,
         {"timestamp", "uid", "distribution", "installer", "meta-installer",
          "problem", "outcome"},
-        "dudf", strict,
+        "dudf",
     )
 
     problem_elem = _child(root, "problem", "dudf")
     _check_children(
         problem_elem,
         {"package-status", "package-universe", "action", "desiderata"},
-        "dudf/problem", strict,
+        "dudf/problem",
     )
     universe_elem = _child(problem_elem, "package-universe", "dudf/problem")
-    _check_children(universe_elem, {"package-list"}, "dudf/problem/package-universe", strict)
+    _check_children(universe_elem, {"package-list"}, "dudf/problem/package-universe")
     package_lists = []
     for i, elem in enumerate(universe_elem.findall(_q("package-list"))):
         fmt = elem.get(_q("format"))
@@ -320,55 +325,43 @@ def xml_to_dudf(data, strict=True):
             PackageList(
                 format=fmt,
                 filename=elem.get(_q("filename")),
-                payload=_hole_from(elem, "package-list"),
+                payload=_hole_from(elem),
             )
         )
     desiderata_elem = problem_elem.find(_q("desiderata"))
     problem = DudfProblem(
         package_status=_status_from(
             _child(problem_elem, "package-status", "dudf/problem"),
-            "dudf/problem/package-status", strict,
+            "dudf/problem/package-status",
         ),
         package_universe=tuple(package_lists),
-        action=_hole_from(_child(problem_elem, "action", "dudf/problem"), "action"),
-        desiderata=None if desiderata_elem is None else _hole_from(desiderata_elem, "desiderata"),
+        action=_hole_from(_child(problem_elem, "action", "dudf/problem")),
+        desiderata=None if desiderata_elem is None else _hole_from(desiderata_elem),
     )
 
     outcome = None
     outcome_elem = root.find(_q("outcome"))
     if outcome_elem is not None:
+        _check_children(outcome_elem, {"error", "package-status"}, "dudf/outcome")
         result = outcome_elem.get(_q("result"))
-        if result not in ("success", "failure"):
-            raise SchemaViolation("dudf/outcome", "dudf:result must be success or failure")
-        _check_children(outcome_elem, {"error", "package-status"}, "dudf/outcome", strict)
         error_elem = outcome_elem.find(_q("error"))
         status_elem = outcome_elem.find(_q("package-status"))
-        if result == "failure":
-            if status_elem is not None:
-                raise SchemaViolation("dudf/outcome/package-status",
-                                      "package-status only on success")
-            if error_elem is None:
-                raise SchemaViolation("dudf/outcome/error", "failure carries an error")
-            outcome = DudfOutcome("failure", error=_hole_from(error_elem, "error"))
-        else:
-            if error_elem is not None:
-                raise SchemaViolation("dudf/outcome/error", "error only on failure")
-            if status_elem is None:
-                raise SchemaViolation("dudf/outcome/package-status",
-                                      "success carries the new package status")
-            outcome = DudfOutcome(
-                "success",
-                package_status=_status_from(status_elem, "dudf/outcome/package-status", strict),
-            )
+        violations = _outcome_violations(result, error_elem, status_elem)
+        if violations:
+            raise SchemaViolation(violations[0].path, violations[0].detail)
+        outcome = DudfOutcome(
+            result,
+            error=None if error_elem is None else _hole_from(error_elem),
+            package_status=(None if status_elem is None else
+                            _status_from(status_elem, "dudf/outcome/package-status")),
+        )
 
     return DudfDocument(
         timestamp=(_child(root, "timestamp", "dudf").text or ""),
         uid=(_child(root, "uid", "dudf").text or ""),
         distribution=(_child(root, "distribution", "dudf").text or ""),
-        installer=_tool_from(_child(root, "installer", "dudf"), "dudf/installer", strict),
-        meta_installer=_tool_from(
-            _child(root, "meta-installer", "dudf"), "dudf/meta-installer", strict
-        ),
+        installer=_tool_from(_child(root, "installer", "dudf"), "dudf/installer"),
+        meta_installer=_tool_from(_child(root, "meta-installer", "dudf"), "dudf/meta-installer"),
         problem=problem,
         outcome=outcome,
         version=version,
@@ -403,13 +396,13 @@ def _parse_stanzas(text, where, installed=None):
     return list(packages)
 
 
-def toy_convert(doc, universe_format="cudf-stanzas"):
+def toy_convert(doc):
     """Assemble a CUDF document from extensional holes containing CUDF
     package stanzas and an action hole in problem-stanza syntax."""
     status_text = _extensional_text(doc.problem.package_status.installer, "package-status")
     packages = _parse_stanzas(status_text, "package-status", installed=True)
     for i, plist in enumerate(doc.problem.package_universe):
-        if plist.format != universe_format:
+        if plist.format != "cudf-stanzas":
             raise UnsupportedFormat(f"package-list format {plist.format!r}")
         text = _extensional_text(plist.payload, f"package-list[{i}]")
         packages.extend(_parse_stanzas(text, f"package-list[{i}]"))

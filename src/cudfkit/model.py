@@ -22,6 +22,12 @@ class NameCollision(ValueError):
     pass
 
 
+class InvalidDocument(ValueError):
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__("; ".join(v.detail for v in violations))
+
+
 @dataclass(frozen=True)
 class PropertySchema:
     name: str
@@ -162,7 +168,8 @@ class CudfDocument:
 
 
 def validate_document(doc, registry=None):
-    """All global-constraint and schema violations in the document."""
+    """All global-constraint and schema violations in the document,
+    including whatever its CUDF text could not carry back unchanged."""
     violations = []
     seen = set()
     for item in doc.packages:
@@ -173,6 +180,8 @@ def validate_document(doc, registry=None):
             )
         seen.add(item.key)
         violations.extend(_check_item_types(item, registry))
+    if not types.is_subtype_value(doc.request.problem_id, "oneliner"):
+        violations.append(Violation("TypeError", "Problem value outside oneliner"))
     return violations
 
 
@@ -205,21 +214,19 @@ def _check_item_types(item, registry):
     if keep is not None and not (isinstance(keep, EnumValue) and keep.chosen in KEEP_SYMBOLS):
         bad("Keep", KEEP_ENUM)
     for prop, value in item.extra:
+        # A core name would read back as the core property, and a
+        # "Problem: " line would open a problem stanza.
+        if prop in CORE_PACKAGE_SCHEMATA or prop == "Problem" or not types.is_identifier(prop):
+            out.append(Violation("PropertyName", f"{prop!r} cannot name an extra property",
+                                 name, version))
         if isinstance(value, RawValue):
+            if not types.is_subtype_value(value.text, "oneliner"):
+                bad(prop, "oneliner")
             continue
         schema = registry.get("package", prop) if registry else None
         if schema and not types.is_subtype_value(value, schema.value_type):
             bad(prop, schema.value_type)
     return out
-
-
-def apply_package_defaults(fields, registry=None):
-    """Fill in defaults for optional package properties missing in `fields`.
-
-    `fields` maps property name to parsed value; returns a PackageItem.
-    Unregistered extras should already be RawValue instances.
-    """
-    return package_from_fields(fields, package_extra_defaults(registry))
 
 
 def package_extra_defaults(registry):

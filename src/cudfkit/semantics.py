@@ -40,9 +40,6 @@ class Installation:
     def names(self):
         return self._map.keys()
 
-    def is_empty(self):
-        return all(vs is not ALL and not vs for vs in self._map.values())
-
     def __eq__(self, other):
         if not isinstance(other, Installation):
             return NotImplemented

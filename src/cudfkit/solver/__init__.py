@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import semantics
-from ..model import CudfDocument, RawValue
+from ..model import CudfDocument, InvalidDocument, RawValue, validate_document
 from ._compile import compile_problem, is_pinned
 from . import _kernel_py
 
@@ -85,13 +85,19 @@ def solve(doc, request, costs, budget=DEFAULT_BUDGET):
     """Minimum-cost successor satisfying the request, by branch-and-bound
     over Installed-flag assignments.
 
-    keep 'version packages are pinned installed; everything else is
-    free.  The budget bounds the 2**k candidate space of the k free
-    stanzas and is checked before the problem is compiled.  Any returned
-    solution is re-checked against the semantics engine, never trusted
-    from the search.  Ties break toward the lexicographically smallest
-    sorted installed set; explored counts search nodes.
+    A repeated (name, version) raises InvalidDocument: the solution
+    sets Installed by key, so two stanzas of one key cannot take
+    different flags.  keep 'version packages are pinned installed;
+    everything else is free.  The budget bounds the 2**k candidate
+    space of the k free stanzas and is checked, after the keys, before
+    the problem is compiled.  Any returned solution is re-checked
+    against the semantics engine, never trusted from the search.  Ties
+    break toward the lexicographically smallest sorted installed set;
+    explored counts search nodes.
     """
+    if len({p.key for p in doc.packages}) < len(doc.packages):
+        raise InvalidDocument(
+            [v for v in validate_document(doc) if v.kind == "DuplicateKey"])
     k = sum(1 for p in doc.packages if not is_pinned(p))
     if k >= budget.bit_length() or (1 << k) > budget:
         return SolveResult(status="budget_exceeded", explored=0)

@@ -18,6 +18,7 @@ from .model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,
     CudfDocument,
+    InvalidDocument,
     RawValue,
     RequestItem,
     package_extra_defaults,
@@ -44,12 +45,6 @@ class FatalNoProblemStanza(FatalParseError):
 
 class FatalMultipleProblemStanzas(FatalParseError):
     pass
-
-
-class InvalidDocument(ValueError):
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("; ".join(v.detail for v in violations))
 
 
 @dataclass(frozen=True)
@@ -161,16 +156,14 @@ _REQUIRED_PACKAGE_PROPS = tuple(
 
 class _Reader:
     """The tables of one document being read: each property name resolved
-    once, and each lexical value and each package atom parsed once.
-    Values are immutable, so stanzas share them.  A reader lives for one
-    parse call; nothing is kept across calls."""
+    once, and each lexical value of a property parsed once.  Values are
+    immutable, so stanzas share them.  A reader lives for one parse call;
+    nothing is kept across calls."""
 
-    def __init__(self, registry=None, strict_extras=False):
+    def __init__(self, registry=None):
         self.registry = registry
-        self.strict_extras = strict_extras
         self.extra_defaults = package_extra_defaults(registry)
         self.props = {"package": {}, "problem": {}}  # kind -> name -> property
-        self.atoms = {}
 
     def _property(self, item_kind, name):
         """(value type or None, value memo) of a property name, or
@@ -210,7 +203,7 @@ class _Reader:
                     parsed = RawValue(value)
                 else:
                     try:
-                        parsed = types.parse_value(value_type, value, self.atoms)
+                        parsed = types.parse_value(value_type, value)
                     except types.LexicalError as exc:
                         raise _StanzaError(f"{name}: {exc.reason}") from exc
                 values[value] = parsed
@@ -226,10 +219,7 @@ class _Reader:
         return fields
 
     def package(self, lines):
-        fields = self.package_fields(lines)
-        if self.strict_extras:
-            fields = {k: v for k, v in fields.items() if not isinstance(v, RawValue)}
-        return package_from_fields(fields, self.extra_defaults)
+        return package_from_fields(self.package_fields(lines), self.extra_defaults)
 
     def request(self, stanza):
         fields = self.properties(stanza.lines, "problem")
@@ -258,7 +248,7 @@ def _collector_paused():
             gc.enable()
 
 
-def parse_cudf(data, registry=None, strict_extras=False):
+def parse_cudf(data, registry=None):
     """Parse CUDF bytes into a ParseReport.
 
     Stanza-local errors drop the stanza and are recorded as recoverable;
@@ -267,7 +257,7 @@ def parse_cudf(data, registry=None, strict_extras=False):
     """
     with _collector_paused():
         stanzas, errors = _split_stanzas(data)
-        reader = _Reader(registry, strict_extras)
+        reader = _Reader(registry)
         packages = []
         requests = []
         for stanza in stanzas:
@@ -299,7 +289,7 @@ def _prop_line(name, value):
     return f"{name}: {types.serialize_value(value)}\n"
 
 
-def serialize_package(item, registry=None):
+def serialize_package(item):
     out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
     values = (item.depends, item.conflicts, item.provides, item.installed, item.keep)
     for name, value in zip(_PACKAGE_PROP_ORDER, values):
@@ -307,18 +297,13 @@ def serialize_package(item, registry=None):
         if value is None:
             continue
         if schema.has_default and value == schema.default:
-            continue
-        if isinstance(value, types.VpkgFormula) and value.is_true:
-            continue  # True only serializes via omission
+            continue  # the True formula, which has no lexical form, included
         out.append(_prop_line(name, value))
     for prop, value in item.extra:
         if isinstance(value, RawValue):
             out.append(f"{prop}: {value.text}\n")
-            continue
-        schema = registry.get("package", prop) if registry else None
-        if schema and schema.has_default and value == schema.default:
-            continue
-        out.append(_prop_line(prop, value))
+        else:
+            out.append(_prop_line(prop, value))
     return "".join(out)
 
 
@@ -332,12 +317,12 @@ def serialize_request(request):
     return "".join(out)
 
 
-def serialize_cudf(doc, registry=None):
+def serialize_cudf(doc):
     """Serialize a valid document as UTF-8 bytes in canonical ordering."""
-    violations = validate_document(doc, registry)
+    violations = validate_document(doc)
     if violations:
         raise InvalidDocument(violations)
-    chunks = [serialize_package(p, registry) for p in doc.packages]
+    chunks = [serialize_package(p) for p in doc.packages]
     chunks.append(serialize_request(doc.request))
     return "\n".join(chunks).encode("utf-8")
 

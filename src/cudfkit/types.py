@@ -160,29 +160,19 @@ def _to_int(digits, type_tag, position):
         raise LexicalError(type_tag, position, "too many digits") from None
 
 
-def _parse_atom(text, type_tag, position, atoms):
-    """The VPkg spelled by `text`, which starts at `position` in the value.
-
-    `atoms` maps atom texts already parsed to their VPkg; a new one is
-    added to it.
-    """
-    atom = atoms.get(text)
-    if atom is not None:
-        return atom
+def _parse_atom(text, type_tag, position):
+    """The VPkg spelled by `text`, which starts at `position` in the value."""
     m = _ATOM_RE.fullmatch(text)
     if m is None:
         reason = "empty" if not text.strip(" ") else f"not a package atom: {text!r}"
         raise LexicalError(type_tag, position, reason)
     name, relop, digits = m.groups()
     if relop is None:
-        atom = VPkg(name)
-    else:
-        version = _to_int(digits, type_tag, position)
-        if version < 1:
-            raise LexicalError(type_tag, position, "version must be positive")
-        atom = VPkg(name, VersionConstraint(relop, version))
-    atoms[text] = atom
-    return atom
+        return VPkg(name)
+    version = _to_int(digits, type_tag, position)
+    if version < 1:
+        raise LexicalError(type_tag, position, "version must be positive")
+    return VPkg(name, VersionConstraint(relop, version))
 
 
 def _parse_int(lexical, type_tag, lower):
@@ -195,18 +185,18 @@ def _parse_int(lexical, type_tag, lower):
     return value
 
 
-def _parse_vpkglist(lexical, type_tag, atoms):
+def _parse_vpkglist(lexical, type_tag):
     if not lexical.strip(" "):
         return EMPTY_LIST
     items = []
     position = 0
     for text in lexical.split(","):
-        items.append(_parse_atom(text, type_tag, position, atoms))
+        items.append(_parse_atom(text, type_tag, position))
         position += len(text) + 1
     return VpkgList(tuple(items))
 
 
-def _parse_formula(lexical, atoms):
+def _parse_formula(lexical):
     if not lexical.strip(" "):
         raise LexicalError("vpkgformula", 0, "empty formula (True has no lexical form)")
     clauses = []
@@ -214,7 +204,7 @@ def _parse_formula(lexical, atoms):
     for clause in lexical.split(","):
         disjuncts = []
         for text in clause.split("|"):
-            disjuncts.append(_parse_atom(text, "vpkgformula", position, atoms))
+            disjuncts.append(_parse_atom(text, "vpkgformula", position))
             position += len(text) + 1
         clauses.append(tuple(disjuncts))
     return VpkgFormula(tuple(clauses))
@@ -227,17 +217,12 @@ def _enum_symbols(type_tag):
     return tuple(s.strip() for s in m.group(1).split(",") if s.strip())
 
 
-def parse_value(type_tag, lexical, atoms=None):
+def parse_value(type_tag, lexical):
     """Parse a lexical string into a value of the named type.
 
     Raises LexicalError when the string is outside the type's lexical
-    space, UnknownType for an unrecognized type tag.  `atoms`, a dict
-    from atom text to VPkg, lets the package atoms of many values (say,
-    of one document) be parsed once: atoms found in it are reused and
-    new ones are added.  Without it, every atom is parsed afresh.
+    space, UnknownType for an unrecognized type tag.
     """
-    if atoms is None:
-        atoms = {}
     if type_tag == "bool":
         s = lexical.strip(" ")
         if s == "true":
@@ -262,22 +247,22 @@ def parse_value(type_tag, lexical, atoms=None):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
     if type_tag == "vpkg":
-        return _parse_atom(lexical, "vpkg", 0, atoms)
+        return _parse_atom(lexical, "vpkg", 0)
     if type_tag == "veqpkg":
-        atom = _parse_atom(lexical, "veqpkg", 0, atoms)
+        atom = _parse_atom(lexical, "veqpkg", 0)
         if not is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
     if type_tag == "vpkglist":
-        return _parse_vpkglist(lexical, "vpkglist", atoms)
+        return _parse_vpkglist(lexical, "vpkglist")
     if type_tag == "veqpkglist":
-        lst = _parse_vpkglist(lexical, "veqpkglist", atoms)
+        lst = _parse_vpkglist(lexical, "veqpkglist")
         for item in lst.items:
             if not is_subtype_value(item, "veqpkg"):
                 raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
     if type_tag == "vpkgformula":
-        return _parse_formula(lexical, atoms)
+        return _parse_formula(lexical)
     if type_tag.startswith("enum("):
         symbols = _enum_symbols(type_tag)
         s = lexical.strip(" ")

@@ -673,7 +673,7 @@ def _oracle_value(value_type, text):
         raise _Drop(str(exc)) from None
 
 
-def oracle_parse_cudf(data, extras=None, strict_extras=False):
+def oracle_parse_cudf(data, extras=None):
     """(document, recovered errors) of CUDF bytes, errors as (stanza index,
     first line, byte range, reason).  `extras` maps (item kind, property
     name) to (value type, default or None) for registered extra
@@ -719,8 +719,7 @@ def oracle_parse_cudf(data, extras=None, strict_extras=False):
         except _Drop as exc:
             errors.append((index, first, rng, str(exc)))
             continue
-        extra = {name: value for name, value in fields.items()
-                 if name not in core and not (strict_extras and isinstance(value, RawValue))}
+        extra = {name: value for name, value in fields.items() if name not in core}
         for (item_kind, name), (_, default) in extras.items():
             if item_kind == "package" and default is not None:
                 extra.setdefault(name, default)

@@ -111,6 +111,21 @@ def test_fmt_fatal(tmp_path, capsysbinary):
     assert cli.main(["fmt", path]) == 1
 
 
+REPEATED_KEY = ("Package: aa\nVersion: 1\nDepends: bb\n\n"
+                "Package: aa\nVersion: 1\n\n"
+                "Package: bb\nVersion: 1\nConflicts: aa\n\n"
+                "Problem: p\nInstall: aa\n")
+
+
+@pytest.mark.parametrize("argv", [["fmt"], ["solve", "--criterion", "min-new"]])
+def test_repeated_key_is_one_invalid_line(tmp_path, capsys, argv):
+    path = write(tmp_path, "twice.cudf", REPEATED_KEY)
+    assert cli.main([argv[0], path] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid: duplicate stanza for aa 1\n"
+
+
 # -- solve + verify -----------------------------------------------------------
 
 def test_solve_then_verify(mta_path, tmp_path, capsys):

@@ -96,7 +96,6 @@ def test_empty_universe_strictness():
         action=Extensional("a"),
     ))
     assert any(v.path.endswith("package-universe") for v in validate_dudf(doc))
-    assert validate_dudf(doc, strict=False) == []
 
 
 # -- XML round trip -----------------------------------------------------------
@@ -203,8 +202,6 @@ def test_broken_fixtures():
                       '<extra xmlns="http://example.org/x"/></dudf>')
     with pytest.raises(SchemaViolation, match="foreign namespace"):
         xml_to_dudf(foreign)
-    # lax mode tolerates the extra element
-    assert xml_to_dudf(foreign, strict=False) == sample()
 
 
 # -- toy conversion -----------------------------------------------------------
@@ -246,9 +243,13 @@ def test_toy_convert():
 
 
 def test_toy_convert_rejections():
-    doc = convertible()
+    native = sample(problem=DudfProblem(
+        package_status=PackageStatus(installer=Extensional(STATUS_TEXT)),
+        package_universe=(PackageList("native-db", Extensional(UNIVERSE_TEXT)),),
+        action=Extensional("Install: addon"),
+    ))
     with pytest.raises(UnsupportedFormat):
-        toy_convert(doc, universe_format="native-db")
+        toy_convert(native)
     intensional = sample(problem=DudfProblem(
         package_status=PackageStatus(installer=Intensional("ref")),
         package_universe=(PackageList("cudf-stanzas", Extensional("")),),

@@ -61,13 +61,17 @@ def mutated(draw):
     data = bytearray(draw(st.sampled_from(SEEDS)))
     for _ in range(draw(st.integers(0, 4))):
         pos = draw(st.integers(0, len(data)))
-        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        op = draw(st.sampled_from(("insert", "delete", "replace", "repeat")))
         if op == "insert":
             data[pos:pos] = draw(st.sampled_from(FRAGMENTS))
         elif op == "delete":
             del data[pos:pos + draw(st.integers(1, 12))]
-        else:
+        elif op == "replace":
             data[pos:pos + 1] = bytes([draw(st.integers(0, 255))])
+        else:  # one whole stanza twice, as a repeated (name, version)
+            stanzas = data.split(b"\n\n")
+            i = draw(st.integers(0, len(stanzas) - 1))
+            data[:] = b"\n\n".join(stanzas[:i + 1] + stanzas[i:])
     return bytes(data)
 
 

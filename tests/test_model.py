@@ -15,8 +15,9 @@ from cudfkit.model import (
     RawValue,
     RequestItem,
     SchemaRegistry,
-    apply_package_defaults,
     make_extra,
+    package_extra_defaults,
+    package_from_fields,
     validate_document,
 )
 from cudfkit.types import (
@@ -123,15 +124,15 @@ def test_validate_checks_registered_extras():
 
 
 def test_apply_package_defaults():
-    item = apply_package_defaults({"Package": "aa", "Version": 3})
+    item = package_from_fields({"Package": "aa", "Version": 3}, package_extra_defaults(None))
     assert item == PackageItem("aa", 3)
     assert item.depends is TRUE and item.installed is False and item.keep is None
 
     keep = EnumValue(("version", "package", "feature"), "version")
-    item = apply_package_defaults({
+    item = package_from_fields({
         "Package": "aa", "Version": 3, "Installed": True, "Keep": keep,
         "Note": RawValue("hi"),
-    })
+    }, package_extra_defaults(None))
     assert item.installed is True
     assert item.keep == keep
     assert item.extra_value("Note") == RawValue("hi")
@@ -141,9 +142,10 @@ def test_registered_extra_default_is_filled():
     reg = SchemaRegistry(
         [PropertySchema("Cost", "int", "package", "optional", 0)]
     )
-    item = apply_package_defaults({"Package": "aa", "Version": 1}, reg)
+    item = package_from_fields({"Package": "aa", "Version": 1}, package_extra_defaults(reg))
     assert item.extra_value("Cost") == 0
-    item = apply_package_defaults({"Package": "aa", "Version": 1, "Cost": 5}, reg)
+    item = package_from_fields({"Package": "aa", "Version": 1, "Cost": 5},
+                               package_extra_defaults(reg))
     assert item.extra_value("Cost") == 5
 
 

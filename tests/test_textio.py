@@ -2,13 +2,25 @@ import email.parser
 import gc
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gen import OracleFatal, oracle_parse_cudf, rand_document, split_oracle
 from cudfkit import textio
-from cudfkit.model import PackageItem, PropertySchema, RawValue, SchemaRegistry
+from cudfkit.model import (
+    CudfDocument,
+    PackageItem,
+    PropertySchema,
+    RawValue,
+    RequestItem,
+    SchemaRegistry,
+    make_extra,
+    validate_document,
+)
 from cudfkit.types import TRUE, VersionConstraint, VPkg, VpkgFormula, VpkgList
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.cudf"))
@@ -146,16 +158,12 @@ def test_canonical_serialization_omits_defaults():
 
 
 def test_serialize_rejects_invalid_documents():
-    from cudfkit.model import CudfDocument
-
     doc = CudfDocument(packages=(PackageItem("aa", 1), PackageItem("aa", 1)))
     with pytest.raises(textio.InvalidDocument):
         textio.serialize_cudf(doc)
 
 
 def test_serialize_rejects_a_name_with_a_trailing_newline():
-    from cudfkit.model import CudfDocument
-
     doc = CudfDocument(packages=(PackageItem("aa\n", 1),))
     with pytest.raises(textio.InvalidDocument):
         textio.serialize_cudf(doc)
@@ -170,6 +178,57 @@ def test_roundtrip_random_documents():
         assert report.recovered_errors == []
         assert report.document == doc
         assert textio.serialize_cudf(report.document) == data
+
+
+@pytest.mark.parametrize("extra, problem_id", [
+    ({"9bad": RawValue("x")}, "pb"),
+    ({"Depends": RawValue("bb")}, "pb"),
+    ({"Package": RawValue("bb")}, "pb"),
+    ({"Problem": RawValue("pb")}, "pb"),
+    ({"Note": RawValue("two\nlines")}, "pb"),
+    ({"Note": RawValue("cr\r")}, "pb"),
+    ({}, "two\nlines"),
+    ({}, "cr\r"),
+])
+def test_validation_rejects_what_would_not_read_back(extra, problem_id):
+    doc = CudfDocument(packages=(PackageItem("aa", 1, extra=make_extra(extra)),),
+                       request=RequestItem(problem_id))
+    assert len(validate_document(doc)) == 1
+    with pytest.raises(textio.InvalidDocument):
+        textio.serialize_cudf(doc)
+
+
+# Property names, valid ones and those a CUDF line would read back as
+# something else; arbitrary texts, and texts that end in a line break.
+EXTRA_NAMES = st.one_of(
+    st.from_regex(r"[a-zA-Z][a-zA-Z0-9-]{0,5}", fullmatch=True),
+    st.sampled_from(["Depends", "Package", "Problem", "9bad"]),
+    st.text(max_size=6),
+)
+RAW_TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.tuples(st.text(max_size=4), st.sampled_from("\r\n")).map("".join),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), data=st.data(), problem_id=st.text(max_size=8))
+def test_whatever_validates_round_trips(seed, data, problem_id):
+    doc = rand_document(random.Random(seed))
+    packages = list(doc.packages)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(packages) - 1))
+        extra = dict(packages[i].extra)
+        extra[data.draw(EXTRA_NAMES)] = RawValue(data.draw(RAW_TEXTS))
+        packages[i] = replace(packages[i], extra=make_extra(extra))
+    doc = CudfDocument(tuple(packages), replace(doc.request, problem_id=problem_id))
+    if validate_document(doc):
+        return
+    written = textio.serialize_cudf(doc)
+    report = textio.parse_cudf(written)
+    assert report.recovered_errors == []
+    assert report.document == doc
+    assert textio.serialize_cudf(report.document) == written
 
 
 def test_golden_files_parse_and_fmt_idempotent():
@@ -284,22 +343,21 @@ def test_reader_matches_oracle_reader():
         if i % 50 == 0:
             data = data.replace(b"Version", b"Versi\xff", 1)
         for reg, extra_spec in ((None, None), (registry, extras)):
-            for strict in (False, True):
-                try:
-                    expected = oracle_parse_cudf(data, extra_spec, strict)
-                except OracleFatal as exc:
-                    with pytest.raises(textio.FatalParseError) as info:
-                        textio.parse_cudf(data, registry=reg, strict_extras=strict)
-                    assert oracle_fatal_kind(info.value) == exc.kind
-                    seen_fatal += 1
-                    continue
-                report = textio.parse_cudf(data, registry=reg, strict_extras=strict)
-                doc, errors = expected
-                assert report.document == doc
-                assert [(e.stanza_index, e.line, e.byte_range)
-                        for e in report.recovered_errors] == [e[:3] for e in errors]
-                assert all(e.reason for e in report.recovered_errors)
-                seen_errors += len(errors)
+            try:
+                expected = oracle_parse_cudf(data, extra_spec)
+            except OracleFatal as exc:
+                with pytest.raises(textio.FatalParseError) as info:
+                    textio.parse_cudf(data, registry=reg)
+                assert oracle_fatal_kind(info.value) == exc.kind
+                seen_fatal += 1
+                continue
+            report = textio.parse_cudf(data, registry=reg)
+            doc, errors = expected
+            assert report.document == doc
+            assert [(e.stanza_index, e.line, e.byte_range)
+                    for e in report.recovered_errors] == [e[:3] for e in errors]
+            assert all(e.reason for e in report.recovered_errors)
+            seen_errors += len(errors)
     assert seen_errors > 1000 and seen_fatal > 100
 
 
