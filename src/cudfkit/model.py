@@ -211,7 +211,8 @@ def _check_item_types(item, registry):
     if not isinstance(item.installed, bool):
         bad("Installed", "bool")
     keep = item.keep
-    if keep is not None and not (isinstance(keep, EnumValue) and keep.chosen in KEEP_SYMBOLS):
+    # Other symbols would read back as the core three.
+    if keep is not None and not (isinstance(keep, EnumValue) and keep.symbols == KEEP_SYMBOLS):
         bad("Keep", KEEP_ENUM)
     for prop, value in item.extra:
         # A core name would read back as the core property, and a
@@ -226,7 +227,18 @@ def _check_item_types(item, registry):
         schema = registry.get("package", prop) if registry else None
         if schema and not types.is_subtype_value(value, schema.value_type):
             bad(prop, schema.value_type)
+        elif not _has_one_line_form(value):
+            out.append(Violation("TypeError", f"{prop} value has no one-line lexical form",
+                                 name, version))
     return out
+
+
+def _has_one_line_form(value):
+    """Whether a typed value's canonical text fits on its property line."""
+    try:
+        return types.is_subtype_value(types.serialize_value(value), "oneliner")
+    except types.SerializeError:
+        return False
 
 
 def package_extra_defaults(registry):

@@ -1,14 +1,20 @@
-"""Depth-first branch-and-bound over compiled problems.
+"""Two-phase depth-first branch-and-bound over compiled problems.
 
 A search node decides some free bits: `ones` holds the bits set, `zeros`
 the bits cleared.  Unit propagation over the compiled masks extends both
 to a fixpoint or shows that no candidate extends the node; a node whose
-cost lower bound cannot beat the best candidate found so far is cut.
-Python integers serve as bitmasks, so any stanza count works, and an
-explicit stack keeps deep searches off the interpreter's call stack.
+cost lower bound reaches the incumbent is cut, and every undecided bit
+whose own positive cost would take the bound there is cleared.  The
+first phase branches toward cheap candidates to find the optimum cost;
+the second walks candidates in tie-break order under the optimum plus
+one and stops at its first leaf.  Python integers serve as bitmasks, so
+any stanza count works, and an explicit stack keeps deep searches off
+the interpreter's call stack.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 
 def _bit_indices(mask):
@@ -22,17 +28,29 @@ def search(problem):
     """Minimum-cost candidate of a compiled problem.
 
     Returns (found, best_mask, best_cost, explored), where explored counts
-    search nodes.  Ties go to the candidate whose sorted installed set is
-    lexicographically smallest: branching on the lowest undecided bit,
-    include first, and trying the leaf that sets no further bit before
-    both when no set bit lies above the branch bit, meets candidates in
-    exactly that order, so only a strictly cheaper one replaces the best.
+    the search nodes of both phases.  Ties go to the candidate whose
+    sorted installed set is lexicographically smallest: the second phase
+    branches on the lowest undecided bit, include first, and tries the
+    leaf that sets no further bit before both when no set bit lies above
+    the branch bit, so it meets candidates in exactly that order and its
+    first leaf under the optimum plus one is the answer.
     """
     n = problem.n
     costs = problem.costs
     neg = [min(c, 0) for c in costs]
     neg_bits = sum(1 << i for i, c in enumerate(neg) if c)
     deps = problem.dep_clauses
+
+    # heavy[k]: the free bits costing at least steps[k], the k-th smallest
+    # positive free cost; heavy[-1] is empty.  Only free bits, so that
+    # the table stays small when most stanzas are pinned.
+    priced = [i for i in problem.free_bits if costs[i] > 0]
+    steps = sorted({costs[i] for i in priced})
+    heavy = [0] * (len(steps) + 1)
+    for i in priced:
+        heavy[bisect_left(steps, costs[i])] |= 1 << i
+    for k in range(len(steps) - 1, -1, -1):
+        heavy[k] |= heavy[k + 1]
 
     # excl[i]: bits that cannot be installed together with bit i.  Conflicts
     # are made symmetric so that either side of a pair clears the other.
@@ -91,34 +109,71 @@ def search(problem):
 
     full = (1 << n) - 1
     left = sum(neg[i] for i in _bit_indices(full & ~zeros))
-    stack = [(problem.pinned, zeros, clauses, 0, left, problem.pinned)]
-    found = False
-    best_mask = best_cost = explored = 0
-    while stack:
-        explored += 1
-        node = propagate(*stack.pop())
-        if node is None:
-            continue
-        ones, zeros, clauses, cost, left = node
-        if found and cost + left >= best_cost:
-            continue
-        undecided = full & ~(ones | zeros)
-        if not undecided:
-            found, best_mask, best_cost = True, ones, cost
-            continue
-        low = undecided & -undecided
-        left_off = left - neg[low.bit_length() - 1]
-        include = (ones | low, zeros, clauses, cost, left, low)
-        if ones < low:
-            # No set bit above the branch bit: the leaf clearing every
-            # undecided bit precedes the whole subtree, and the exclude
-            # branch keeps only candidates that set some bit above it.
-            rest = undecided ^ low
-            if rest:
-                stack.append((ones, zeros | low, clauses + [rest], cost, left_off, 0))
-            stack.append(include)
-            stack.append((ones, zeros | undecided, clauses, cost, 0, 0))
-        else:
-            stack.append((ones, zeros | low, clauses, cost, left_off, 0))
-            stack.append(include)
-    return found, best_mask, best_cost, explored
+    # Both phases start from the propagated root, so the clauses of the
+    # pinned bits are applied once.
+    root = propagate(problem.pinned, zeros, clauses, 0, left, problem.pinned)
+    if root is None:
+        return False, 0, 0, 1
+    root += (0,)
+
+    def descend(bound, in_order):
+        """(best_mask, best_cost, nodes) of the cheapest leaf costing less
+        than bound, best_mask None when there is none.  in_order walks
+        the tie-break order and returns the first such leaf; otherwise
+        each branch tries the cheaper side first."""
+        best_mask = None
+        explored = 0
+        stack = [root]
+        while stack:
+            explored += 1
+            node = propagate(*stack.pop())
+            if node is None:
+                continue
+            ones, zeros, clauses, cost, left = node
+            slack = bound - cost - left
+            if slack <= 0:
+                continue
+            # Installing any of these would take the bound to the incumbent.
+            fixed = heavy[bisect_left(steps, slack)] & ~(ones | zeros)
+            if fixed:
+                node = propagate(ones, zeros | fixed, clauses, cost, left, 0)
+                if node is None:
+                    continue
+                ones, zeros, clauses, cost, left = node
+                if cost + left >= bound:
+                    continue
+            undecided = full & ~(ones | zeros)
+            if not undecided:
+                best_mask, bound = ones, cost
+                if in_order:
+                    break
+                continue
+            low = undecided & -undecided
+            i = low.bit_length() - 1
+            include = (ones | low, zeros, clauses, cost, left, low)
+            exclude = (ones, zeros | low, clauses, cost, left - neg[i], 0)
+            if not in_order:
+                if costs[i] < 0:
+                    stack += [exclude, include]
+                else:
+                    stack += [include, exclude]
+            elif ones < low:
+                # No set bit above the branch bit: the leaf clearing every
+                # undecided bit precedes the whole subtree, and the exclude
+                # branch keeps only candidates that set some bit above it.
+                rest = undecided ^ low
+                if rest:
+                    stack.append((ones, zeros | low, clauses + [rest], cost,
+                                  left - neg[i], 0))
+                stack.append(include)
+                stack.append((ones, zeros | undecided, clauses, cost, 0, 0))
+            else:
+                stack += [exclude, include]
+        return best_mask, bound, explored
+
+    # Phase 1: the optimum cost.  Phase 2: the first candidate at it.
+    best_mask, best_cost, explored = descend(float("inf"), False)
+    if best_mask is None:
+        return False, 0, 0, explored
+    best_mask, best_cost, more = descend(best_cost + 1, True)
+    return True, best_mask, best_cost, explored + more

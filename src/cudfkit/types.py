@@ -356,6 +356,6 @@ def is_subtype_value(value, target):
     if target == "vpkgformula":
         return isinstance(value, VpkgFormula)
     if target.startswith("enum("):
-        symbols = _enum_symbols(target)
-        return isinstance(value, EnumValue) and value.chosen in symbols
+        # Symbols other than the type's would read back as the type's.
+        return isinstance(value, EnumValue) and value.symbols == _enum_symbols(target)
     raise UnknownType(target)

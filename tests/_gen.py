@@ -600,7 +600,21 @@ def subtype_item_violations(item, registry):
         schema = registry.get("package", prop) if registry else None
         if schema and not is_subtype_value(value, schema.value_type):
             bad(prop, schema.value_type)
+        elif not _one_line_value(value):
+            out.append(Violation("TypeError", f"{prop} value has no one-line lexical form",
+                                 item.name, item.version))
     return out
+
+
+def _one_line_value(value):
+    """Whether a typed value has a lexical form with no line break: the
+    True formula has none, a string is its own text, and atoms, lists,
+    enum symbols and numbers cannot hold a line break."""
+    if isinstance(value, str):
+        return "\n" not in value and "\r" not in value
+    if isinstance(value, VpkgFormula):
+        return bool(value.clauses)
+    return isinstance(value, (bool, int, EnumValue, VPkg, VpkgList))
 
 
 # ---------------------------------------------------------------------------

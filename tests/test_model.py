@@ -156,6 +156,17 @@ def test_request_defaults():
     assert req.upgrade == EMPTY_LIST
 
 
+@pytest.mark.parametrize("symbols", [
+    ("version",),
+    ("feature", "package", "version"),
+    ("version", "package", "feature", "other"),
+])
+def test_keep_symbols_must_be_the_core_three(symbols):
+    item = PackageItem("aa", 1, installed=True, keep=EnumValue(symbols, "version"))
+    violations = validate_document(CudfDocument(packages=(item,)))
+    assert [v.detail for v in violations] == [f"Keep value outside {KEEP_ENUM}"]
+
+
 def test_item_type_checks_match_subtype_oracle():
     reg = SchemaRegistry([
         PropertySchema("Size", "posint", "package", "optional"),
@@ -175,7 +186,9 @@ def test_item_type_checks_match_subtype_oracle():
         {"conflicts": "bb"}, {"conflicts": TRUE}, {"provides": "bb = 1"},
         {"provides": ge}, {"provides": TRUE}, {"installed": 1},
         {"installed": "true"}, {"keep": "version"}, {"keep": other_keep},
-        {"keep": keep},
+        {"keep": keep}, {"keep": EnumValue(("version",), "version")},
+        {"keep": EnumValue(("feature", "package", "version"), "package")},
+        {"extra": make_extra({"Note": TRUE, "Size": 1.5, "Alt": "a\nb"})},
         {"extra": make_extra({"Size": 0, "Note": "a\rb", "Alt": ge})},
         {"extra": make_extra({"Size": True, "Note": 5, "Alt": EMPTY_LIST})},
         {"extra": make_extra({"Size": 12, "Other": RawValue("x"), "Note": "ok"})},

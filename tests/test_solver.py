@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from _gen import enumerate_solutions, exhaustive_search, mask_less, rand_document
+from _gen import (
+    enumerate_solutions,
+    exhaustive_search,
+    mask_less,
+    rand_document,
+    scan_compile,
+)
 from cudfkit import solver
 from cudfkit.model import (
     CudfDocument,
@@ -39,11 +45,11 @@ def req(install=(), remove=(), upgrade=()):
                        upgrade=VpkgList(tuple(upgrade)))
 
 
-def with_sizes(d, rng):
+def with_sizes(d, rng, top=50):
     packages = []
     for p in d.packages:
-        sizes = {"Installed-Size": rng.randint(1, 50),
-                 "Download-Size": rng.randint(1, 50)}
+        sizes = {"Installed-Size": rng.randint(1, top),
+                 "Download-Size": rng.randint(1, top)}
         packages.append(
             PackageItem(name=p.name, version=p.version, depends=p.depends,
                         conflicts=p.conflicts, provides=p.provides,
@@ -225,6 +231,80 @@ def test_solve_matches_enumeration_oracle():
     assert checked > 0
 
 
+# -- solve vs an integer program ---------------------------------------------
+
+def _bit_list(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def milp_optimum(d, costs):
+    """Minimum cost over the installations satisfying the request, from
+    scipy's integer program over the scan oracle's masks; None when no
+    installation does."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    stanzas = sorted(d.packages, key=lambda p: p.key)
+    n = len(stanzas)
+    masks = scan_compile(d, d.request)
+    rows, lbs, ubs = [], [], []
+
+    def row(coefs, lb, ub):
+        line = np.zeros(n)
+        for j, w in coefs:
+            line[j] += w
+        rows.append(line)
+        lbs.append(lb)
+        ubs.append(ub)
+
+    lower, upper = np.zeros(n), np.ones(n)
+    lower[_bit_list(masks["pinned"])] = 1
+    for i in range(n):
+        for clause in masks["dep_clauses"][i]:  # x_i <= sum of the clause
+            row([(i, 1)] + [(j, -1) for j in _bit_list(clause)], -np.inf, 0)
+        for j in _bit_list(masks["conflict_mask"][i]):
+            row([(i, 1), (j, 1)], -np.inf, 1)
+    for mask in masks["required"]:
+        row([(j, 1) for j in _bit_list(mask)], 1, np.inf)
+    for mask in masks["forbidden"]:
+        upper[_bit_list(mask)] = 0
+    for clause, name_bits, allowed in masks["upgrades"]:
+        row([(j, 1) for j in _bit_list(clause)], 1, np.inf)
+        row([(j, 1) for j in _bit_list(name_bits)], 1, 1)
+        upper[_bit_list(name_bits & ~allowed)] = 0
+    if (lower > upper).any():
+        return None
+    constraints = [LinearConstraint(np.array(rows), lbs, ubs)] if rows else []
+    res = milp(np.array([costs[p.key] for p in stanzas], dtype=float),
+               constraints=constraints, integrality=np.ones(n),
+               bounds=Bounds(lower, upper), options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return int(round(res.fun))
+
+
+def test_solve_matches_milp_optimum_at_thirty_stanzas():
+    rng = random.Random(3301)
+    solved = unsolvable = 0
+    for _ in range(30):
+        d = rand_document(rng, max_names=10, max_versions=4, max_stanzas=30)
+        while len(d.packages) < 25:
+            d = rand_document(rng, max_names=10, max_versions=4, max_stanzas=30)
+        d = with_sizes(d, rng, top=5000)
+        for criterion in CRITERIA:
+            costs = preset_costs(d, d.request, criterion)
+            result = solve(d, d.request, costs, budget=2 ** 30)
+            best = milp_optimum(d, costs)
+            if best is None:
+                assert result.status == "no_solution", criterion
+                unsolvable += 1
+            else:
+                assert (result.status, result.cost) == ("solution", best), criterion
+                solved += 1
+    assert solved and unsolvable
+
+
 # -- search vs exhaustive oracle ---------------------------------------------
 
 COST_SHAPES = {
@@ -247,6 +327,31 @@ def test_search_matches_exhaustive_oracle():
             assert got[:3] == exhaustive_search(problem)[:3], shape
             found += got[0]
     assert 0 < found < 4000
+
+
+# Costs shaped like package sizes, some with a few negative costs: the
+# bits whose own cost reaches the incumbent are cleared and the node is
+# propagated and bounded again.
+SIZE_SHAPES = {
+    "sizes": lambda rng: rng.randint(1, 5000),
+    "sizes-few-negative": lambda rng: (
+        -rng.randint(1, 5000) if rng.random() < 0.15 else rng.randint(1, 5000)
+    ),
+}
+
+
+def test_search_matches_exhaustive_oracle_on_size_costs():
+    rng = random.Random(6203)
+    found = 0
+    for _ in range(600):
+        d = rand_document(rng)
+        for shape, draw in SIZE_SHAPES.items():
+            costs = {p.key: draw(rng) for p in d.packages}
+            problem = compile_problem(d, d.request, costs)
+            got = _kernel_py.search(problem)
+            assert got[:3] == exhaustive_search(problem)[:3], shape
+            found += got[0]
+    assert 0 < found < 1200
 
 
 def test_search_deep_problem_has_no_recursion_limit():

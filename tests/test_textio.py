@@ -21,7 +21,7 @@ from cudfkit.model import (
     make_extra,
     validate_document,
 )
-from cudfkit.types import TRUE, VersionConstraint, VPkg, VpkgFormula, VpkgList
+from cudfkit.types import TRUE, EnumValue, VersionConstraint, VPkg, VpkgFormula, VpkgList
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.cudf"))
 
@@ -187,6 +187,10 @@ def test_roundtrip_random_documents():
     ({"Problem": RawValue("pb")}, "pb"),
     ({"Note": RawValue("two\nlines")}, "pb"),
     ({"Note": RawValue("cr\r")}, "pb"),
+    ({"Note": "two\nlines"}, "pb"),
+    ({"Note": "cr\r"}, "pb"),
+    ({"Note": TRUE}, "pb"),
+    ({"Note": 1.5}, "pb"),
     ({}, "two\nlines"),
     ({}, "cr\r"),
 ])
@@ -210,6 +214,24 @@ RAW_TEXTS = st.one_of(
     st.tuples(st.text(max_size=4), st.sampled_from("\r\n")).map("".join),
 )
 
+# Typed extras under names longer than any EXTRA_NAMES draw, each with the
+# schema that reads it back; the values include texts with line breaks,
+# the True formula (no lexical form) and enum values of other symbols.
+TYPED_EXTRAS = {
+    "Typed-count": ("int", st.integers()),
+    "Typed-flag": ("bool", st.booleans()),
+    "Typed-note": ("string", RAW_TEXTS),
+    "Typed-tier": ("enum(low, high)", st.builds(
+        EnumValue, st.sampled_from([("low", "high"), ("low",), ("high", "low")]),
+        st.just("low"))),
+    "Typed-alts": ("vpkgformula", st.sampled_from(
+        [TRUE, VpkgFormula(((VPkg("aa"), VPkg("bb", VersionConstraint(">", 2))),))])),
+}
+TYPED_REGISTRY = SchemaRegistry(
+    PropertySchema(name, value_type, "package", "optional")
+    for name, (value_type, _) in TYPED_EXTRAS.items()
+)
+
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32), data=st.data(), problem_id=st.text(max_size=8))
@@ -221,11 +243,17 @@ def test_whatever_validates_round_trips(seed, data, problem_id):
         extra = dict(packages[i].extra)
         extra[data.draw(EXTRA_NAMES)] = RawValue(data.draw(RAW_TEXTS))
         packages[i] = replace(packages[i], extra=make_extra(extra))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(packages) - 1))
+        extra = dict(packages[i].extra)
+        name = data.draw(st.sampled_from(sorted(TYPED_EXTRAS)))
+        extra[name] = data.draw(TYPED_EXTRAS[name][1])
+        packages[i] = replace(packages[i], extra=make_extra(extra))
     doc = CudfDocument(tuple(packages), replace(doc.request, problem_id=problem_id))
-    if validate_document(doc):
+    if validate_document(doc, TYPED_REGISTRY):
         return
     written = textio.serialize_cudf(doc)
-    report = textio.parse_cudf(written)
+    report = textio.parse_cudf(written, registry=TYPED_REGISTRY)
     assert report.recovered_errors == []
     assert report.document == doc
     assert textio.serialize_cudf(report.document) == written

@@ -194,6 +194,10 @@ def test_subtype_lattice():
     assert not is_subtype_value(ge, "veqpkg")
     assert is_subtype_value(VpkgList((eq,)), "veqpkglist")
     assert not is_subtype_value(VpkgList((ge,)), "veqpkglist")
+    assert is_subtype_value(EnumValue(("aa", "bb"), "bb"), "enum(aa, bb)")
+    # an enum value of other symbols belongs to another enum type
+    assert not is_subtype_value(EnumValue(("aa",), "aa"), "enum(aa, bb)")
+    assert not is_subtype_value(EnumValue(("bb", "aa"), "aa"), "enum(aa, bb)")
 
 
 # -- property tests -----------------------------------------------------------
