@@ -70,6 +70,22 @@ def _costs_for(doc, request, args):
     return solver.preset_costs(doc, request, args.criterion)
 
 
+def _json_text(value, newline="\n"):
+    """json.dumps(value, indent=2) for the dicts, lists, tuples and scalars
+    of a report, with no reference cycle left behind: json's indented
+    encoder leaves a cycle of closures on every call, which only a
+    collection reclaims, and main runs with the collector paused."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items())
+    elif isinstance(value, (list, tuple)) and value:
+        items = (_json_text(v, inner) for v in value)
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return opening + inner + ("," + inner).join(items) + newline + closing
+
+
 def _warn_recovered(report):
     """One warning line per stanza or junk line the parse dropped."""
     for e in report.recovered_errors:
@@ -94,7 +110,7 @@ def cmd_check(args):
         ],
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"packages: {payload['packages']}")
         _warn_recovered(report)
@@ -124,7 +140,7 @@ def cmd_verify(args):
         return EXIT_USAGE
     verdict = semantics.satisfies_request(problem, problem.request, after)
     if args.json:
-        print(json.dumps(_verdict_json(verdict), indent=2))
+        print(_json_text(_verdict_json(verdict)))
     elif args.explain:
         _explain(verdict)
     return EXIT_OK if verdict.ok else EXIT_INVALID
@@ -270,20 +286,24 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except solver.MissingSizeProperty as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except textio.FatalParseError as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except InvalidDocument as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    # No command makes reference cycles, so a collection inside one would
+    # only walk its live objects again; the caller's collector state comes
+    # back on every exit.
+    with textio.collector_paused():
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except solver.MissingSizeProperty as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except textio.FatalParseError as exc:
+            print(f"fatal: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except InvalidDocument as exc:
+            print(f"invalid: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

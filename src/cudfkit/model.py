@@ -66,7 +66,7 @@ CORE_PROBLEM_SCHEMATA = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawValue:
     """An extra property with no registered schema, kept verbatim."""
 
@@ -97,7 +97,7 @@ class SchemaRegistry:
         return [s for (kind, _), s in self._extra.items() if kind == "package"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageItem:
     name: str
     version: int
@@ -127,7 +127,7 @@ def make_extra(mapping):
     return tuple(sorted(mapping.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestItem:
     problem_id: str = ""
     install: VpkgList = EMPTY_LIST

@@ -70,14 +70,18 @@ class _LineOffsets:
 
     def __init__(self, data):
         self.data = data
-        self._starts = None
+        self._lengths = None  # bytes before each line, newlines left out
+
+    def _start(self, line):
+        """Byte offset of 1-based `line`: the lengths before it plus one
+        newline for each line before it."""
+        return self._lengths[line - 1] + line - 1
 
     def byte_range(self, first, end):
         """Bytes of lines first..end-1 (1-based), cut at the end of the data."""
-        if self._starts is None:
-            self._starts = list(accumulate(
-                (len(line) + 1 for line in self.data.split(b"\n")), initial=0))
-        return self._starts[first - 1], min(self._starts[end - 1], len(self.data))
+        if self._lengths is None:
+            self._lengths = list(accumulate(map(len, self.data.split(b"\n")), initial=0))
+        return self._start(first), min(self._start(end), len(self.data))
 
 
 @dataclass
@@ -156,14 +160,16 @@ _REQUIRED_PACKAGE_PROPS = tuple(
 
 class _Reader:
     """The tables of one document being read: each property name resolved
-    once, and each lexical value of a property parsed once.  Values are
-    immutable, so stanzas share them.  A reader lives for one parse call;
-    nothing is kept across calls."""
+    once, each lexical value of a property parsed once, and one
+    VersionConstraint per (relop, version).  Values are immutable, so
+    stanzas share them.  A reader lives for one parse call; nothing is
+    kept across calls."""
 
     def __init__(self, registry=None):
         self.registry = registry
         self.extra_defaults = package_extra_defaults(registry)
         self.props = {"package": {}, "problem": {}}  # kind -> name -> property
+        self.constraints = {}  # (relop, version) -> the atoms' VersionConstraint
 
     def _property(self, item_kind, name):
         """(value type or None, value memo) of a property name, or
@@ -203,7 +209,7 @@ class _Reader:
                     parsed = RawValue(value)
                 else:
                     try:
-                        parsed = types.parse_value(value_type, value)
+                        parsed = types.parse_value(value_type, value, self.constraints)
                     except types.LexicalError as exc:
                         raise _StanzaError(f"{name}: {exc.reason}") from exc
                 values[value] = parsed
@@ -232,12 +238,13 @@ class _Reader:
 
 
 @contextmanager
-def _collector_paused():
+def collector_paused():
     """Pause the cyclic garbage collector, restoring its state on exit.
 
     A parse allocates a few container objects per stanza and creates no
     reference cycles; each full collection would walk all of them again,
-    which makes a large parse superlinear.
+    which makes a large parse superlinear.  Nested inside another pause
+    it does nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -255,7 +262,7 @@ def parse_cudf(data, registry=None):
     encoding failures and a surviving problem-stanza count other than one
     are fatal.
     """
-    with _collector_paused():
+    with collector_paused():
         stanzas, errors = _split_stanzas(data)
         reader = _Reader(registry)
         packages = []
@@ -358,7 +365,7 @@ def parse_solution(data):
     content raises MalformedSolution, since a solution has no stanza that
     could be dropped and recovered from.
     """
-    with _collector_paused():
+    with collector_paused():
         stanzas, errors = _split_stanzas(data)
         if errors:
             raise MalformedSolution(errors[0].reason)

@@ -42,7 +42,7 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _ENUM_TAG_RE = re.compile(r"enum\(([^)]*)\)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionConstraint:
     """Either the unconstrained value (relop is None) or a (relop, version) pair."""
 
@@ -67,7 +67,7 @@ class VersionConstraint:
 TOP = VersionConstraint()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VPkg:
     """A possibly version-constrained package (or feature) name."""
 
@@ -79,7 +79,7 @@ class VPkg:
             raise ValueError(f"bad package name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VpkgFormula:
     """CNF formula: a conjunction of disjunctions of VPkg atoms.
 
@@ -104,7 +104,7 @@ class VpkgFormula:
 TRUE = VpkgFormula()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VpkgList:
     items: tuple[VPkg, ...] = ()
 
@@ -117,7 +117,7 @@ class VpkgList:
 EMPTY_LIST = VpkgList()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumValue:
     symbols: tuple[str, ...]
     chosen: str
@@ -160,19 +160,43 @@ def _to_int(digits, type_tag, position):
         raise LexicalError(type_tag, position, "too many digits") from None
 
 
-def _parse_atom(text, type_tag, position):
-    """The VPkg spelled by `text`, which starts at `position` in the value."""
+# The parser builds its atoms from what _ATOM_RE and _parse_atom have
+# already checked, so it skips the __post_init__ checks of the public
+# constructors, which stay for every other caller.
+
+def _vpkg(name, constraint):
+    atom = object.__new__(VPkg)
+    object.__setattr__(atom, "name", name)
+    object.__setattr__(atom, "constraint", constraint)
+    return atom
+
+
+def _constraint(relop, version):
+    constraint = object.__new__(VersionConstraint)
+    object.__setattr__(constraint, "relop", relop)
+    object.__setattr__(constraint, "version", version)
+    return constraint
+
+
+def _parse_atom(text, type_tag, position, constraints):
+    """The VPkg spelled by `text`, which starts at `position` in the value.
+
+    `constraints` maps (relop, version) to the VersionConstraint that the
+    atoms parsed with it share."""
     m = _ATOM_RE.fullmatch(text)
     if m is None:
         reason = "empty" if not text.strip(" ") else f"not a package atom: {text!r}"
         raise LexicalError(type_tag, position, reason)
     name, relop, digits = m.groups()
     if relop is None:
-        return VPkg(name)
+        return _vpkg(name, TOP)
     version = _to_int(digits, type_tag, position)
     if version < 1:
         raise LexicalError(type_tag, position, "version must be positive")
-    return VPkg(name, VersionConstraint(relop, version))
+    constraint = constraints.get((relop, version))
+    if constraint is None:
+        constraint = constraints[relop, version] = _constraint(relop, version)
+    return _vpkg(name, constraint)
 
 
 def _parse_int(lexical, type_tag, lower):
@@ -185,18 +209,18 @@ def _parse_int(lexical, type_tag, lower):
     return value
 
 
-def _parse_vpkglist(lexical, type_tag):
+def _parse_vpkglist(lexical, type_tag, constraints):
     if not lexical.strip(" "):
         return EMPTY_LIST
     items = []
     position = 0
     for text in lexical.split(","):
-        items.append(_parse_atom(text, type_tag, position))
+        items.append(_parse_atom(text, type_tag, position, constraints))
         position += len(text) + 1
     return VpkgList(tuple(items))
 
 
-def _parse_formula(lexical):
+def _parse_formula(lexical, constraints):
     if not lexical.strip(" "):
         raise LexicalError("vpkgformula", 0, "empty formula (True has no lexical form)")
     clauses = []
@@ -204,7 +228,7 @@ def _parse_formula(lexical):
     for clause in lexical.split(","):
         disjuncts = []
         for text in clause.split("|"):
-            disjuncts.append(_parse_atom(text, "vpkgformula", position))
+            disjuncts.append(_parse_atom(text, "vpkgformula", position, constraints))
             position += len(text) + 1
         clauses.append(tuple(disjuncts))
     return VpkgFormula(tuple(clauses))
@@ -217,12 +241,17 @@ def _enum_symbols(type_tag):
     return tuple(s.strip() for s in m.group(1).split(",") if s.strip())
 
 
-def parse_value(type_tag, lexical):
+def parse_value(type_tag, lexical, constraints=None):
     """Parse a lexical string into a value of the named type.
 
     Raises LexicalError when the string is outside the type's lexical
-    space, UnknownType for an unrecognized type tag.
+    space, UnknownType for an unrecognized type tag.  `constraints`, a
+    dict that a reader of one document passes to every call, gives the
+    atoms of all its values one VersionConstraint per (relop, version);
+    without it the atoms of this value share theirs.
     """
+    if constraints is None:
+        constraints = {}
     if type_tag == "bool":
         s = lexical.strip(" ")
         if s == "true":
@@ -247,22 +276,22 @@ def parse_value(type_tag, lexical):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
     if type_tag == "vpkg":
-        return _parse_atom(lexical, "vpkg", 0)
+        return _parse_atom(lexical, "vpkg", 0, constraints)
     if type_tag == "veqpkg":
-        atom = _parse_atom(lexical, "veqpkg", 0)
+        atom = _parse_atom(lexical, "veqpkg", 0, constraints)
         if not is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
     if type_tag == "vpkglist":
-        return _parse_vpkglist(lexical, "vpkglist")
+        return _parse_vpkglist(lexical, "vpkglist", constraints)
     if type_tag == "veqpkglist":
-        lst = _parse_vpkglist(lexical, "veqpkglist")
+        lst = _parse_vpkglist(lexical, "veqpkglist", constraints)
         for item in lst.items:
             if not is_subtype_value(item, "veqpkg"):
                 raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
     if type_tag == "vpkgformula":
-        return _parse_formula(lexical)
+        return _parse_formula(lexical, constraints)
     if type_tag.startswith("enum("):
         symbols = _enum_symbols(type_tag)
         s = lexical.strip(" ")

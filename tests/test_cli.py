@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cudfkit import cli, dudf, textio
 from cudfkit.dudf import (
@@ -359,3 +361,109 @@ def test_dudf_convert_roundtrips_through_check(tmp_path, capsysbinary):
     converted = tmp_path / "converted.cudf"
     converted.write_bytes(data)
     assert cli.main(["check", str(converted), "--strict"]) == 0
+
+
+# -- the collector around a command -----------------------------------------------
+
+UNSAT = "Package: aa\nVersion: 1\nDepends: bb\n\nProblem: pb\nInstall: aa\n"
+DROPPED = "Package: aa\nVersion: zero\n\nPackage: bb\nVersion: 1\n\nProblem: pb\nInstall: bb\n"
+
+
+def _exits(tmp_path, mta_path):
+    """(argv, exit code, first word of stderr) of one run per way out of main."""
+    unsat = write(tmp_path, "unsat.cudf", UNSAT)
+    unknown = write(tmp_path, "unknown.sol", "Package: zz\nVersion: 9\n")
+    return [
+        (["check", mta_path], 0, ""),
+        (["solve", unsat, "--criterion", "min-new"], 1, "no"),
+        (["verify", "--problem", mta_path, "--solution", unknown], 2, "error:"),
+        (["solve", mta_path, "--criterion", "min-new", "--budget", "1"], 3, "budget"),
+        (["check", write(tmp_path, "nop.cudf", "Package: aa\nVersion: 1\n")], 1, "fatal:"),
+        (["fmt", write(tmp_path, "twice.cudf", REPEATED_KEY)], 1, "invalid:"),
+        (["check", str(tmp_path / "missing.cudf")], 2, "usage"),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(tmp_path, mta_path, capsys, enabled):
+    was = gc.isenabled()
+    try:
+        for argv, code, stderr in _exits(tmp_path, mta_path):
+            gc.enable() if enabled else gc.disable()
+            assert cli.main(argv) == code, argv
+            assert capsys.readouterr().err.startswith(stderr), argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state_after_a_traceback(
+        mta_path, monkeypatch, enabled):
+    def broken(data, registry=None):
+        raise RuntimeError("broken reader")
+
+    monkeypatch.setattr(textio, "parse_cudf", broken)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError):
+            cli.main(["check", mta_path])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def _unreachable_after(argv):
+    """Exit code of cli.main(argv), run with the collector off from a
+    collected heap, and the unreachable objects a collection then finds."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.main(argv)
+        return code, gc.collect()
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.cudf")))
+def test_commands_on_golden_files_leave_no_cyclic_garbage(tmp_path, capsysbinary, name):
+    """The command-wide collector pause costs nothing only while no
+    command makes reference cycles."""
+    path = str(GOLDEN / name)
+    solution = str(tmp_path / "solution")
+    for argv, code in ((["check", path, "--strict", "--json"], 0),
+                       (["fmt", path], 0),
+                       (["solve", path, "--criterion", "min-new", "--out", solution], 0),
+                       (["verify", "--problem", path, "--solution", solution, "--json"], 0),
+                       (["solve", path, "--criterion", "installed-size"], 2),
+                       (["cost", path, "--criterion", "min-removed"], 0)):
+        assert _unreachable_after(argv) == (code, 0), argv
+
+
+def test_dudf_and_failing_commands_leave_no_cyclic_garbage(tmp_path, capsysbinary):
+    dudf_path = dudf_fixture(tmp_path)
+    dropped = write(tmp_path, "dropped.cudf", DROPPED)
+    unsat = write(tmp_path, "unsat.cudf", UNSAT)
+    for argv, code in ((["dudf", "validate", dudf_path], 0),
+                       (["dudf", "show", dudf_path], 0),
+                       (["dudf", "convert", dudf_path], 0),
+                       (["check", dropped, "--strict", "--json"], 1),
+                       (["fmt", dropped], 0),
+                       (["solve", dropped, "--criterion", "min-new"], 0),
+                       (["solve", unsat, "--criterion", "min-new"], 1)):
+        assert _unreachable_after(argv) == (code, 0), argv

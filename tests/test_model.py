@@ -149,6 +149,11 @@ def test_registered_extra_default_is_filled():
     assert item.extra_value("Cost") == 5
 
 
+def test_stanza_records_are_slotted():
+    for record in (PackageItem("aa", 1), RawValue("x"), RequestItem("pb")):
+        assert not hasattr(record, "__dict__"), type(record)
+
+
 def test_request_defaults():
     req = RequestItem(problem_id="pb")
     assert req.install == EMPTY_LIST

@@ -21,7 +21,9 @@ from cudfkit.model import (
     make_extra,
     validate_document,
 )
-from cudfkit.types import TRUE, EnumValue, VersionConstraint, VPkg, VpkgFormula, VpkgList
+from cudfkit.types import (
+    TOP, TRUE, EnumValue, VersionConstraint, VPkg, VpkgFormula, VpkgList,
+)
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.cudf"))
 
@@ -419,10 +421,11 @@ def value_objects(doc):
     for item in doc.packages:
         values = [item.depends, item.conflicts, item.provides, item.keep]
         values += [value for _, value in item.extra]
-        values += [atom for clause in item.depends.clauses for atom in clause]
-        values += list(item.conflicts.items) + list(item.provides.items)
+        atoms = [atom for clause in item.depends.clauses for atom in clause]
+        atoms += list(item.conflicts.items) + list(item.provides.items)
+        values += atoms + [atom.constraint for atom in atoms]
         for value in values:
-            if value is not None and value not in (TRUE, VpkgList()):
+            if value is not None and value not in (TRUE, VpkgList(), TOP):
                 out[id(value)] = value
     return out
 
@@ -437,6 +440,10 @@ def test_two_parses_share_no_values():
     ids = value_objects(first)
     assert len(ids) > 10
     assert not ids.keys() & value_objects(second).keys()
+    # Within one parse, one VersionConstraint per (relop, version).
+    constraints = [v for v in ids.values() if isinstance(v, VersionConstraint)]
+    assert len(constraints) > 5
+    assert len(constraints) == len(set(constraints))
 
 
 def test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges():

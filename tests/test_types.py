@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,15 +164,48 @@ def test_constructor_invariants():
     with pytest.raises(ValueError):
         VersionConstraint("~", 2)
     with pytest.raises(ValueError):
+        VersionConstraint(">>", 1)
+    with pytest.raises(ValueError):
         VersionConstraint("=", 0)
     with pytest.raises(ValueError):
         VersionConstraint(None, 3)
     with pytest.raises(ValueError):
         VPkg("X")
     with pytest.raises(ValueError):
+        VPkg("AA")
+    with pytest.raises(ValueError):
+        VPkg("aa\n")
+    with pytest.raises(ValueError):
         VpkgFormula(((),))  # empty disjunction
     with pytest.raises(ValueError):
         EnumValue(("aa", "bb"), "cc")
+
+
+def test_records_are_slotted_frozen_and_replace_checks():
+    atom = parse_value("vpkg", "aa >= 2")
+    records = [atom, atom.constraint, VpkgList((atom,)), VpkgFormula(((atom,),)),
+               EnumValue(("aa",), "aa")]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, None)
+    assert replace(atom, name="bb") == VPkg("bb", VersionConstraint(">=", 2))
+    with pytest.raises(ValueError):
+        replace(atom, name="BB")
+    with pytest.raises(ValueError):
+        replace(atom.constraint, version=0)
+
+
+def test_one_parse_shares_one_constraint_per_relop_and_version():
+    value = parse_value("vpkgformula", "aa >= 2, bb >= 2 | cc >= 02, dd > 2, ee")
+    atoms = [atom for clause in value.clauses for atom in clause]
+    assert atoms[0].constraint is atoms[1].constraint is atoms[2].constraint
+    assert atoms[3].constraint is not atoms[0].constraint
+    assert atoms[4].constraint is TOP
+    table = {}
+    first = parse_value("vpkg", "aa = 3", table)
+    assert parse_value("vpkglist", "bb = 3", table).items[0].constraint is first.constraint
+    assert parse_value("vpkg", "aa = 3").constraint is not first.constraint
 
 
 # -- subtype lattice ----------------------------------------------------------
@@ -219,6 +254,17 @@ formulas = st.builds(
     lambda cs: VpkgFormula(tuple(tuple(c) for c in cs)),
     st.lists(st.lists(vpkgs, min_size=1, max_size=3), min_size=1, max_size=3),
 )
+
+
+@given(formulas)
+def test_parsed_atoms_equal_and_hash_as_constructed(value):
+    parsed = parse_value("vpkgformula", serialize_value(value))
+    for got, built in zip((a for c in parsed.clauses for a in c),
+                          (a for c in value.clauses for a in c)):
+        assert got == built and hash(got) == hash(built)
+        assert got.constraint == built.constraint
+        assert hash(got.constraint) == hash(built.constraint)
+    assert parsed == value and hash(parsed) == hash(value)
 
 
 @given(vpkgs)
