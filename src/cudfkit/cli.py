@@ -183,8 +183,11 @@ def cmd_solve(args):
         return EXIT_INVALID
     data = textio.serialize_solution(result.document)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise _UsageError(str(exc)) from exc
         print(f"cost: {result.cost}")
     else:
         sys.stdout.buffer.write(data)

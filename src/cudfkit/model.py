@@ -119,7 +119,35 @@ class PackageItem:
         return default
 
     def with_installed(self, flag):
-        return replace(self, installed=flag)
+        return _package_item(self.name, self.version, self.depends, self.conflicts,
+                             self.provides, flag, self.keep, self.extra)
+
+
+# PackageItem has no __post_init__, so a record built through its slots,
+# one member-descriptor call per field, equals the constructor's; the
+# reader and with_installed build every item this way, which skips the
+# generic machinery of the generated __init__ and dataclasses.replace.
+_set_name = PackageItem.__dict__["name"].__set__
+_set_version = PackageItem.__dict__["version"].__set__
+_set_depends = PackageItem.__dict__["depends"].__set__
+_set_conflicts = PackageItem.__dict__["conflicts"].__set__
+_set_provides = PackageItem.__dict__["provides"].__set__
+_set_installed = PackageItem.__dict__["installed"].__set__
+_set_keep = PackageItem.__dict__["keep"].__set__
+_set_extra = PackageItem.__dict__["extra"].__set__
+
+
+def _package_item(name, version, depends, conflicts, provides, installed, keep, extra):
+    item = object.__new__(PackageItem)
+    _set_name(item, name)
+    _set_version(item, version)
+    _set_depends(item, depends)
+    _set_conflicts(item, conflicts)
+    _set_provides(item, provides)
+    _set_installed(item, installed)
+    _set_keep(item, keep)
+    _set_extra(item, extra)
+    return item
 
 
 def make_extra(mapping):
@@ -169,68 +197,75 @@ class CudfDocument:
 
 def validate_document(doc, registry=None):
     """All global-constraint and schema violations in the document,
-    including whatever its CUDF text could not carry back unchanged."""
+    including whatever its CUDF text could not carry back unchanged.
+
+    Within one call each distinct package name and extra-property name
+    is checked once; only names that passed are remembered, so every
+    bad occurrence is reported."""
     violations = []
+    append = violations.append
     seen = set()
+    good_names = set()  # package names that passed is_pkgname
+    good_extras = set()  # extra-property names that passed the name rules
     for item in doc.packages:
-        if item.key in seen:
-            violations.append(
-                Violation("DuplicateKey", f"duplicate stanza for {item.name} {item.version}",
-                          item.name, item.version)
-            )
-        seen.add(item.key)
-        violations.extend(_check_item_types(item, registry))
+        name, version = item.name, item.version
+        key = (name, version)
+        if key in seen:
+            append(Violation("DuplicateKey", f"duplicate stanza for {name} {version}",
+                             name, version))
+        seen.add(key)
+        if name not in good_names:
+            if types.is_pkgname(name):
+                good_names.add(name)
+            else:
+                append(_type_error("Package", "pkgname", name, version))
+        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+            append(_type_error("Version", "posint", name, version))
+        if not isinstance(item.depends, VpkgFormula):
+            append(_type_error("Depends", "vpkgformula", name, version))
+        if not isinstance(item.conflicts, VpkgList):
+            append(_type_error("Conflicts", "vpkglist", name, version))
+        provides = item.provides
+        if not isinstance(provides, VpkgList) or (provides.items and not all(
+            isinstance(a, VPkg) and a.constraint.relop in (None, "=") for a in provides.items
+        )):
+            append(_type_error("Provides", "veqpkglist", name, version))
+        if not isinstance(item.installed, bool):
+            append(_type_error("Installed", "bool", name, version))
+        keep = item.keep
+        # Other symbols would read back as the core three.
+        if keep is not None and not (isinstance(keep, EnumValue)
+                                     and keep.symbols == KEEP_SYMBOLS):
+            append(_type_error("Keep", KEEP_ENUM, name, version))
+        for prop, value in item.extra:
+            if prop not in good_extras:
+                # A core name would read back as the core property, and a
+                # "Problem: " line would open a problem stanza.
+                if (prop in CORE_PACKAGE_SCHEMATA or prop == "Problem"
+                        or not types.is_identifier(prop)):
+                    append(Violation("PropertyName",
+                                     f"{prop!r} cannot name an extra property",
+                                     name, version))
+                else:
+                    good_extras.add(prop)
+            if isinstance(value, RawValue):
+                text = value.text
+                if not isinstance(text, str) or "\n" in text or "\r" in text:
+                    append(_type_error(prop, "oneliner", name, version))
+                continue
+            schema = registry.get("package", prop) if registry else None
+            if schema and not types.is_subtype_value(value, schema.value_type):
+                append(_type_error(prop, schema.value_type, name, version))
+            elif not _has_one_line_form(value):
+                append(Violation("TypeError", f"{prop} value has no one-line lexical form",
+                                 name, version))
     if not types.is_subtype_value(doc.request.problem_id, "oneliner"):
-        violations.append(Violation("TypeError", "Problem value outside oneliner"))
+        append(Violation("TypeError", "Problem value outside oneliner"))
     return violations
 
 
-def _check_item_types(item, registry):
-    out = []
-
-    def bad(prop, value_type):
-        out.append(
-            Violation("TypeError", f"{prop} value outside {value_type}",
-                      item.name, item.version)
-        )
-
-    name, version = item.name, item.version
-    if not types.is_pkgname(name):
-        bad("Package", "pkgname")
-    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-        bad("Version", "posint")
-    if not isinstance(item.depends, VpkgFormula):
-        bad("Depends", "vpkgformula")
-    if not isinstance(item.conflicts, VpkgList):
-        bad("Conflicts", "vpkglist")
-    provides = item.provides
-    if not isinstance(provides, VpkgList) or not all(
-        isinstance(a, VPkg) and a.constraint.relop in (None, "=") for a in provides.items
-    ):
-        bad("Provides", "veqpkglist")
-    if not isinstance(item.installed, bool):
-        bad("Installed", "bool")
-    keep = item.keep
-    # Other symbols would read back as the core three.
-    if keep is not None and not (isinstance(keep, EnumValue) and keep.symbols == KEEP_SYMBOLS):
-        bad("Keep", KEEP_ENUM)
-    for prop, value in item.extra:
-        # A core name would read back as the core property, and a
-        # "Problem: " line would open a problem stanza.
-        if prop in CORE_PACKAGE_SCHEMATA or prop == "Problem" or not types.is_identifier(prop):
-            out.append(Violation("PropertyName", f"{prop!r} cannot name an extra property",
-                                 name, version))
-        if isinstance(value, RawValue):
-            if not types.is_subtype_value(value.text, "oneliner"):
-                bad(prop, "oneliner")
-            continue
-        schema = registry.get("package", prop) if registry else None
-        if schema and not types.is_subtype_value(value, schema.value_type):
-            bad(prop, schema.value_type)
-        elif not _has_one_line_form(value):
-            out.append(Violation("TypeError", f"{prop} value has no one-line lexical form",
-                                 name, version))
-    return out
+def _type_error(prop, value_type, name, version):
+    return Violation("TypeError", f"{prop} value outside {value_type}", name, version)
 
 
 def _has_one_line_form(value):
@@ -258,7 +293,7 @@ def package_from_fields(fields, extra_defaults):
         if prop not in fields:
             extra.append((prop, default))
     extra.sort()
-    return PackageItem(
+    return _package_item(
         fields["Package"],
         fields["Version"],
         fields.get("Depends", TRUE),

@@ -108,13 +108,13 @@ def solve(doc, request, costs, budget=DEFAULT_BUDGET):
         return SolveResult(status="no_solution", explored=explored)
 
     installed = {problem.keys[i] for i in range(problem.n) if (best_mask >> i) & 1}
-    packages = tuple(
-        sorted(
-            (p.with_installed(p.key in installed) for p in doc.packages),
-            key=lambda p: p.key,
-        )
-    )
-    solution = CudfDocument(packages=packages, request=request)
+    packages = []
+    for p in doc.packages:
+        flag = p.key in installed
+        # A stanza whose flag does not change is shared with the input.
+        packages.append(p if p.installed is flag else p.with_installed(flag))
+    packages.sort(key=lambda p: p.key)
+    solution = CudfDocument(packages=tuple(packages), request=request)
     verdict = semantics.satisfies_request(doc, request, solution)
     if not verdict.ok:
         raise AssertionError(

@@ -296,14 +296,19 @@ def _prop_line(name, value):
     return f"{name}: {types.serialize_value(value)}\n"
 
 
+# The default of each property of _PACKAGE_PROP_ORDER; None for Keep,
+# which has none, since a None value is never written.
+_PACKAGE_DEFAULTS = tuple(
+    CORE_PACKAGE_SCHEMATA[name].default if CORE_PACKAGE_SCHEMATA[name].has_default else None
+    for name in _PACKAGE_PROP_ORDER
+)
+
+
 def serialize_package(item):
     out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
     values = (item.depends, item.conflicts, item.provides, item.installed, item.keep)
-    for name, value in zip(_PACKAGE_PROP_ORDER, values):
-        schema = CORE_PACKAGE_SCHEMATA[name]
-        if value is None:
-            continue
-        if schema.has_default and value == schema.default:
+    for name, value, default in zip(_PACKAGE_PROP_ORDER, values, _PACKAGE_DEFAULTS):
+        if value is None or value is default or value == default:
             continue  # the True formula, which has no lexical form, included
         out.append(_prop_line(name, value))
     for prop, value in item.extra:

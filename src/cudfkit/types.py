@@ -160,22 +160,47 @@ def _to_int(digits, type_tag, position):
         raise LexicalError(type_tag, position, "too many digits") from None
 
 
-# The parser builds its atoms from what _ATOM_RE and _parse_atom have
-# already checked, so it skips the __post_init__ checks of the public
-# constructors, which stay for every other caller.
+# The parser builds its records from what _ATOM_RE, _parse_atom and the
+# value splitters have already checked, so it skips the __post_init__
+# checks of the public constructors, which stay for every other caller.
+# Each builder sets the slots through their member descriptors, one call
+# per field.
+
+_new = object.__new__
+_set_vpkg_name = VPkg.__dict__["name"].__set__
+_set_vpkg_constraint = VPkg.__dict__["constraint"].__set__
+_set_relop = VersionConstraint.__dict__["relop"].__set__
+_set_version = VersionConstraint.__dict__["version"].__set__
+_set_clauses = VpkgFormula.__dict__["clauses"].__set__
+_set_items = VpkgList.__dict__["items"].__set__
+
 
 def _vpkg(name, constraint):
-    atom = object.__new__(VPkg)
-    object.__setattr__(atom, "name", name)
-    object.__setattr__(atom, "constraint", constraint)
+    atom = _new(VPkg)
+    _set_vpkg_name(atom, name)
+    _set_vpkg_constraint(atom, constraint)
     return atom
 
 
 def _constraint(relop, version):
-    constraint = object.__new__(VersionConstraint)
-    object.__setattr__(constraint, "relop", relop)
-    object.__setattr__(constraint, "version", version)
+    constraint = _new(VersionConstraint)
+    _set_relop(constraint, relop)
+    _set_version(constraint, version)
     return constraint
+
+
+def _formula(clauses):
+    """The VpkgFormula of non-empty clauses of VPkg atoms."""
+    formula = _new(VpkgFormula)
+    _set_clauses(formula, clauses)
+    return formula
+
+
+def _vpkglist(items):
+    """The VpkgList of a tuple of VPkg atoms."""
+    lst = _new(VpkgList)
+    _set_items(lst, items)
+    return lst
 
 
 def _parse_atom(text, type_tag, position, constraints):
@@ -217,7 +242,7 @@ def _parse_vpkglist(lexical, type_tag, constraints):
     for text in lexical.split(","):
         items.append(_parse_atom(text, type_tag, position, constraints))
         position += len(text) + 1
-    return VpkgList(tuple(items))
+    return _vpkglist(tuple(items))
 
 
 def _parse_formula(lexical, constraints):
@@ -231,7 +256,7 @@ def _parse_formula(lexical, constraints):
             disjuncts.append(_parse_atom(text, "vpkgformula", position, constraints))
             position += len(text) + 1
         clauses.append(tuple(disjuncts))
-    return VpkgFormula(tuple(clauses))
+    return _formula(tuple(clauses))
 
 
 def _enum_symbols(type_tag):

@@ -618,6 +618,74 @@ def _one_line_value(value):
 
 
 # ---------------------------------------------------------------------------
+# Whole-document oracle for validate_document: the validator as it was
+# before it remembered checked names, one item at a time with every
+# check redone for every occurrence.
+
+
+def naive_validate(doc, registry=None):
+    """Every violation of validate_document, in its order."""
+    from cudfkit import types
+    from cudfkit.model import (
+        CORE_PACKAGE_SCHEMATA, KEEP_ENUM, KEEP_SYMBOLS, RawValue, Violation,
+    )
+
+    violations = []
+    seen = set()
+    for item in doc.packages:
+        name, version = item.name, item.version
+
+        def bad(prop, value_type):
+            violations.append(Violation("TypeError", f"{prop} value outside {value_type}",
+                                        name, version))
+
+        if item.key in seen:
+            violations.append(Violation("DuplicateKey",
+                                        f"duplicate stanza for {name} {version}",
+                                        name, version))
+        seen.add(item.key)
+        if not types.is_pkgname(name):
+            bad("Package", "pkgname")
+        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+            bad("Version", "posint")
+        if not isinstance(item.depends, VpkgFormula):
+            bad("Depends", "vpkgformula")
+        if not isinstance(item.conflicts, VpkgList):
+            bad("Conflicts", "vpkglist")
+        provides = item.provides
+        if not isinstance(provides, VpkgList) or not all(
+            isinstance(a, VPkg) and a.constraint.relop in (None, "=") for a in provides.items
+        ):
+            bad("Provides", "veqpkglist")
+        if not isinstance(item.installed, bool):
+            bad("Installed", "bool")
+        keep = item.keep
+        if keep is not None and not (isinstance(keep, EnumValue)
+                                     and keep.symbols == KEEP_SYMBOLS):
+            bad("Keep", KEEP_ENUM)
+        for prop, value in item.extra:
+            if (prop in CORE_PACKAGE_SCHEMATA or prop == "Problem"
+                    or not types.is_identifier(prop)):
+                violations.append(Violation("PropertyName",
+                                            f"{prop!r} cannot name an extra property",
+                                            name, version))
+            if isinstance(value, RawValue):
+                if not types.is_subtype_value(value.text, "oneliner"):
+                    bad(prop, "oneliner")
+                continue
+            schema = registry.get("package", prop) if registry else None
+            if schema and not types.is_subtype_value(value, schema.value_type):
+                bad(prop, schema.value_type)
+            elif not _one_line_value(value):
+                violations.append(Violation("TypeError",
+                                            f"{prop} value has no one-line lexical form",
+                                            name, version))
+    if not types.is_subtype_value(doc.request.problem_id, "oneliner"):
+        violations.append(Violation("TypeError", "Problem value outside oneliner"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Whole-reader oracle: split_oracle's stanzas, scan_parse_value's atoms and
 # its own scalar grammar, property-name rule and defaults.  It shares no
 # parsing code with the library, only the value classes it builds.

@@ -143,6 +143,18 @@ def test_solve_then_verify(mta_path, tmp_path, capsys):
     assert [key for key, _ in entries] == [("postfix", 2)]
 
 
+@pytest.mark.parametrize("target", ["missing/solution.cudf", "."])
+def test_solve_out_that_cannot_be_written_is_usage_error(mta_path, tmp_path, capsys,
+                                                          target):
+    # A missing directory, and a directory where the file should go.
+    out = str(tmp_path / target)
+    assert cli.main(["solve", mta_path, "--criterion", "min-new", "--out", out]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("usage error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
 def test_solve_to_stdout(mta_path, capsysbinary):
     assert cli.main(["solve", mta_path, "--criterion", "min-new"]) == 0
     out = capsysbinary.readouterr().out

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from _gen import rand_document, subtype_item_violations
+from _gen import naive_validate, rand_document, subtype_item_violations
 from cudfkit.model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,
@@ -204,3 +204,76 @@ def test_item_type_checks_match_subtype_oracle():
         for item in items:
             assert (validate_document(CudfDocument(packages=(item,)), registry)
                     == subtype_item_violations(item, registry)), item
+
+
+# -- validate_document against the naive validator -----------------------------
+
+def _with_extra(item, *pairs):
+    return replace(item, extra=item.extra + pairs)
+
+
+def _bad_name_twice(rng, packages):
+    for i in rng.sample(range(len(packages)), min(2, len(packages))):
+        packages[i] = replace(packages[i], name="AA")
+
+
+def _bad_extra_name_twice(rng, packages):
+    for _ in range(2):
+        i = rng.randrange(len(packages))
+        packages[i] = _with_extra(packages[i], ("1bad", RawValue("x")),
+                                  ("Depends", RawValue("y")))
+
+
+def _raw_carriage_return(rng, packages):
+    i = rng.randrange(len(packages))
+    packages[i] = _with_extra(packages[i], ("Note", RawValue("a\rb")))
+
+
+def _no_one_line_form(rng, packages):
+    i = rng.randrange(len(packages))
+    packages[i] = _with_extra(packages[i], ("Size", TRUE), ("Alt", "a\nb"))
+
+
+def _duplicate_key(rng, packages):
+    packages.append(rng.choice(packages))
+
+
+def _non_bool_installed(rng, packages):
+    i = rng.randrange(len(packages))
+    packages[i] = replace(packages[i], installed=1)
+
+
+def _foreign_keep_symbols(rng, packages):
+    i = rng.randrange(len(packages))
+    packages[i] = replace(packages[i], keep=EnumValue(("version",), "version"))
+
+
+FAULTS = (_bad_name_twice, _bad_extra_name_twice, _raw_carriage_return, _no_one_line_form,
+          _duplicate_key, _non_bool_installed, _foreign_keep_symbols)
+
+
+def test_validate_matches_naive_validator_on_injected_faults():
+    reg = SchemaRegistry([
+        PropertySchema("Size", "posint", "package", "optional"),
+        PropertySchema("Alt", "veqpkglist", "package", "optional"),
+    ])
+    rng = random.Random(6113)
+    seen = set()
+    for _ in range(400):
+        doc = rand_document(rng)
+        packages = list(doc.packages)
+        for fault in rng.sample(FAULTS, rng.randint(0, len(FAULTS))):
+            fault(rng, packages)
+        doc = replace(doc, packages=tuple(packages))
+        for registry in (None, reg):
+            violations = validate_document(doc, registry)
+            assert violations == naive_validate(doc, registry)
+            # Every occurrence of a bad name is reported, not only the first.
+            assert (sum(v.detail == "Package value outside pkgname" for v in violations)
+                    == sum(p.name == "AA" for p in packages))
+            assert (sum(v.detail == "'1bad' cannot name an extra property"
+                        for v in violations)
+                    == sum(prop == "1bad" for p in packages for prop, _ in p.extra))
+            seen.update(v.kind for v in violations)
+    assert seen == {"DuplicateKey", "TypeError", "PropertyName"}
+

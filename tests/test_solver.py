@@ -204,6 +204,34 @@ def test_solve_is_deterministic():
             assert again.cost == first.cost
 
 
+def test_solve_shares_the_stanzas_whose_flag_does_not_change():
+    rng = random.Random(5107)
+    shared = rebuilt = 0
+    for _ in range(60):
+        d = rand_document(rng, max_names=3, max_versions=2, max_stanzas=7)
+        for criterion in ("prefer-latest", "min-new", "min-removed"):
+            result = solve(d, d.request, preset_costs(d, d.request, criterion))
+            if result.status != "solution":
+                continue
+            installed = {p.key for p in result.document.packages if p.installed}
+            # Every stanza rebuilt through the constructor, as before sharing.
+            expected = tuple(sorted(
+                (PackageItem(p.name, p.version, p.depends, p.conflicts, p.provides,
+                             p.key in installed, p.keep, p.extra)
+                 for p in d.packages), key=lambda p: p.key))
+            assert result.document == CudfDocument(packages=expected, request=d.request)
+            inputs = {p.key: p for p in d.packages}
+            for p in result.document.packages:
+                before = inputs[p.key]
+                if p.installed is before.installed:
+                    assert p is before
+                    shared += 1
+                else:
+                    assert p is not before
+                    rebuilt += 1
+    assert shared > 50 and rebuilt > 50
+
+
 # -- solve vs full enumeration ------------------------------------------------
 
 def test_solve_matches_enumeration_oracle():

@@ -2,7 +2,7 @@ import email.parser
 import gc
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -306,6 +306,50 @@ def test_splitter_matches_line_oracle():
         assert got == expected_stanzas
         assert [(e.line, e.byte_range) for e in errors] == expected_junk
         assert all(e.stanza_index == -1 for e in errors)
+
+
+# -- records built through their slots against the constructors -----------------
+
+def _parsed_records(doc):
+    """Every PackageItem, VpkgFormula, VpkgList, VPkg and VersionConstraint
+    that a parse built for the document."""
+    records = []
+    for item in doc.packages:
+        records += [item, item.depends]
+        atoms = [atom for clause in item.depends.clauses for atom in clause]
+        for lst in (item.conflicts, item.provides):
+            records.append(lst)
+            atoms += lst.items
+        for atom in atoms:
+            records += [atom, atom.constraint]
+    for lst in (doc.request.install, doc.request.remove, doc.request.upgrade):
+        records.append(lst)
+        for atom in lst.items:
+            records += [atom, atom.constraint]
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_parsed_records_equal_their_constructor_copies(seed, mutated):
+    rng = random.Random(seed)
+    text = textio.serialize_cudf(rand_document(rng)).decode()
+    data = mutate_document_text(rng, text) if mutated else text.encode()
+    doc = textio.parse_cudf(data).document
+    for record in _parsed_records(doc):
+        copy = replace(record)  # through __init__ and __post_init__
+        assert record == copy and hash(record) == hash(copy)
+        assert repr(record) == repr(copy)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, None)
+    for item in doc.packages:
+        for flag in (True, False):
+            flipped = item.with_installed(flag)
+            assert flipped == replace(item, installed=flag)
+            assert repr(flipped) == repr(replace(item, installed=flag))
+            assert flipped.installed is flag
+        with pytest.raises(FrozenInstanceError):
+            item.with_installed(True).installed = False
 
 
 # -- the whole reader against the oracle reader ---------------------------------
