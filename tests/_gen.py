@@ -246,6 +246,36 @@ def naive_successor_violations(before, after):
     return out
 
 
+def naive_request_violations(before, request, after):
+    """(clause, name, version) of every install, remove and upgrade
+    violation, in the order the request check reports them; unversioned
+    provides are enumerated over a range that also covers the versions
+    the request names."""
+    atoms = request.install.items + request.remove.items + request.upgrade.items
+    top = max([_witness_top(before, after)]
+              + [a.constraint.version + 1 for a in atoms if not a.constraint.is_top])
+    merged = _naive_merged(after.packages, top)
+    out = []
+    for atom in request.install.items:
+        if not _naive_atom(merged, atom):
+            out.append(("install", atom.name, None))
+    for atom in request.remove.items:
+        if _naive_atom(merged, atom):
+            out.append(("remove", atom.name, None))
+    for atom in request.upgrade.items:
+        if not _naive_atom(merged, atom):
+            out.append(("upgrade", atom.name, None))
+        now = {p.version for p in after.packages if p.installed and p.name == atom.name}
+        if len(now) != 1:
+            out.append(("upgrade", atom.name, None))
+            continue
+        (n,) = now
+        if any(p.installed and p.name == atom.name and p.version > n
+               for p in before.packages):
+            out.append(("upgrade", atom.name, n))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Whole-universe scan oracle for the compiled masks: every atom is matched
 # against every stanza, with no index.

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 from _gen import (
     naive_consistency_violations,
+    naive_request_violations,
     naive_successor_violations,
     rand_document,
     scan_compile,
 )
 from cudfkit.model import CudfDocument, PackageItem, RequestItem
-from cudfkit.semantics import is_consistent, is_successor
+from cudfkit.semantics import is_consistent, is_successor, satisfies_request
 from cudfkit.solver._compile import compile_problem
 from cudfkit.types import EnumValue, VersionConstraint, VPkg, VpkgList
 
@@ -74,6 +75,22 @@ def test_successor_violations_match_naive_oracle():
         got = [(v.clause, v.package, v.version)
                for v in is_successor(before, after).violations]
         assert got == naive_successor_violations(before, after)
+
+
+def test_request_violations_match_naive_oracle():
+    clauses = set()
+    for rng, before in random_documents(407, 800):
+        packages = [p.with_installed(rng.random() < 0.5) for p in before.packages]
+        if rng.random() < 0.05:
+            packages.pop(rng.randrange(len(packages)))
+        after = CudfDocument(packages=tuple(packages), request=before.request)
+        got = [(v.clause, v.package, v.version)
+               for v in satisfies_request(before, before.request, after).violations]
+        assert got == naive_request_violations(before, before.request, after)
+        clauses.update((clause, version is None) for clause, _, version in got)
+    # every clause failed, and an upgrade failed for each of its reasons
+    assert clauses == {("install", True), ("remove", True), ("upgrade", True),
+                       ("upgrade", False)}
 
 
 # -- hand-built edge cases ----------------------------------------------------
