@@ -83,7 +83,8 @@ class SchemaRegistry:
 
     def register(self, schema):
         core = CORE_PACKAGE_SCHEMATA if schema.item_kind == "package" else CORE_PROBLEM_SCHEMATA
-        if schema.name in core:
+        # A "Problem: " line opens a problem stanza, so no item carries it.
+        if schema.name in core or schema.name == "Problem":
             raise NameCollision(f"{schema.name!r} is a core property")
         if (schema.item_kind, schema.name) in self._extra:
             raise NameCollision(f"{schema.name!r} already registered")

@@ -1,13 +1,13 @@
 """Solution-checking semantics for CUDF documents.
 
-Installations map package names to version sets; feature expansion of an
-unversioned provide yields the symbolic set of every positive version
-(ALL) rather than an enumeration.  On top of installations the module
-implements constraint/formula/list satisfaction, disjointness,
-consistency, the successor relation and the request semantics.
-
-Consistency checking and problem compilation (``solver._compile``) read
-one FeatureIndex per document, so both are linear in the stanza count.
+A FeatureIndex maps each package name and feature to the stanzas that
+contribute a version of it: each stanza under its own name and version,
+and under each of its provides, where an unversioned provide contributes
+the symbolic set of every positive version (ALL) rather than an
+enumeration.  Consistency, the keep obligations of the successor
+relation and the request clauses each read one index over a document's
+installed stanzas; problem compilation (``solver._compile``) reads one
+over all stanzas.  Each is built in one pass over the stanzas.
 """
 
 from __future__ import annotations
@@ -24,69 +24,6 @@ class _AllVersions:
 
 
 ALL = _AllVersions()
-
-
-class Installation:
-    """Total map from package name to a version set, defaulting to empty."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping=None):
-        self._map = dict(mapping) if mapping else {}
-
-    def versions(self, name):
-        return self._map.get(name, frozenset())
-
-    def names(self):
-        return self._map.keys()
-
-    def __eq__(self, other):
-        if not isinstance(other, Installation):
-            return NotImplemented
-        names = set(self._map) | set(other._map)
-        return all(self.versions(n) == other.versions(n) for n in names)
-
-    def __repr__(self):
-        inner = {n: vs for n, vs in sorted(self._map.items()) if vs is ALL or vs}
-        return f"Installation({inner})"
-
-
-def current_installation(doc):
-    """Versions flagged installed, per package name."""
-    out = {}
-    for item in doc.packages:
-        if item.installed:
-            out.setdefault(item.name, set()).add(item.version)
-    return Installation({n: frozenset(v) for n, v in out.items()})
-
-
-def current_features(doc):
-    """Features provided by installed packages, with unversioned provides
-    expanded to the symbolic ALL set."""
-    out = {}
-    for item in doc.packages:
-        if not item.installed:
-            continue
-        for provide in item.provides.items:
-            if provide.constraint.is_top:
-                out[provide.name] = ALL
-            elif out.get(provide.name) is not ALL:
-                out.setdefault(provide.name, set()).add(provide.constraint.version)
-    return Installation(
-        {n: vs if vs is ALL else frozenset(vs) for n, vs in out.items()}
-    )
-
-
-def merge(a, b):
-    """Pointwise union of two installations; ALL absorbs."""
-    out = {}
-    for name in set(a.names()) | set(b.names()):
-        va, vb = a.versions(name), b.versions(name)
-        if va is ALL or vb is ALL:
-            out[name] = ALL
-        else:
-            out[name] = va | vb
-    return Installation(out)
 
 
 _RELOPS = {
@@ -108,34 +45,6 @@ def satisfies_constraint(n, c):
 def constraint_satisfiable(c):
     """Whether any posint satisfies c; only (<, 1) has no witness."""
     return not (c.relop == "<" and c.version == 1)
-
-
-def set_satisfies(vs, c):
-    """Existence of a witness for c in the version set."""
-    if vs is ALL:
-        return constraint_satisfiable(c)
-    return any(satisfies_constraint(n, c) for n in vs)
-
-
-def _atom_satisfied(inst, atom):
-    return set_satisfies(inst.versions(atom.name), atom.constraint)
-
-
-def satisfies_formula(inst, formula):
-    """CNF satisfaction; the empty conjunction (True) always holds."""
-    return all(
-        any(_atom_satisfied(inst, atom) for atom in clause)
-        for clause in formula.clauses
-    )
-
-
-def satisfies_list(inst, lst):
-    return all(_atom_satisfied(inst, atom) for atom in lst.items)
-
-
-def disjoint(inst, lst):
-    """No installed version of any listed package satisfies its constraint."""
-    return not any(_atom_satisfied(inst, atom) for atom in lst.items)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +87,16 @@ class FeatureIndex:
         """Whether a stanza not keyed exclude_key contributes to atom."""
         return any(self.stanzas[i].key != exclude_key for i in self.matches(atom))
 
+    def versions(self, name):
+        """Versions of the stanzas named name."""
+        return {self.stanzas[i].version for i in self.by_name.get(name, ())}
+
+
+def _installed_index(doc):
+    """FeatureIndex over the installed stanzas of doc, in key order."""
+    return FeatureIndex(sorted((p for p in doc.packages if p.installed),
+                               key=lambda p: p.key))
+
 
 # ---------------------------------------------------------------------------
 # Verdicts
@@ -212,10 +131,9 @@ def is_consistent(doc):
     """Every installed package has its dependencies satisfied and its
     conflicts disjoint from everything else installed (self-conflicts
     are ignored by excluding the contributions of the package's own key)."""
-    installed = sorted((p for p in doc.packages if p.installed), key=lambda p: p.key)
-    index = FeatureIndex(installed)
+    index = _installed_index(doc)
     verdict = Verdict()
-    for item in installed:
+    for item in index.stanzas:
         if not all(
             any(index.provided(atom) for atom in clause)
             for clause in item.depends.clauses
@@ -267,21 +185,22 @@ def is_successor(before, after):
                 Violation("metadata", "non-Installed property changed", *key)
             )
 
-    i_after = current_installation(after)
-    merged_after = merge(i_after, current_features(after))
+    index = _installed_index(after)
     for item in sorted(before.packages, key=lambda p: p.key):
         if not item.installed or item.keep is None:
             continue
         keep = item.keep.chosen
-        if keep == "version" and item.version not in i_after.versions(item.name):
+        if keep == "version" and item.version not in index.versions(item.name):
             verdict.violations.append(
                 Violation("keep", "keep 'version not honored", item.name, item.version)
             )
-        elif keep == "package" and not i_after.versions(item.name):
+        elif keep == "package" and item.name not in index.by_name:
             verdict.violations.append(
                 Violation("keep", "keep 'package not honored", item.name, item.version)
             )
-        elif keep == "feature" and not satisfies_list(merged_after, item.provides):
+        elif keep == "feature" and not all(
+            index.provided(provide) for provide in item.provides.items
+        ):
             verdict.violations.append(
                 Violation("keep", "keep 'feature not honored", item.name, item.version)
             )
@@ -320,26 +239,25 @@ def satisfies_request(before, request, after):
         successor=is_successor(before, after),
         consistency=is_consistent(after),
     )
-    i_before = current_installation(before)
-    i_after = current_installation(after)
-    merged = merge(i_after, current_features(after))
-
+    index = _installed_index(after)
     for atom in request.install.items:
-        if not _atom_satisfied(merged, atom):
+        if not index.provided(atom):
             verdict.violations.append(
                 Violation("install", "install target not satisfied", atom.name)
             )
     for atom in request.remove.items:
-        if _atom_satisfied(merged, atom):
+        if index.provided(atom):
             verdict.violations.append(
                 Violation("remove", "removed package still present", atom.name)
             )
+    if request.upgrade.items:
+        index_before = _installed_index(before)
     for atom in request.upgrade.items:
-        if not _atom_satisfied(merged, atom):
+        if not index.provided(atom):
             verdict.violations.append(
                 Violation("upgrade", "upgrade target not satisfied", atom.name)
             )
-        after_versions = i_after.versions(atom.name)
+        after_versions = index.versions(atom.name)
         if len(after_versions) != 1:
             verdict.violations.append(
                 Violation("upgrade", "upgraded package is not a singleton version",
@@ -347,7 +265,7 @@ def satisfies_request(before, request, after):
             )
         else:
             (n,) = after_versions
-            if any(n < m for m in i_before.versions(atom.name)):
+            if any(n < m for m in index_before.versions(atom.name)):
                 verdict.violations.append(
                     Violation("upgrade", "upgrade went to an older version",
                               atom.name, n)

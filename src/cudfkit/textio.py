@@ -367,8 +367,9 @@ def parse_solution(data):
     """Parse a solution file into a list of ((name, version), installed).
 
     Invalid UTF-8 is fatal, as for problem files; any other malformed
-    content raises MalformedSolution, since a solution has no stanza that
-    could be dropped and recovered from.
+    content, a repeated (name, version) included, raises
+    MalformedSolution, since a solution has no stanza that could be
+    dropped and recovered from.
     """
     with collector_paused():
         stanzas, errors = _split_stanzas(data)
@@ -376,6 +377,7 @@ def parse_solution(data):
             raise MalformedSolution(errors[0].reason)
         reader = _Reader()
         entries = []
+        seen = set()
         for stanza in stanzas:
             if stanza.kind != "package":
                 raise MalformedSolution("solution files contain package stanzas only")
@@ -383,8 +385,12 @@ def parse_solution(data):
                 fields = reader.package_fields(stanza.lines)
             except _StanzaError as exc:
                 raise MalformedSolution(f"stanza {stanza.index}: {exc}") from exc
-            entries.append(((fields["Package"], fields["Version"]),
-                            fields.get("Installed", True)))
+            key = (fields["Package"], fields["Version"])
+            if key in seen:
+                raise MalformedSolution(
+                    f"stanza {stanza.index}: repeated {key[0]} {key[1]}")
+            seen.add(key)
+            entries.append((key, fields.get("Installed", True)))
     return entries
 
 

@@ -366,8 +366,10 @@ def _or(masks):
 
 
 # ---------------------------------------------------------------------------
-# Full-enumeration solution oracle, built on the semantics engine (which is
-# itself oracle-tested against naive_consistent).
+# Full-enumeration solution oracle, built on semantics.satisfies_request,
+# whose three parts are themselves checked against the naive oracles above:
+# naive_consistency_violations, naive_successor_violations and
+# naive_request_violations.
 
 
 def enumerate_solutions(doc, request):

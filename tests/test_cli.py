@@ -175,6 +175,18 @@ def test_verify_rejects_bad_solution(mta_path, tmp_path, capsys):
     assert "remove" in clauses
 
 
+@pytest.mark.parametrize("flags", [("true", "false"), ("false", "true")])
+def test_verify_solution_repeating_a_key_is_usage_error(mta_path, tmp_path, capsys,
+                                                        flags):
+    bad = write(tmp_path, "bad.sol",
+                "".join(f"Package: postfix\nVersion: 2\nInstalled: {flag}\n\n"
+                        for flag in flags))
+    assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stanza 1: repeated postfix 2\n"
+
+
 def test_verify_unknown_key_is_usage_error(mta_path, tmp_path):
     bad = write(tmp_path, "bad.sol",
                 "Package: exim\nVersion: 9\nInstalled: true\n")
@@ -249,7 +261,7 @@ def test_cost_presets_and_properties(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "cost"])
-@pytest.mark.parametrize("prop", ["Version", "9bad", ""])
+@pytest.mark.parametrize("prop", ["Version", "9bad", "", "Problem"])
 def test_cost_property_outside_the_extra_names_is_usage_error(
         mta_path, capsys, command, prop):
     # A core name collides with the schema; a name outside the identifier

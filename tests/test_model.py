@@ -68,6 +68,9 @@ def test_registry_collisions():
         reg.register(PropertySchema("Size", "posint", "package", "optional"))
     with pytest.raises(NameCollision):
         reg.register(PropertySchema("Depends", "posint", "package", "optional"))
+    for kind in ("package", "problem"):
+        with pytest.raises(NameCollision):
+            reg.register(PropertySchema("Problem", "int", kind, "optional", 0))
     assert reg.get("package", "Size").value_type == "posint"
     assert reg.get("problem", "Size") is None
     assert [s.name for s in reg.package_extras()] == ["Size"]

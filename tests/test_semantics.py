@@ -1,23 +1,15 @@
 import random
 
 from _gen import _op, enumerate_solutions, naive_consistent, rand_document
-from cudfkit import semantics
 from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.semantics import (
     ALL,
-    Installation,
+    FeatureIndex,
     constraint_satisfiable,
-    current_features,
-    current_installation,
-    disjoint,
     is_consistent,
     is_successor,
-    merge,
     satisfies_constraint,
-    satisfies_formula,
-    satisfies_list,
     satisfies_request,
-    set_satisfies,
 )
 from cudfkit.types import (
     RELOPS,
@@ -52,7 +44,20 @@ def eq(v):
     return VersionConstraint("=", v)
 
 
-# -- installations, features, merge ------------------------------------------
+def req(install=(), remove=(), upgrade=()):
+    return RequestItem(
+        problem_id="pb",
+        install=VpkgList(tuple(install)),
+        remove=VpkgList(tuple(remove)),
+        upgrade=VpkgList(tuple(upgrade)),
+    )
+
+
+def installed_index(d):
+    return FeatureIndex([p for p in d.packages if p.installed])
+
+
+# -- the index over installed stanzas -----------------------------------------
 
 def test_installation_and_features():
     d = doc(
@@ -60,22 +65,27 @@ def test_installation_and_features():
         pkg("aa", 2, installed=True),
         pkg("bb", 1),
     )
-    inst = current_installation(d)
-    assert inst.versions("aa") == {1, 2}
-    assert inst.versions("bb") == frozenset()
-    feats = current_features(d)
-    assert feats.versions("ff") == {2}
-    assert feats.versions("gg") is ALL
-    merged = merge(inst, feats)
-    assert merged.versions("aa") == {1, 2}
-    assert merged.versions("gg") is ALL
+    index = installed_index(d)
+    assert index.versions("aa") == {1, 2}
+    assert index.versions("bb") == set()
+    assert index.providers["aa"] == [(0, 1), (1, 2)]
+    assert index.providers["ff"] == [(0, 2)]
+    assert index.providers["gg"] == [(0, ALL)]
+    assert index.provided(VPkg("ff", eq(2)))
+    assert not index.provided(VPkg("ff", eq(3)))
+    assert index.provided(VPkg("gg", VersionConstraint(">", 40)))
 
 
 def test_merge_all_absorbs():
-    a = Installation({"xx": frozenset({1, 2})})
-    b = Installation({"xx": ALL})
-    assert merge(a, b).versions("xx") is ALL
-    assert merge(b, a).versions("xx") is ALL
+    # xx has versioned contributions (its own stanzas) and an unversioned
+    # one (a provide), so every satisfiable constraint on xx holds
+    stanzas = [pkg("xx", 1), pkg("xx", 2), pkg("yy", 1, provides=[VPkg("xx")])]
+    for order in (stanzas, stanzas[::-1]):
+        index = FeatureIndex(order)
+        assert index.versions("xx") == {1, 2}
+        assert index.provided(VPkg("xx", eq(7)))
+        assert index.provided(VPkg("xx", VersionConstraint(">", 2)))
+        assert not index.provided(VPkg("xx", VersionConstraint("<", 1)))
 
 
 def test_constraint_satisfaction():
@@ -85,9 +95,12 @@ def test_constraint_satisfaction():
     # the one unsatisfiable constraint over positive versions
     assert not constraint_satisfiable(VersionConstraint("<", 1))
     assert constraint_satisfiable(VersionConstraint("<", 2))
-    assert set_satisfies(ALL, VersionConstraint("=", 99))
-    assert not set_satisfies(ALL, VersionConstraint("<", 1))
-    assert not set_satisfies(frozenset(), TOP)
+    # an unversioned provide stands for every positive version
+    index = FeatureIndex([pkg("bb", 1, provides=[VPkg("ff")])])
+    assert index.provided(VPkg("ff", eq(99)))
+    assert not index.provided(VPkg("ff", VersionConstraint("<", 1)))
+    # an absent name satisfies nothing, not even the empty constraint
+    assert not index.provided(VPkg("zz", TOP))
 
 
 def test_constraint_satisfaction_matches_oracle_on_every_relop():
@@ -99,14 +112,22 @@ def test_constraint_satisfaction_matches_oracle_on_every_relop():
 
 
 def test_formula_and_list_satisfaction():
-    inst = Installation({"aa": frozenset({2}), "gg": ALL})
-    assert satisfies_formula(inst, TRUE)
-    f = VpkgFormula(((VPkg("aa", eq(1)), VPkg("gg", eq(7))),))
-    assert satisfies_formula(inst, f)
-    assert not satisfies_formula(inst, VpkgFormula(((VPkg("zz"),),)))
-    assert satisfies_list(inst, VpkgList((VPkg("aa"), VPkg("gg", eq(5)))))
-    assert disjoint(inst, VpkgList((VPkg("aa", eq(1)),)))
-    assert not disjoint(inst, VpkgList((VPkg("gg", eq(1)),)))
+    # installed: aa 2, and gg through an unversioned provide of hh 1
+    def installed(depends=TRUE):
+        return doc(pkg("aa", 2, depends=depends, installed=True),
+                   pkg("hh", 1, provides=[VPkg("gg")], installed=True))
+
+    assert is_consistent(installed()).ok  # True depends holds
+    # a clause holds through its one satisfied disjunct
+    one_of = VpkgFormula(((VPkg("aa", eq(1)), VPkg("gg", eq(7))),))
+    assert is_consistent(installed(one_of)).ok
+    verdict = is_consistent(installed(VpkgFormula(((VPkg("zz"),),))))
+    assert [v.clause for v in verdict.violations] == ["depends"]
+    d = installed()
+    r = req(install=[VPkg("aa"), VPkg("gg", eq(5))], remove=[VPkg("aa", eq(1))])
+    assert satisfies_request(d, r, d).ok
+    verdict = satisfies_request(d, req(remove=[VPkg("gg", eq(1))]), d)
+    assert [(v.clause, v.package) for v in verdict.violations] == [("remove", "gg")]
 
 
 # -- consistency --------------------------------------------------------------
@@ -230,15 +251,6 @@ def test_keep_binds_installed_packages_only():
 
 # -- request semantics --------------------------------------------------------
 
-def req(install=(), remove=(), upgrade=()):
-    return RequestItem(
-        problem_id="pb",
-        install=VpkgList(tuple(install)),
-        remove=VpkgList(tuple(remove)),
-        upgrade=VpkgList(tuple(upgrade)),
-    )
-
-
 def test_install_and_remove_clauses():
     d = doc(pkg("aa", 1), pkg("bb", 1, installed=True))
     r = req(install=[VPkg("aa")], remove=[VPkg("bb")])
@@ -292,18 +304,6 @@ def test_request_embeds_consistency():
 
 
 # -- structural invariants over random documents ------------------------------
-
-def test_list_equals_singleton_clause_formula():
-    rng = random.Random(5)
-    for _ in range(200):
-        d = rand_document(rng)
-        merged = merge(current_installation(d), current_features(d))
-        for p in d.packages:
-            as_formula = VpkgFormula(tuple((a,) for a in p.conflicts.items))
-            assert satisfies_list(merged, p.conflicts) == satisfies_formula(
-                merged, as_formula
-            )
-
 
 def test_enumeration_agrees_with_request_checker():
     """Spot check: every enumerated solution verifies, every non-solution

@@ -531,6 +531,15 @@ def test_solution_roundtrip_and_apply():
         textio.apply_solution(doc, [(("zz", 9), True)])
 
 
+@pytest.mark.parametrize("flags", [("true", "false"), ("false", "true")])
+def test_solution_repeating_a_key_is_malformed(flags):
+    # whichever flag came last would otherwise win
+    data = "".join(f"Package: postfix\nVersion: 2\nInstalled: {flag}\n\n"
+                   for flag in flags)
+    with pytest.raises(textio.MalformedSolution, match="^stanza 1: repeated postfix 2$"):
+        textio.parse_solution(data.encode())
+
+
 def test_apply_solution_shares_unchanged_stanzas():
     doc = parse(
         "Package: aa\nVersion: 1\nInstalled: true\n\n"
