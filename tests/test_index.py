@@ -88,7 +88,8 @@ def test_request_violations_match_naive_oracle():
                for v in satisfies_request(before, before.request, after).violations]
         assert got == naive_request_violations(before, before.request, after)
         clauses.update((clause, version is None) for clause, _, version in got)
-    # every clause failed, and an upgrade failed for each of its reasons
+    # each clause failed, an upgrade to an older version (the one
+    # violation that names a version) among them
     assert clauses == {("install", True), ("remove", True), ("upgrade", True),
                        ("upgrade", False)}
 

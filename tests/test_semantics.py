@@ -53,10 +53,6 @@ def req(install=(), remove=(), upgrade=()):
     )
 
 
-def installed_index(d):
-    return FeatureIndex([p for p in d.packages if p.installed])
-
-
 # -- the index over installed stanzas -----------------------------------------
 
 def test_installation_and_features():
@@ -65,7 +61,7 @@ def test_installation_and_features():
         pkg("aa", 2, installed=True),
         pkg("bb", 1),
     )
-    index = installed_index(d)
+    index = FeatureIndex([p for p in d.packages if p.installed])
     assert index.versions("aa") == {1, 2}
     assert index.versions("bb") == set()
     assert index.providers["aa"] == [(0, 1), (1, 2)]
