@@ -1,6 +1,7 @@
 """CUDF/DUDF toolkit: typed parsing, serialization, solution-checking
 semantics and a desk-scale optimal solver for upgrade problems."""
 
+from ._record import FrozenInstanceError, replace
 from .model import (
     CudfDocument,
     PackageItem,
@@ -15,6 +16,8 @@ from .textio import parse_cudf, serialize_cudf
 from .types import parse_value, serialize_value, is_subtype_value
 
 __all__ = [
+    "FrozenInstanceError",
+    "replace",
     "CudfDocument",
     "PackageItem",
     "PropertySchema",

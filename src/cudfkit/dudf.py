@@ -11,9 +11,9 @@ from __future__ import annotations
 import email.utils
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 
 from . import textio
+from ._record import record
 from .model import CudfDocument, RequestItem, validate_document
 from .types import EMPTY_LIST
 
@@ -46,30 +46,30 @@ class IntensionalHole(ConversionError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Extensional:
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class Intensional:
     reference: str  # e.g. a checksum or URL; never dereferenced here
 
 
-@dataclass(frozen=True)
+@record
 class PackageList:
     format: str
     payload: object
     filename: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class PackageStatus:
     installer: object  # hole
     meta_installer: object | None = None
 
 
-@dataclass(frozen=True)
+@record
 class DudfProblem:
     package_status: PackageStatus
     package_universe: tuple[PackageList, ...] = ()
@@ -77,14 +77,14 @@ class DudfProblem:
     desiderata: object | None = None
 
 
-@dataclass(frozen=True)
+@record
 class DudfOutcome:
     result: str  # "success" | "failure"
     error: object | None = None  # failure only
     package_status: PackageStatus | None = None  # success only
 
 
-@dataclass(frozen=True)
+@record
 class DudfDocument:
     timestamp: str
     uid: str
@@ -96,7 +96,7 @@ class DudfDocument:
     version: str = DUDF_VERSION
 
 
-@dataclass(frozen=True)
+@record
 class DudfViolation:
     path: str
     detail: str

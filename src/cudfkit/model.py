@@ -7,12 +7,19 @@ and handled through an explicit SchemaRegistry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import types
+from ._record import record, replace
 from .types import EMPTY_LIST, TRUE, EnumValue, VPkg, VpkgFormula, VpkgList
 
-_MISSING = object()
+
+class _Missing:
+    """The default of a property schema that has none."""
+
+    def __reduce__(self):
+        return "_MISSING"  # pickled and copied as this one object
+
+
+_MISSING = _Missing()
 
 KEEP_SYMBOLS = ("version", "package", "feature")
 KEEP_ENUM = f"enum({', '.join(KEEP_SYMBOLS)})"
@@ -28,7 +35,7 @@ class InvalidDocument(ValueError):
         super().__init__("; ".join(v.detail for v in violations))
 
 
-@dataclass(frozen=True)
+@record
 class PropertySchema:
     name: str
     value_type: str
@@ -66,7 +73,7 @@ CORE_PROBLEM_SCHEMATA = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RawValue:
     """An extra property with no registered schema, kept verbatim."""
 
@@ -98,7 +105,7 @@ class SchemaRegistry:
         return [s for (kind, _), s in self._extra.items() if kind == "package"]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PackageItem:
     name: str
     version: int
@@ -127,7 +134,7 @@ class PackageItem:
 # PackageItem has no __post_init__, so a record built through its slots,
 # one member-descriptor call per field, equals the constructor's; the
 # reader and with_installed build every item this way, which skips the
-# generic machinery of the generated __init__ and dataclasses.replace.
+# generic argument handling of Record.__init__ and replace.
 _set_name = PackageItem.__dict__["name"].__set__
 _set_version = PackageItem.__dict__["version"].__set__
 _set_depends = PackageItem.__dict__["depends"].__set__
@@ -156,7 +163,7 @@ def make_extra(mapping):
     return tuple(sorted(mapping.items()))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RequestItem:
     problem_id: str = ""
     install: VpkgList = EMPTY_LIST
@@ -164,7 +171,7 @@ class RequestItem:
     upgrade: VpkgList = EMPTY_LIST
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     kind: str
     detail: str
@@ -172,10 +179,10 @@ class Violation:
     version: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CudfDocument:
     packages: tuple[PackageItem, ...] = ()
-    request: RequestItem = field(default_factory=RequestItem)
+    request: RequestItem = RequestItem()
 
     def lookup(self, name, version):
         """The unique item keyed by (name, version), or None."""

@@ -13,7 +13,8 @@ over all stanzas.  Each is built in one pass over the stanzas.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+
+from ._record import record
 
 
 class _AllVersions:
@@ -102,7 +103,7 @@ def _installed_index(doc):
 # Verdicts
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One failed clause: "depends" or "conflicts" (consistency); "domain",
     "metadata" or "keep" (successor); "install", "remove" or "upgrade"
@@ -114,9 +115,11 @@ class Violation:
     version: int | None = None
 
 
-@dataclass
 class Verdict:
-    violations: list = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self):
@@ -186,9 +189,8 @@ def is_successor(before, after):
             )
 
     index = _installed_index(after)
-    for item in sorted(before.packages, key=lambda p: p.key):
-        if not item.installed or item.keep is None:
-            continue
+    kept = [p for p in before.packages if p.installed and p.keep is not None]
+    for item in sorted(kept, key=lambda p: p.key):
         keep = item.keep.chosen
         if keep == "version" and item.version not in index.versions(item.name):
             verdict.violations.append(
@@ -211,11 +213,13 @@ def is_successor(before, after):
 # Request semantics
 
 
-@dataclass
 class RequestVerdict:
-    successor: Verdict
-    consistency: Verdict
-    violations: list = field(default_factory=list)
+    __slots__ = ("successor", "consistency", "violations")
+
+    def __init__(self, successor, consistency):
+        self.successor = successor
+        self.consistency = consistency
+        self.violations = []
 
     @property
     def ok(self):

@@ -8,8 +8,6 @@ searched depth-first by branch-and-bound with unit propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .. import semantics
 from ..model import CudfDocument, InvalidDocument, RawValue, validate_document
 from ._compile import compile_problem, is_pinned
@@ -26,12 +24,14 @@ class MissingSizeProperty(ValueError):
     pass
 
 
-@dataclass
 class SolveResult:
-    status: str  # "solution" | "no_solution" | "budget_exceeded"
-    document: CudfDocument | None = None
-    cost: int | None = None
-    explored: int = 0
+    __slots__ = ("status", "document", "cost", "explored")
+
+    def __init__(self, status, document=None, cost=None, explored=0):
+        self.status = status  # "solution" | "no_solution" | "budget_exceeded"
+        self.document = document  # the solved CudfDocument, for "solution"
+        self.cost = cost
+        self.explored = explored
 
 
 def installation_cost(doc, costs):

@@ -9,23 +9,25 @@ semantics.FeatureIndex, so compilation is linear in the stanza count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..semantics import FeatureIndex
 
 
-@dataclass
 class CompiledProblem:
-    n: int
-    keys: list  # bit -> (name, version)
-    costs: list  # bit -> int
-    pinned: int  # bits forced installed (keep 'version)
-    free_bits: list
-    dep_clauses: list  # bit -> list of masks, each must intersect when bit set
-    conflict_mask: list  # bit -> mask that must not intersect when bit set
-    required: list  # masks that must always intersect (install, keep obligations)
-    forbidden: list  # masks that must never intersect (remove)
-    upgrades: list = field(default_factory=list)  # (clause, name_bits, allowed_bits)
+    __slots__ = ("n", "keys", "costs", "pinned", "free_bits", "dep_clauses",
+                 "conflict_mask", "required", "forbidden", "upgrades")
+
+    def __init__(self, n, keys, costs, pinned, free_bits, dep_clauses, conflict_mask,
+                 required, forbidden, upgrades):
+        self.n = n
+        self.keys = keys  # bit -> (name, version)
+        self.costs = costs  # bit -> int
+        self.pinned = pinned  # bits forced installed (keep 'version)
+        self.free_bits = free_bits
+        self.dep_clauses = dep_clauses  # bit -> list of masks, each must intersect when bit set
+        self.conflict_mask = conflict_mask  # bit -> mask that must not intersect when bit set
+        self.required = required  # masks that must always intersect (install, keep obligations)
+        self.forbidden = forbidden  # masks that must never intersect (remove)
+        self.upgrades = upgrades  # (clause, name_bits, allowed_bits)
 
 
 def _bits(positions):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import model, types
+from ._record import record
 from .model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,
@@ -47,7 +47,7 @@ class FatalMultipleProblemStanzas(FatalParseError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RecoveredError:
     stanza_index: int
     byte_range: tuple[int, int]
@@ -55,10 +55,14 @@ class RecoveredError:
     line: int  # 1-based first line of the dropped stanza or junk line
 
 
-@dataclass
 class ParseReport:
-    document: CudfDocument
-    recovered_errors: list
+    """A parsed document and the stanza-local errors its parse recovered from."""
+
+    __slots__ = ("document", "recovered_errors")
+
+    def __init__(self, document, recovered_errors):
+        self.document = document
+        self.recovered_errors = recovered_errors
 
 
 class _LineOffsets:
@@ -84,15 +88,17 @@ class _LineOffsets:
         return self._start(first), min(self._start(end), len(self.data))
 
 
-@dataclass
 class _RawStanza:
-    kind: str  # "package" | "problem"
-    index: int
-    line: int  # 1-based line of the postmark
-    offsets: _LineOffsets
-    problem_id: str = ""
-    end: int = 0  # line that closes the stanza; one past the last at the end of data
-    lines: list = None  # property lines, postmark line included for packages
+    __slots__ = ("kind", "index", "line", "offsets", "problem_id", "end", "lines")
+
+    def __init__(self, kind, index, line, offsets, problem_id=""):
+        self.kind = kind  # "package" | "problem"
+        self.index = index
+        self.line = line  # 1-based line of the postmark
+        self.offsets = offsets
+        self.problem_id = problem_id
+        self.end = 0  # line that closes the stanza; one past the last at the end of data
+        self.lines = None  # property lines, postmark line included for packages
 
     def close(self, end, lines):
         self.end = end
@@ -158,6 +164,17 @@ _REQUIRED_PACKAGE_PROPS = tuple(
 )
 
 
+# RawValue has no __post_init__, so the reader builds each one through
+# its slot and skips the argument handling of Record.__init__.
+_set_raw_text = RawValue.__dict__["text"].__set__
+
+
+def _raw_value(text):
+    raw = object.__new__(RawValue)
+    _set_raw_text(raw, text)
+    return raw
+
+
 class _Reader:
     """The tables of one document being read: each property name resolved
     once, each lexical value of a property parsed once, and one
@@ -206,7 +223,7 @@ class _Reader:
                 if value_type is None:
                     if item_kind == "problem":
                         raise _StanzaError(f"unknown problem property {name!r}")
-                    parsed = RawValue(value)
+                    parsed = _raw_value(value)
                 else:
                     try:
                         parsed = types.parse_value(value_type, value, self.constraints)

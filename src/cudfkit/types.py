@@ -12,7 +12,8 @@ serialization (value -> lexical) such that parse(serialize(v)) == v.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import record
 
 
 class LexicalError(ValueError):
@@ -42,7 +43,7 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _ENUM_TAG_RE = re.compile(r"enum\(([^)]*)\)")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VersionConstraint:
     """Either the unconstrained value (relop is None) or a (relop, version) pair."""
 
@@ -67,7 +68,7 @@ class VersionConstraint:
 TOP = VersionConstraint()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VPkg:
     """A possibly version-constrained package (or feature) name."""
 
@@ -79,7 +80,7 @@ class VPkg:
             raise ValueError(f"bad package name {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VpkgFormula:
     """CNF formula: a conjunction of disjunctions of VPkg atoms.
 
@@ -104,7 +105,7 @@ class VpkgFormula:
 TRUE = VpkgFormula()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VpkgList:
     items: tuple[VPkg, ...] = ()
 
@@ -117,7 +118,7 @@ class VpkgList:
 EMPTY_LIST = VpkgList()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EnumValue:
     symbols: tuple[str, ...]
     chosen: str

@@ -318,8 +318,8 @@ def test_verify_warns_about_dropped_problem_stanzas(tmp_path, capsys):
 
 def test_cli_import_loads_no_dudf_modules():
     code = ("import sys, cudfkit.cli; "
-            "print([m for m in ('cudfkit.dudf', 'email.utils', 'xml.etree.ElementTree') "
-            "if m in sys.modules])")
+            "print([m for m in ('cudfkit.dudf', 'email.utils', 'xml.etree.ElementTree', "
+            "'dataclasses', 'inspect') if m in sys.modules])")
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60).stdout

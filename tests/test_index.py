@@ -2,7 +2,6 @@
 checked against the naive oracles and the whole-universe scan oracle."""
 
 import random
-from dataclasses import replace
 
 from _gen import (
     naive_consistency_violations,
@@ -11,6 +10,7 @@ from _gen import (
     rand_document,
     scan_compile,
 )
+from cudfkit._record import replace
 from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.semantics import is_consistent, is_successor, satisfies_request
 from cudfkit.solver._compile import compile_problem

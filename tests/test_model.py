@@ -1,9 +1,9 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from _gen import naive_validate, rand_document, subtype_item_violations
+from cudfkit._record import replace
 from cudfkit.model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,

@@ -2,7 +2,6 @@ import email.parser
 import gc
 import random
 import re
-from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from _gen import OracleFatal, oracle_parse_cudf, rand_document, split_oracle
 from cudfkit import textio
+from cudfkit._record import FrozenInstanceError, fields, replace
 from cudfkit.model import (
     CudfDocument,
     PackageItem,
@@ -341,7 +341,7 @@ def test_parsed_records_equal_their_constructor_copies(seed, mutated):
         assert record == copy and hash(record) == hash(copy)
         assert repr(record) == repr(copy)
         with pytest.raises(FrozenInstanceError):
-            setattr(record, fields(record)[0].name, None)
+            setattr(record, fields(record)[0], None)
     for item in doc.packages:
         for flag in (True, False):
             flipped = item.with_installed(flag)

@@ -1,9 +1,8 @@
-from dataclasses import FrozenInstanceError, fields, replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _gen import ScanReject, scan_parse_value
+from cudfkit._record import FrozenInstanceError, fields, replace
 from cudfkit.types import (
     RELOPS,
     TOP,
@@ -188,7 +187,12 @@ def test_records_are_slotted_frozen_and_replace_checks():
     for record in records:
         assert not hasattr(record, "__dict__"), type(record)
         with pytest.raises(FrozenInstanceError):
-            setattr(record, fields(record)[0].name, None)
+            setattr(record, fields(record)[0], None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, fields(record)[0])
+        with pytest.raises(FrozenInstanceError):
+            record.note = 1  # not a field: refused the same way
+        assert issubclass(FrozenInstanceError, AttributeError)
     assert replace(atom, name="bb") == VPkg("bb", VersionConstraint(">=", 2))
     with pytest.raises(ValueError):
         replace(atom, name="BB")
