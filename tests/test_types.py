@@ -192,7 +192,7 @@ def test_records_are_slotted_frozen_and_replace_checks():
             delattr(record, fields(record)[0])
         with pytest.raises(FrozenInstanceError):
             record.note = 1  # not a field: refused the same way
-        assert issubclass(FrozenInstanceError, AttributeError)
+    assert issubclass(FrozenInstanceError, AttributeError)
     assert replace(atom, name="bb") == VPkg("bb", VersionConstraint(">=", 2))
     with pytest.raises(ValueError):
         replace(atom, name="BB")
