@@ -56,9 +56,9 @@ def _cost_registry(args):
             )
         except NameCollision as exc:
             raise _UsageError(f"--cost-property: {exc}") from exc
-    elif criterion in ("installed-size", "download-size"):
-        prop = "Installed-Size" if criterion == "installed-size" else "Download-Size"
-        registry.register(PropertySchema(prop, "posint", "package", "optional"))
+    elif criterion in solver.SIZE_PROPERTIES:
+        registry.register(PropertySchema(
+            solver.SIZE_PROPERTIES[criterion], "posint", "package", "optional"))
     return registry
 
 

@@ -179,14 +179,15 @@ def is_successor(before, after):
     if verdict.violations:
         return verdict
 
-    for key in sorted(dom_before):
-        b, a = by_key_before[key], by_key_after[key]
+    changed = []
+    for key, b in by_key_before.items():
+        a = by_key_after[key]
         if (b.keep, b.depends, b.conflicts, b.provides) != (
             a.keep, a.depends, a.conflicts, a.provides
         ):
-            verdict.violations.append(
-                Violation("metadata", "non-Installed property changed", *key)
-            )
+            changed.append(key)
+    for key in sorted(changed):
+        verdict.violations.append(Violation("metadata", "non-Installed property changed", *key))
 
     index = _installed_index(after)
     kept = [p for p in before.packages if p.installed and p.keep is not None]

@@ -17,6 +17,9 @@ KERNEL = "branch-and-bound"
 
 CRITERIA = ("installed-size", "download-size", "prefer-latest", "min-new", "min-removed")
 
+# criterion -> the package property that prices it
+SIZE_PROPERTIES = {"installed-size": "Installed-Size", "download-size": "Download-Size"}
+
 DEFAULT_BUDGET = 2 ** 20
 
 
@@ -53,8 +56,8 @@ def preset_costs(doc, request, criterion):
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     costs = {}
-    if criterion in ("installed-size", "download-size"):
-        prop = "Installed-Size" if criterion == "installed-size" else "Download-Size"
+    if criterion in SIZE_PROPERTIES:
+        prop = SIZE_PROPERTIES[criterion]
         for item in doc.packages:
             size = _size_value(item, prop)
             if criterion == "download-size" and item.installed:

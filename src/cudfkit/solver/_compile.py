@@ -1,10 +1,13 @@
-"""Compile a document + request + costs into bitmask form for the search.
+"""Compile a document + request + costs into the constraint store that the
+search reads as it is.
 
 Stanzas are sorted by (name, version) and numbered; an installation
-candidate is the bitmask of installed stanzas.  Every semantic clause is
-reduced ahead of time to "mask must intersect M" or "mask must avoid M",
-so the search only does mask arithmetic.  Masks are read off one
-semantics.FeatureIndex, so compilation is linear in the stanza count.
+candidate is the bitmask of installed stanzas.  Conflicts become
+symmetric exclusions; keep, install and upgrade obligations become
+clauses; removes become zeros.  An upgrade also makes the versions of
+its name exclude each other and zeros those below the highest installed
+one.  Masks are read off one semantics.FeatureIndex, so compilation is
+linear in the stanza count.
 """
 
 from __future__ import annotations
@@ -14,20 +17,19 @@ from ..semantics import FeatureIndex
 
 class CompiledProblem:
     __slots__ = ("n", "keys", "costs", "pinned", "free_bits", "dep_clauses",
-                 "conflict_mask", "required", "forbidden", "upgrades")
+                 "exclusions", "clauses", "zeros")
 
-    def __init__(self, n, keys, costs, pinned, free_bits, dep_clauses, conflict_mask,
-                 required, forbidden, upgrades):
+    def __init__(self, n, keys, costs, pinned, free_bits, dep_clauses, exclusions,
+                 clauses, zeros):
         self.n = n
         self.keys = keys  # bit -> (name, version)
         self.costs = costs  # bit -> int
         self.pinned = pinned  # bits forced installed (keep 'version)
         self.free_bits = free_bits
         self.dep_clauses = dep_clauses  # bit -> list of masks, each must intersect when bit set
-        self.conflict_mask = conflict_mask  # bit -> mask that must not intersect when bit set
-        self.required = required  # masks that must always intersect (install, keep obligations)
-        self.forbidden = forbidden  # masks that must never intersect (remove)
-        self.upgrades = upgrades  # (clause, name_bits, allowed_bits)
+        self.exclusions = exclusions  # bit -> mask never set with it; symmetric, self-free
+        self.clauses = clauses  # masks that must always intersect (keep, install, upgrade)
+        self.zeros = zeros  # mask never set (remove, below an upgrade's floor)
 
 
 def _bits(positions):
@@ -51,18 +53,20 @@ def compile_problem(doc, request, costs):
     cost_vec = [costs.get(key, 0) for key in keys]
 
     dep_clauses = []
-    conflict_mask = []
+    exclusions = [0] * n
     pinned = 0
     free_bits = []
-    required = []
+    clauses = []
     for i, item in enumerate(stanzas):
         dep_clauses.append([
             _bits(j for atom in clause for j in index.matches(atom))
             for clause in item.depends.clauses
         ])
-        conflict_mask.append(_bits(
-            j for atom in item.conflicts.items for j in index.matches(atom) if j != i
-        ))
+        for atom in item.conflicts.items:
+            for j in index.matches(atom):
+                if j != i:
+                    exclusions[i] |= 1 << j
+                    exclusions[j] |= 1 << i
         if is_pinned(item):
             pinned |= 1 << i
             continue
@@ -70,25 +74,28 @@ def compile_problem(doc, request, costs):
         if item.installed and item.keep is not None:
             keep = item.keep.chosen
             if keep == "package":
-                required.append(_bits(index.by_name[item.name]))
+                clauses.append(_bits(index.by_name[item.name]))
             elif keep == "feature":
                 for provide in item.provides.items:
-                    required.append(_bits(index.matches(provide)))
+                    clauses.append(_bits(index.matches(provide)))
 
     for atom in request.install.items:
-        required.append(_bits(index.matches(atom)))
+        clauses.append(_bits(index.matches(atom)))
 
-    forbidden = [_bits(index.matches(atom)) for atom in request.remove.items]
+    zeros = _bits(j for atom in request.remove.items for j in index.matches(atom))
 
-    upgrades = []
     for atom in request.upgrade.items:
         same_name = index.by_name.get(atom.name, [])
+        name_bits = _bits(same_name)
+        # at least one version of the name, and at most one
+        clauses += [_bits(index.matches(atom)), name_bits]
+        for j in same_name:
+            exclusions[j] |= name_bits & ~(1 << j)
         floor = max(
             (stanzas[j].version for j in same_name if stanzas[j].installed),
             default=0,
         )
-        allowed = _bits(j for j in same_name if stanzas[j].version >= floor)
-        upgrades.append((_bits(index.matches(atom)), _bits(same_name), allowed))
+        zeros |= _bits(j for j in same_name if stanzas[j].version < floor)
 
     return CompiledProblem(
         n=n,
@@ -97,8 +104,7 @@ def compile_problem(doc, request, costs):
         pinned=pinned,
         free_bits=free_bits,
         dep_clauses=dep_clauses,
-        conflict_mask=conflict_mask,
-        required=required,
-        forbidden=forbidden,
-        upgrades=upgrades,
+        exclusions=exclusions,
+        clauses=clauses,
+        zeros=zeros,
     )

@@ -1,7 +1,8 @@
 """Two-phase depth-first branch-and-bound over compiled problems.
 
 A search node decides some free bits: `ones` holds the bits set, `zeros`
-the bits cleared.  Unit propagation over the compiled masks extends both
+the bits cleared.  Unit propagation over the compiled store (dependency
+clauses, exclusions, clauses and zeros, read as they are) extends both
 to a fixpoint or shows that no candidate extends the node; a node whose
 cost lower bound reaches the incumbent is cut, and every undecided bit
 whose own positive cost would take the bound there is cleared.  The
@@ -52,21 +53,7 @@ def search(problem):
     for k in range(len(steps) - 1, -1, -1):
         heavy[k] |= heavy[k + 1]
 
-    # excl[i]: bits that cannot be installed together with bit i.  Conflicts
-    # are made symmetric so that either side of a pair clears the other.
-    excl = list(problem.conflict_mask)
-    for i, mask in enumerate(problem.conflict_mask):
-        for j in _bit_indices(mask):
-            excl[j] |= 1 << i
-    clauses = list(problem.required)
-    zeros = 0
-    for bad in problem.forbidden:
-        zeros |= bad
-    for clause, name_bits, allowed in problem.upgrades:
-        zeros |= name_bits & ~allowed
-        clauses += [clause, name_bits]  # at least one version of the name
-        for i in _bit_indices(name_bits):
-            excl[i] |= name_bits & ~(1 << i)  # at most one
+    excl = problem.exclusions
 
     def propagate(ones, zeros, clauses, cost, left, todo):
         """Fixpoint of the node; None when no candidate extends it.
@@ -108,10 +95,10 @@ def search(problem):
             ones |= todo
 
     full = (1 << n) - 1
-    left = sum(neg[i] for i in _bit_indices(full & ~zeros))
+    left = sum(neg[i] for i in _bit_indices(full & ~problem.zeros))
     # Both phases start from the propagated root, so the clauses of the
     # pinned bits are applied once.
-    root = propagate(problem.pinned, zeros, clauses, 0, left, problem.pinned)
+    root = propagate(problem.pinned, problem.zeros, problem.clauses, 0, left, problem.pinned)
     if root is None:
         return False, 0, 0, 1
     root += (0,)

@@ -7,6 +7,7 @@ code path with the library.
 
 import random
 import re
+from types import SimpleNamespace
 
 from cudfkit.model import CudfDocument, PackageItem, RequestItem, make_extra
 from cudfkit.types import (
@@ -447,6 +448,14 @@ def exhaustive_search(problem):
         ):
             found, best_mask, best_cost = True, mask, cost
     return found, best_mask, best_cost, 1 << len(free)
+
+
+def scan_problem(doc, request, costs):
+    """scan_compile's masks with the stanza count and the cost vector, the
+    problem exhaustive_search reads, built with no call into the compiler."""
+    stanzas = sorted(doc.packages, key=lambda p: p.key)
+    return SimpleNamespace(n=len(stanzas), costs=[costs.get(p.key, 0) for p in stanzas],
+                           **scan_compile(doc, request))
 
 
 # ---------------------------------------------------------------------------

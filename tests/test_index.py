@@ -16,8 +16,7 @@ from cudfkit.semantics import is_consistent, is_successor, satisfies_request
 from cudfkit.solver._compile import compile_problem
 from cudfkit.types import EnumValue, VersionConstraint, VPkg, VpkgList
 
-MASK_FIELDS = ("pinned", "free_bits", "dep_clauses", "conflict_mask", "required",
-               "forbidden", "upgrades")
+MASK_FIELDS = ("pinned", "free_bits", "dep_clauses", "exclusions", "clauses", "zeros")
 
 
 def pkg(name, version, conflicts=(), provides=(), installed=False):
@@ -44,6 +43,37 @@ def compiled_masks(d):
     return {name: getattr(problem, name) for name in MASK_FIELDS}
 
 
+def store_form(masks):
+    """scan_compile's request-shaped masks in the compiled store's form:
+    bits i and j exclude each other when either conflicts with the other
+    or both are versions of an upgraded name; the upgrade clauses follow
+    the keep and install ones; removes and the versions below an
+    upgrade's floor are zeros."""
+    n = len(masks["dep_clauses"])
+    conflicts, upgrades = masks["conflict_mask"], masks["upgrades"]
+
+    def both(mask, i, j):
+        return (mask >> i) & 1 and (mask >> j) & 1
+
+    exclusions = [
+        sum(1 << j for j in range(n)
+            if (conflicts[i] >> j) & 1 or (conflicts[j] >> i) & 1
+            or (i != j and any(both(name_bits, i, j) for _, name_bits, _ in upgrades)))
+        for i in range(n)
+    ]
+    clauses = masks["required"] + [
+        mask for clause, name_bits, _ in upgrades for mask in (clause, name_bits)
+    ]
+    zeros = 0
+    for mask in masks["forbidden"]:
+        zeros |= mask
+    for _, name_bits, allowed in upgrades:
+        zeros |= name_bits & ~allowed
+    return {"pinned": masks["pinned"], "free_bits": masks["free_bits"],
+            "dep_clauses": masks["dep_clauses"], "exclusions": exclusions,
+            "clauses": clauses, "zeros": zeros}
+
+
 def random_documents(seed, count):
     rng = random.Random(seed)
     for i in range(count):
@@ -54,7 +84,7 @@ def random_documents(seed, count):
 
 def test_compiled_masks_match_scan_oracle():
     for _, d in random_documents(404, 600):
-        assert compiled_masks(d) == scan_compile(d, d.request)
+        assert compiled_masks(d) == store_form(scan_compile(d, d.request))
 
 
 def test_consistency_violations_match_naive_oracle():
@@ -100,7 +130,7 @@ def test_duplicate_keys_exclude_by_key_in_semantics_and_by_position_in_compile()
     twin = pkg("pp", 1, conflicts=[VPkg("pp")], installed=True)
     d = doc(twin, twin)
     assert consistency(d) == []
-    assert compile_problem(d, d.request, {}).conflict_mask == [0b10, 0b01]
+    assert compile_problem(d, d.request, {}).exclusions == [0b10, 0b01]
 
 
 def test_duplicate_keys_successor_reads_first_stanza():
@@ -120,22 +150,22 @@ def test_package_providing_its_own_name():
     ]
     d = doc(own, pkg("pp", 2), install=[VPkg("pp", eq(3))])
     problem = compile_problem(d, d.request, {})
-    assert problem.required == [0b01]
-    assert problem.conflict_mask == [0b10, 0]
+    assert problem.clauses == [0b01]
+    assert problem.exclusions == [0b10, 0b01]
 
 
 def test_unversioned_provide_hit_by_conflict():
     provider = pkg("bb", 1, provides=[VPkg("ff")], installed=True)
     hit = pkg("aa", 1, conflicts=[VPkg("ff", eq(7))], installed=True)
     assert consistency(doc(hit, provider)) == [("aa", 1, "conflicts")]
-    assert compile_problem(doc(hit, provider), RequestItem(), {}).conflict_mask == [
-        0b10, 0
+    assert compile_problem(doc(hit, provider), RequestItem(), {}).exclusions == [
+        0b10, 0b01
     ]
     # no version satisfies "< 1", not even through an unversioned provide
     miss = pkg("aa", 1, conflicts=[VPkg("ff", VersionConstraint("<", 1))],
                installed=True)
     assert consistency(doc(miss, provider)) == []
-    assert compile_problem(doc(miss, provider), RequestItem(), {}).conflict_mask == [
+    assert compile_problem(doc(miss, provider), RequestItem(), {}).exclusions == [
         0, 0
     ]
 
@@ -146,7 +176,7 @@ def test_self_conflict_through_own_provide():
                    installed=True)
 
     assert consistency(doc(mta("exim", 1))) == []
-    assert compile_problem(doc(mta("exim", 1)), RequestItem(), {}).conflict_mask == [0]
+    assert compile_problem(doc(mta("exim", 1)), RequestItem(), {}).exclusions == [0]
     assert consistency(doc(mta("exim", 1), mta("exim", 2))) == [
         ("exim", 1, "conflicts"), ("exim", 2, "conflicts")
     ]
@@ -165,6 +195,9 @@ def test_keep_package_group_and_upgrade_bits_from_name_index():
     )
     problem = compile_problem(d, d.request, {})
     assert problem.keys == [("aa", 1), ("aa", 2), ("aa", 3), ("bb", 1)]
-    # the provider of feature aa is in neither group, only in the clause
-    assert problem.required == [0b0111]
-    assert problem.upgrades == [(0b1111, 0b0111, 0b0110)]
+    # keep 'package, then the upgrade's clause and its name group; the
+    # provider of feature aa is in neither group, only in the clause
+    assert problem.clauses == [0b0111, 0b1111, 0b0111]
+    # aa 1 lies below the installed aa 2; the aa versions exclude each other
+    assert problem.zeros == 0b0001
+    assert problem.exclusions == [0b0110, 0b0101, 0b0011, 0]

@@ -8,6 +8,7 @@ from _gen import (
     mask_less,
     rand_document,
     scan_compile,
+    scan_problem,
 )
 from cudfkit import solver
 from cudfkit.model import (
@@ -350,9 +351,9 @@ def test_search_matches_exhaustive_oracle():
         d = rand_document(rng)
         for shape, draw in COST_SHAPES.items():
             costs = {p.key: draw(rng) for p in d.packages}
-            problem = compile_problem(d, d.request, costs)
-            got = _kernel_py.search(problem)
-            assert got[:3] == exhaustive_search(problem)[:3], shape
+            got = _kernel_py.search(compile_problem(d, d.request, costs))
+            want = exhaustive_search(scan_problem(d, d.request, costs))
+            assert got[:3] == want[:3], shape
             found += got[0]
     assert 0 < found < 4000
 
@@ -375,9 +376,9 @@ def test_search_matches_exhaustive_oracle_on_size_costs():
         d = rand_document(rng)
         for shape, draw in SIZE_SHAPES.items():
             costs = {p.key: draw(rng) for p in d.packages}
-            problem = compile_problem(d, d.request, costs)
-            got = _kernel_py.search(problem)
-            assert got[:3] == exhaustive_search(problem)[:3], shape
+            got = _kernel_py.search(compile_problem(d, d.request, costs))
+            want = exhaustive_search(scan_problem(d, d.request, costs))
+            assert got[:3] == want[:3], shape
             found += got[0]
     assert 0 < found < 1200
 
