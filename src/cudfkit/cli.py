@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from . import semantics, solver, textio, types
+from . import semantics, solver, textio
 from .model import (
     InvalidDocument,
     NameCollision,
@@ -46,10 +46,6 @@ def _cost_registry(args):
         raise _UsageError("exactly one of --criterion / --cost-property is required")
     registry = SchemaRegistry()
     if cost_property is not None:
-        # No CUDF line can carry a name outside the identifier syntax, so
-        # such a name would price every package at 0.
-        if not types.is_identifier(cost_property):
-            raise _UsageError(f"--cost-property {cost_property!r} is not a property name")
         try:
             registry.register(
                 PropertySchema(cost_property, "int", "package", "optional", 0)
@@ -152,7 +148,7 @@ def _verdict_json(verdict):
                                ("consistency/", verdict.consistency.violations),
                                ("", verdict.violations)):
         for v in violations:
-            items.append({"clause": prefix + v.clause, "package": v.package,
+            items.append({"clause": prefix + v.kind, "package": v.package,
                           "version": v.version, "reason": v.detail})
     return {"ok": verdict.ok, "violations": items}
 

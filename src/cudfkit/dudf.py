@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 
 from . import textio
 from ._record import record
-from .model import CudfDocument, RequestItem, validate_document
+from .model import CudfDocument, InvalidDocument, RequestItem, validate_document
 from .types import EMPTY_LIST
 
 DUDF_NS = "http://www.mancoosi.org/2008/cudf/dudf"
@@ -26,12 +26,6 @@ class SchemaViolation(ValueError):
         self.path = path
         self.reason = reason
         super().__init__(f"{path}: {reason}")
-
-
-class InvalidDudf(ValueError):
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("; ".join(v.detail for v in violations))
 
 
 class ConversionError(ValueError):
@@ -191,13 +185,14 @@ def _status_into(parent, status):
 
 
 def dudf_to_xml(doc):
-    """Serialize a valid DUDF document to XML bytes.
+    """Serialize a valid DUDF document to XML bytes; raise
+    InvalidDocument with its error-level violations otherwise.
 
     Sole-problem submissions have no outcome element.
     """
     violations = [v for v in validate_dudf(doc) if v.level == "error"]
     if violations:
-        raise InvalidDudf(violations)
+        raise InvalidDocument(violations)
 
     root = ET.Element("dudf")
     root.set("xmlns", DUDF_NS)

@@ -8,7 +8,7 @@ and handled through an explicit SchemaRegistry.
 from __future__ import annotations
 
 from . import types
-from ._record import record, replace
+from ._record import record
 from .types import EMPTY_LIST, TRUE, EnumValue, VPkg, VpkgFormula, VpkgList
 
 
@@ -80,6 +80,25 @@ class RawValue:
     text: str
 
 
+# RawValue has no __post_init__, so the reader builds each one through
+# its slot and skips the argument handling of Record.__init__.
+_set_raw_text = RawValue.__dict__["text"].__set__
+
+
+def _raw_value(text):
+    raw = object.__new__(RawValue)
+    _set_raw_text(raw, text)
+    return raw
+
+
+def is_extra_name(name, item_kind):
+    """Whether name can carry an extra property of an item_kind item: an
+    identifier that names no core property, which it would read back as,
+    and is not "Problem", whose line opens a problem stanza."""
+    core = CORE_PACKAGE_SCHEMATA if item_kind == "package" else CORE_PROBLEM_SCHEMATA
+    return not (name in core or name == "Problem") and types.is_identifier(name)
+
+
 class SchemaRegistry:
     """Registry of extra-property schemata, keyed by (item kind, name)."""
 
@@ -89,10 +108,8 @@ class SchemaRegistry:
             self.register(schema)
 
     def register(self, schema):
-        core = CORE_PACKAGE_SCHEMATA if schema.item_kind == "package" else CORE_PROBLEM_SCHEMATA
-        # A "Problem: " line opens a problem stanza, so no item carries it.
-        if schema.name in core or schema.name == "Problem":
-            raise NameCollision(f"{schema.name!r} is a core property")
+        if not is_extra_name(schema.name, schema.item_kind):
+            raise NameCollision(f"{schema.name!r} cannot name an extra property")
         if (schema.item_kind, schema.name) in self._extra:
             raise NameCollision(f"{schema.name!r} already registered")
         self._extra[(schema.item_kind, schema.name)] = schema
@@ -173,6 +190,11 @@ class RequestItem:
 
 @record
 class Violation:
+    """One failed rule of a check, by kind: "DuplicateKey", "TypeError" or
+    "PropertyName" (validation); "depends" or "conflicts" (consistency);
+    "domain", "metadata" or "keep" (successor); "install", "remove" or
+    "upgrade" (request)."""
+
     kind: str
     detail: str
     package: str | None = None
@@ -184,23 +206,8 @@ class CudfDocument:
     packages: tuple[PackageItem, ...] = ()
     request: RequestItem = RequestItem()
 
-    def lookup(self, name, version):
-        """The unique item keyed by (name, version), or None."""
-        for item in self.packages:
-            if item.name == name and item.version == version:
-                return item
-        return None
-
     def domain(self):
         return {item.key for item in self.packages}
-
-    def remove_package(self, name, version):
-        """Document with the (name, version) item removed; identity if absent."""
-        kept = tuple(p for p in self.packages if p.key != (name, version))
-        return replace(self, packages=kept)
-
-    def versions_of(self, name):
-        return sorted(item.version for item in self.packages if item.name == name)
 
 
 def validate_document(doc, registry=None):
@@ -247,15 +254,12 @@ def validate_document(doc, registry=None):
             append(_type_error("Keep", KEEP_ENUM, name, version))
         for prop, value in item.extra:
             if prop not in good_extras:
-                # A core name would read back as the core property, and a
-                # "Problem: " line would open a problem stanza.
-                if (prop in CORE_PACKAGE_SCHEMATA or prop == "Problem"
-                        or not types.is_identifier(prop)):
+                if is_extra_name(prop, "package"):
+                    good_extras.add(prop)
+                else:
                     append(Violation("PropertyName",
                                      f"{prop!r} cannot name an extra property",
                                      name, version))
-                else:
-                    good_extras.add(prop)
             if isinstance(value, RawValue):
                 text = value.text
                 if not isinstance(text, str) or "\n" in text or "\r" in text:

@@ -1,5 +1,11 @@
 """Solution-checking semantics for CUDF documents.
 
+Consistency, the successor relation and the request each return a
+verdict that lists one model.Violation per failed clause, named by its
+kind.  The successor relation compares the two documents through one
+map per document from each (name, version) key to the metadata of its
+first stanza.
+
 A FeatureIndex maps each package name and feature to the stanzas that
 contribute a version of it: each stanza under its own name and version,
 and under each of its provides, where an unversioned provide contributes
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import operator
 
-from ._record import record
+from .model import Violation
 
 
 class _AllVersions:
@@ -103,18 +109,6 @@ def _installed_index(doc):
 # Verdicts
 
 
-@record
-class Violation:
-    """One failed clause: "depends" or "conflicts" (consistency); "domain",
-    "metadata" or "keep" (successor); "install", "remove" or "upgrade"
-    (request)."""
-
-    clause: str
-    detail: str
-    package: str | None = None
-    version: int | None = None
-
-
 class Verdict:
     __slots__ = ("violations",)
 
@@ -158,34 +152,27 @@ def is_consistent(doc):
 # Successor relation
 
 
-def _first_by_key(doc):
-    """Stanzas keyed by (name, version); the first occurrence wins, as in
-    CudfDocument.lookup."""
+def _metadata_by_key(doc):
+    """(name, version) -> (keep, depends, conflicts, provides) of doc's
+    stanzas; the first stanza of a key wins."""
     out = {}
-    for item in doc.packages:
-        out.setdefault(item.key, item)
+    for p in doc.packages:
+        out.setdefault(p.key, (p.keep, p.depends, p.conflicts, p.provides))
     return out
 
 
 def is_successor(before, after):
     verdict = Verdict()
-    by_key_before, by_key_after = _first_by_key(before), _first_by_key(after)
-    dom_before, dom_after = by_key_before.keys(), by_key_after.keys()
-    for key in sorted(dom_before ^ dom_after):
-        side = "missing from" if key in dom_before else "added by"
+    meta_before, meta_after = _metadata_by_key(before), _metadata_by_key(after)
+    for key in sorted(meta_before.keys() ^ meta_after.keys()):
+        side = "missing from" if key in meta_before else "added by"
         verdict.violations.append(
             Violation("domain", f"{key} {side} the successor", *key)
         )
     if verdict.violations:
         return verdict
 
-    changed = []
-    for key, b in by_key_before.items():
-        a = by_key_after[key]
-        if (b.keep, b.depends, b.conflicts, b.provides) != (
-            a.keep, a.depends, a.conflicts, a.provides
-        ):
-            changed.append(key)
+    changed = [key for key, meta in meta_before.items() if meta != meta_after[key]]
     for key in sorted(changed):
         verdict.violations.append(Violation("metadata", "non-Installed property changed", *key))
 
@@ -234,7 +221,7 @@ class RequestVerdict:
             clauses.append("successor")
         if not self.consistency.ok:
             clauses.append("consistency")
-        clauses.extend(sorted({v.clause for v in self.violations}))
+        clauses.extend(sorted({v.kind for v in self.violations}))
         return clauses
 
 

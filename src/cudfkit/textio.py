@@ -12,7 +12,7 @@ import gc
 from contextlib import contextmanager
 from itertools import accumulate
 
-from . import model, types
+from . import types
 from ._record import record
 from .model import (
     CORE_PACKAGE_SCHEMATA,
@@ -21,6 +21,7 @@ from .model import (
     InvalidDocument,
     RawValue,
     RequestItem,
+    _raw_value,
     package_extra_defaults,
     package_from_fields,
     validate_document,
@@ -162,17 +163,6 @@ _REQUIRED_PACKAGE_PROPS = tuple(
     name for name, schema in CORE_PACKAGE_SCHEMATA.items()
     if schema.optionality == "required"
 )
-
-
-# RawValue has no __post_init__, so the reader builds each one through
-# its slot and skips the argument handling of Record.__init__.
-_set_raw_text = RawValue.__dict__["text"].__set__
-
-
-def _raw_value(text):
-    raw = object.__new__(RawValue)
-    _set_raw_text(raw, text)
-    return raw
 
 
 class _Reader:

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cudfkit import cli, dudf, textio
+from cudfkit import cli, dudf, replace, textio
 from cudfkit.dudf import (
+    DudfOutcome,
     DudfProblem,
     Extensional,
+    Intensional,
     PackageList,
     PackageStatus,
 )
@@ -326,26 +328,30 @@ def test_cli_import_loads_no_dudf_modules():
     assert out.strip() == "[]"
 
 
-def dudf_fixture(tmp_path):
+DUDF_TIMESTAMP = "Tue, 18 Aug 2026 09:30:00 +0200"
+DUDF_PROBLEM = DudfProblem(
+    package_status=PackageStatus(
+        installer=Extensional("Package: core\nVersion: 1\n")
+    ),
+    package_universe=(
+        PackageList("cudf-stanzas",
+                    Extensional("Package: core\nVersion: 2\n")),
+    ),
+    action=Extensional("Install: core >= 2"),
+)
+
+
+def dudf_fixture(tmp_path, **changes):
     doc = dudf.DudfDocument(
-        timestamp="Tue, 18 Aug 2026 09:30:00 +0200",
+        timestamp=DUDF_TIMESTAMP,
         uid="cli-test-1",
         distribution="examplix 9.2",
         installer=("exampkg", "1.4"),
         meta_installer=("exampkg-frontend", "0.9"),
-        problem=DudfProblem(
-            package_status=PackageStatus(
-                installer=Extensional("Package: core\nVersion: 1\n")
-            ),
-            package_universe=(
-                PackageList("cudf-stanzas",
-                            Extensional("Package: core\nVersion: 2\n")),
-            ),
-            action=Extensional("Install: core >= 2"),
-        ),
+        problem=DUDF_PROBLEM,
     )
     path = tmp_path / "sub.dudf.xml"
-    path.write_bytes(dudf.dudf_to_xml(doc))
+    path.write_bytes(dudf.dudf_to_xml(replace(doc, **changes)))
     return str(path)
 
 
@@ -356,6 +362,44 @@ def test_dudf_validate_and_show(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "uid: cli-test-1" in out
     assert "sole problem" in out
+
+
+def test_dudf_validate_warns_about_a_two_digit_year(tmp_path, capsys):
+    path = dudf_fixture(tmp_path, timestamp="Tue, 18 Aug 26 09:30:00 +0200")
+    assert cli.main(["dudf", "validate", path]) == 0
+    assert capsys.readouterr().err == "warning: dudf/timestamp: obsolete two-digit year\n"
+
+
+def test_dudf_validate_rejects_a_timestamp_that_is_not_a_date(tmp_path, capsys):
+    # the serializer refuses such a document, so the date is edited into its XML
+    path = Path(dudf_fixture(tmp_path))
+    path.write_bytes(path.read_bytes().replace(DUDF_TIMESTAMP.encode(), b"yesterday"))
+    assert cli.main(["dudf", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: dudf/timestamp: not an RFC822 date\n"
+
+
+def test_dudf_show_prints_the_outcome(tmp_path, capsys):
+    path = dudf_fixture(tmp_path, outcome=DudfOutcome(
+        "failure", error=Extensional("core 2 is not installable")))
+    assert cli.main(["dudf", "show", path]) == 0
+    out = capsys.readouterr().out
+    assert "(problem/outcome pair)" in out
+    assert "  outcome: failure\n" in out
+
+
+@pytest.mark.parametrize("problem, message", [
+    (replace(DUDF_PROBLEM, package_status=PackageStatus(Intensional("sha1:0f0f"))),
+     "error: package-status is intensional; expand it first\n"),
+    (replace(DUDF_PROBLEM, package_universe=(
+        PackageList("deb-control", Extensional("Package: core\nVersion: 2\n")),)),
+     "error: package-list format 'deb-control'\n"),
+])
+def test_dudf_convert_rejects_what_it_cannot_convert(tmp_path, capsys, problem, message):
+    path = dudf_fixture(tmp_path, problem=problem)
+    assert cli.main(["dudf", "convert", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_dudf_validate_rejects_broken_xml(tmp_path):

@@ -12,7 +12,6 @@ from cudfkit.dudf import (
     Extensional,
     Intensional,
     IntensionalHole,
-    InvalidDudf,
     PackageList,
     PackageStatus,
     SchemaViolation,
@@ -22,6 +21,7 @@ from cudfkit.dudf import (
     validate_dudf,
     xml_to_dudf,
 )
+from cudfkit.model import InvalidDocument
 
 TS = "Tue, 18 Aug 2026 09:30:00 +0200"
 
@@ -167,7 +167,7 @@ def test_xml_roundtrip_random():
 
 
 def test_serializing_invalid_document_fails():
-    with pytest.raises(InvalidDudf):
+    with pytest.raises(InvalidDocument):
         dudf_to_xml(sample(uid=""))
 
 

@@ -35,7 +35,7 @@ def eq(v):
 
 
 def consistency(d):
-    return [(v.package, v.version, v.clause) for v in is_consistent(d).violations]
+    return [(v.package, v.version, v.kind) for v in is_consistent(d).violations]
 
 
 def compiled_masks(d):
@@ -102,7 +102,7 @@ def test_successor_violations_match_naive_oracle():
             i = rng.randrange(len(packages))
             packages[i] = replace(packages[i], conflicts=VpkgList((VPkg("zz"),)))
         after = CudfDocument(packages=tuple(packages), request=before.request)
-        got = [(v.clause, v.package, v.version)
+        got = [(v.kind, v.package, v.version)
                for v in is_successor(before, after).violations]
         assert got == naive_successor_violations(before, after)
 
@@ -114,7 +114,7 @@ def test_request_violations_match_naive_oracle():
         if rng.random() < 0.05:
             packages.pop(rng.randrange(len(packages)))
         after = CudfDocument(packages=tuple(packages), request=before.request)
-        got = [(v.clause, v.package, v.version)
+        got = [(v.kind, v.package, v.version)
                for v in satisfies_request(before, before.request, after).violations]
         assert got == naive_request_violations(before, before.request, after)
         clauses.update((clause, version is None) for clause, _, version in got)
@@ -138,7 +138,7 @@ def test_duplicate_keys_successor_reads_first_stanza():
     before = doc(first, pkg("pp", 1))
     assert is_successor(before, doc(first, pkg("pp", 1, conflicts=[VPkg("rr")]))).ok
     verdict = is_successor(before, doc(pkg("pp", 1), first))
-    assert [v.clause for v in verdict.violations] == ["metadata"]
+    assert [v.kind for v in verdict.violations] == ["metadata"]
 
 
 def test_package_providing_its_own_name():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cudfkit import dudf, model, semantics, textio
+from cudfkit import dudf, model, textio
 from cudfkit._record import FrozenInstanceError, Record, fields, replace
 from cudfkit.types import EnumValue, VersionConstraint, VPkg, VpkgFormula, VpkgList
 
@@ -33,7 +33,6 @@ def one_record_of_each_type():
         model.Violation("TypeError", "Version value outside posint", "aa", 2),
         model.CudfDocument((item,), request),
         textio.RecoveredError(1, (0, 12), "missing required property 'Version'", 3),
-        semantics.Violation("depends", "unsatisfied dependency formula", "aa", 2),
         dudf.Extensional("x"), dudf.Intensional("sha1:0f0f"), problem.package_universe[0],
         status, problem, dudf.DudfOutcome("success", package_status=status),
         dudf.DudfDocument("Tue, 18 Aug 2026 09:30:00 +0200", "uid-1", "examplix 9.2",

@@ -264,5 +264,5 @@ def test_failed_clauses_are_pinned():
     assert verdict.failed_clauses() == [
         "successor", "consistency", "install", "remove", "upgrade"]
     assert not verdict.ok and not verdict.successor.ok and not verdict.consistency.ok
-    assert [v.clause for v in verdict.successor.violations] == ["keep"]
-    assert [v.clause for v in verdict.consistency.violations] == ["conflicts", "depends"]
+    assert [v.kind for v in verdict.successor.violations] == ["keep"]
+    assert [v.kind for v in verdict.consistency.violations] == ["conflicts", "depends"]
