@@ -39,33 +39,6 @@ class _UsageError(Exception):
     pass
 
 
-def _cost_registry(args):
-    """Registry + cost-source from --criterion/--cost-property flags."""
-    criterion, cost_property = args.criterion, args.cost_property
-    if (criterion is None) == (cost_property is None):
-        raise _UsageError("exactly one of --criterion / --cost-property is required")
-    registry = SchemaRegistry()
-    if cost_property is not None:
-        try:
-            registry.register(
-                PropertySchema(cost_property, "int", "package", "optional", 0)
-            )
-        except NameCollision as exc:
-            raise _UsageError(f"--cost-property: {exc}") from exc
-    elif criterion in solver.SIZE_PROPERTIES:
-        registry.register(PropertySchema(
-            solver.SIZE_PROPERTIES[criterion], "posint", "package", "optional"))
-    return registry
-
-
-def _costs_for(doc, request, args):
-    if args.cost_property:
-        return {
-            p.key: p.extra_value(args.cost_property, 0) for p in doc.packages
-        }
-    return solver.preset_costs(doc, request, args.criterion)
-
-
 def _json_text(value, newline="\n"):
     """json.dumps(value, indent=2) for the dicts, lists, tuples and scalars
     of a report, with no reference cycle left behind: json's indented
@@ -87,6 +60,36 @@ def _warn_recovered(report):
     for e in report.recovered_errors:
         print(f"warning: stanza {e.stanza_index} (line {e.line}): {e.reason}",
               file=sys.stderr)
+
+
+def _read_problem(path, registry=None):
+    """The document of a problem file, with one warning line on stderr per
+    stanza or junk line the parse dropped."""
+    report = textio.parse_cudf(_read(path), registry=registry)
+    _warn_recovered(report)
+    return report.document
+
+
+def _priced_problem(args):
+    """(document, costs) of args.path under --criterion or --cost-property.
+
+    The flags are checked before the file is read."""
+    criterion, cost_property = args.criterion, args.cost_property
+    if (criterion is None) == (cost_property is None):
+        raise _UsageError("exactly one of --criterion / --cost-property is required")
+    registry = SchemaRegistry()
+    if cost_property is not None:
+        try:
+            registry.register(PropertySchema(cost_property, "int", "package", "optional", 0))
+        except NameCollision as exc:
+            raise _UsageError(f"--cost-property: {exc}") from exc
+    elif criterion in solver.SIZE_PROPERTIES:
+        registry.register(PropertySchema(
+            solver.SIZE_PROPERTIES[criterion], "posint", "package", "optional"))
+    doc = _read_problem(args.path, registry)
+    if cost_property is not None:
+        return doc, {p.key: p.extra_value(cost_property, 0) for p in doc.packages}
+    return doc, solver.preset_costs(doc, doc.request, criterion)
 
 
 def cmd_check(args):
@@ -118,22 +121,13 @@ def cmd_check(args):
 
 
 def cmd_fmt(args):
-    report = textio.parse_cudf(_read(args.path))
-    sys.stdout.buffer.write(textio.serialize_cudf(report.document))
+    sys.stdout.buffer.write(textio.serialize_cudf(_read_problem(args.path)))
     return EXIT_OK
 
 
 def cmd_verify(args):
-    report = textio.parse_cudf(_read(args.problem))
-    _warn_recovered(report)
-    problem = report.document
-    try:
-        entries = textio.parse_solution(_read(args.solution))
-        after = textio.apply_solution(problem, entries)
-    except (textio.UnknownSolutionKey, textio.MalformedSolution,
-            textio.FatalEncoding) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = _read_problem(args.problem)
+    after = textio.apply_solution(problem, textio.parse_solution(_read(args.solution)))
     verdict = semantics.satisfies_request(problem, problem.request, after)
     if args.json:
         print(_json_text(_verdict_json(verdict)))
@@ -165,11 +159,7 @@ def _explain(verdict):
 
 
 def cmd_solve(args):
-    registry = _cost_registry(args)
-    report = textio.parse_cudf(_read(args.path), registry=registry)
-    _warn_recovered(report)
-    doc = report.document
-    costs = _costs_for(doc, doc.request, args)
+    doc, costs = _priced_problem(args)
     result = solver.solve(doc, doc.request, costs, budget=args.budget)
     if result.status == "budget_exceeded":
         print("budget exceeded", file=sys.stderr)
@@ -192,11 +182,7 @@ def cmd_solve(args):
 
 
 def cmd_cost(args):
-    registry = _cost_registry(args)
-    report = textio.parse_cudf(_read(args.path), registry=registry)
-    _warn_recovered(report)
-    doc = report.document
-    costs = _costs_for(doc, doc.request, args)
+    doc, costs = _priced_problem(args)
     print(solver.installation_cost(doc, costs))
     return EXIT_OK
 
@@ -204,11 +190,7 @@ def cmd_cost(args):
 def cmd_dudf(args):
     from . import dudf  # only this subcommand needs the XML and mail modules
 
-    try:
-        doc = dudf.xml_to_dudf(_read(args.path))
-    except dudf.SchemaViolation as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    doc = dudf.xml_to_dudf(_read(args.path))
     if args.action == "validate":
         violations = dudf.validate_dudf(doc)
         for v in violations:
@@ -260,18 +242,17 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="find a minimum-cost solution")
-    p.add_argument("path")
-    p.add_argument("--criterion", choices=solver.CRITERIA)
-    p.add_argument("--cost-property")
+    priced = argparse.ArgumentParser(add_help=False)  # what solve and cost share
+    priced.add_argument("path")
+    priced.add_argument("--criterion", choices=solver.CRITERIA)
+    priced.add_argument("--cost-property")
+
+    p = sub.add_parser("solve", parents=[priced], help="find a minimum-cost solution")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("cost", help="cost of the current installation")
-    p.add_argument("path")
-    p.add_argument("--criterion", choices=solver.CRITERIA)
-    p.add_argument("--cost-property")
+    p = sub.add_parser("cost", parents=[priced], help="cost of the current installation")
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("dudf", help="DUDF tooling")
@@ -294,7 +275,7 @@ def main(argv=None):
         except _UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except solver.MissingSizeProperty as exc:
+        except (solver.MissingSizeProperty, textio.MalformedSolution) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except textio.FatalParseError as exc:

@@ -21,11 +21,15 @@ DUDF_NS = "http://www.mancoosi.org/2008/cudf/dudf"
 DUDF_VERSION = "1.0"
 
 
-class SchemaViolation(ValueError):
+class SchemaViolation(InvalidDocument):
+    """XML that xml_to_dudf cannot read as DUDF: the first rule it breaks,
+    as the one violation of an invalid document."""
+
     def __init__(self, path, reason):
         self.path = path
         self.reason = reason
-        super().__init__(f"{path}: {reason}")
+        super().__init__([DudfViolation(path, reason)])
+        self.args = (f"{path}: {reason}",)  # the text names the path too
 
 
 class ConversionError(ValueError):

@@ -44,6 +44,13 @@ class PropertySchema:
     default: object = _MISSING
 
     def __post_init__(self):
+        # The reader honours no other value type, item kind or optionality.
+        if not types.is_type_tag(self.value_type):
+            raise ValueError(f"unknown value type {self.value_type!r}")
+        if self.item_kind not in ("package", "problem"):
+            raise ValueError(f"unknown item kind {self.item_kind!r}")
+        if self.optionality not in ("required", "optional"):
+            raise ValueError(f"unknown optionality {self.optionality!r}")
         if self.optionality == "required" and self.default is not _MISSING:
             raise ValueError("required properties carry no default")
         if self.default is not _MISSING and not types.is_subtype_value(
@@ -110,6 +117,9 @@ class SchemaRegistry:
     def register(self, schema):
         if not is_extra_name(schema.name, schema.item_kind):
             raise NameCollision(f"{schema.name!r} cannot name an extra property")
+        if schema.item_kind != "package":
+            # A RequestItem has no extras, so the value would be lost.
+            raise ValueError("only package items carry extra properties")
         if (schema.item_kind, schema.name) in self._extra:
             raise NameCollision(f"{schema.name!r} already registered")
         self._extra[(schema.item_kind, schema.name)] = schema
@@ -190,10 +200,10 @@ class RequestItem:
 
 @record
 class Violation:
-    """One failed rule of a check, by kind: "DuplicateKey", "TypeError" or
-    "PropertyName" (validation); "depends" or "conflicts" (consistency);
-    "domain", "metadata" or "keep" (successor); "install", "remove" or
-    "upgrade" (request)."""
+    """One failed rule of a check, by kind: "DuplicateKey", "TypeError",
+    "PropertyName" or "MissingProperty" (validation); "depends" or
+    "conflicts" (consistency); "domain", "metadata" or "keep" (successor);
+    "install", "remove" or "upgrade" (request)."""
 
     kind: str
     detail: str
@@ -219,6 +229,7 @@ def validate_document(doc, registry=None):
     bad occurrence is reported."""
     violations = []
     append = violations.append
+    required = required_package_extras(registry)
     seen = set()
     good_names = set()  # package names that passed is_pkgname
     good_extras = set()  # extra-property names that passed the name rules
@@ -252,6 +263,10 @@ def validate_document(doc, registry=None):
         if keep is not None and not (isinstance(keep, EnumValue)
                                      and keep.symbols == KEEP_SYMBOLS):
             append(_type_error("Keep", KEEP_ENUM, name, version))
+        for prop in required:
+            if item.extra_value(prop, _MISSING) is _MISSING:
+                append(Violation("MissingProperty", f"missing required property {prop!r}",
+                                 name, version))
         for prop, value in item.extra:
             if prop not in good_extras:
                 if is_extra_name(prop, "package"):
@@ -293,6 +308,13 @@ def package_extra_defaults(registry):
     if not registry:
         return ()
     return tuple((s.name, s.default) for s in registry.package_extras() if s.has_default)
+
+
+def required_package_extras(registry):
+    """Names of the registered package extras that every stanza must carry."""
+    if not registry:
+        return ()
+    return tuple(s.name for s in registry.package_extras() if s.optionality == "required")
 
 
 def package_from_fields(fields, extra_defaults):

@@ -24,6 +24,7 @@ from .model import (
     _raw_value,
     package_extra_defaults,
     package_from_fields,
+    required_package_extras,
     validate_document,
 )
 
@@ -175,6 +176,7 @@ class _Reader:
     def __init__(self, registry=None):
         self.registry = registry
         self.extra_defaults = package_extra_defaults(registry)
+        self.required = _REQUIRED_PACKAGE_PROPS + required_package_extras(registry)
         self.props = {"package": {}, "problem": {}}  # kind -> name -> property
         self.constraints = {}  # (relop, version) -> the atoms' VersionConstraint
 
@@ -226,7 +228,7 @@ class _Reader:
     def package_fields(self, lines):
         """Field mapping of a package stanza with every required property."""
         fields = self.properties(lines, "package")
-        for name in _REQUIRED_PACKAGE_PROPS:
+        for name in self.required:
             if name not in fields:
                 raise _StanzaError(f"missing required property {name!r}")
         return fields
@@ -350,12 +352,9 @@ def serialize_cudf(doc):
 # Solution files ("patch against the universe": package stanzas only)
 
 
-class UnknownSolutionKey(ValueError):
-    pass
-
-
 class MalformedSolution(ValueError):
-    pass
+    """A solution file that cannot be read, or that names a key outside
+    its problem."""
 
 
 def serialize_solution(doc):
@@ -373,13 +372,15 @@ def serialize_solution(doc):
 def parse_solution(data):
     """Parse a solution file into a list of ((name, version), installed).
 
-    Invalid UTF-8 is fatal, as for problem files; any other malformed
-    content, a repeated (name, version) included, raises
-    MalformedSolution, since a solution has no stanza that could be
-    dropped and recovered from.
+    Any malformed content, invalid UTF-8 and a repeated (name, version)
+    included, raises MalformedSolution, since a solution has no stanza
+    that could be dropped and recovered from.
     """
     with collector_paused():
-        stanzas, errors = _split_stanzas(data)
+        try:
+            stanzas, errors = _split_stanzas(data)
+        except FatalEncoding as exc:
+            raise MalformedSolution(str(exc)) from exc
         if errors:
             raise MalformedSolution(errors[0].reason)
         reader = _Reader()
@@ -404,15 +405,15 @@ def parse_solution(data):
 def apply_solution(problem_doc, entries):
     """Rebuild the outcome document from the problem plus solution flags.
 
-    Unlisted packages end up not installed; keys outside the problem
-    domain raise UnknownSolutionKey.  A stanza whose flag does not change
+    Unlisted packages end up not installed; a key outside the problem
+    domain raises MalformedSolution.  A stanza whose flag does not change
     is shared with the problem document.
     """
     domain = problem_doc.domain()
     flags = {}
     for key, installed in entries:
         if key not in domain:
-            raise UnknownSolutionKey(f"{key[0]} {key[1]} not in the problem domain")
+            raise MalformedSolution(f"{key[0]} {key[1]} not in the problem domain")
         flags[key] = installed
     packages = []
     for p in problem_doc.packages:

@@ -131,6 +131,21 @@ class EnumValue:
             raise ValueError(f"{self.chosen!r} not among {self.symbols}")
 
 
+_TYPE_TAGS = frozenset(("bool", "int", "nat", "posint", "string", "oneliner", "pkgname",
+                        "vpkg", "veqpkg", "vpkgformula", "vpkglist", "veqpkglist"))
+
+
+def is_type_tag(tag):
+    """Whether tag names a type of this library: one of _TYPE_TAGS, or
+    enum(...) over identifiers."""
+    if not isinstance(tag, str):
+        return False
+    if tag in _TYPE_TAGS:
+        return True
+    return _ENUM_TAG_RE.fullmatch(tag) is not None and all(
+        _IDENT_RE.fullmatch(s) for s in _enum_symbols(tag))
+
+
 def is_pkgname(s):
     return isinstance(s, str) and _PKGNAME_RE.fullmatch(s) is not None
 

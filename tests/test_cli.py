@@ -195,6 +195,12 @@ def test_verify_unknown_key_is_usage_error(mta_path, tmp_path):
     assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
 
 
+def test_verify_unknown_key_is_one_error_line(mta_path, tmp_path, capsys):
+    bad = write(tmp_path, "bad.sol", "Package: exim\nVersion: 9\nInstalled: true\n")
+    assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
+    assert capsys.readouterr() == ("", "error: exim 9 not in the problem domain\n")
+
+
 def test_verify_solution_line_without_separator_is_usage_error(
         mta_path, tmp_path, capsys):
     bad = write(tmp_path, "bad.sol", "Package: postfix\nVersion: 2\ngarbage\n")
@@ -316,6 +322,17 @@ def test_verify_warns_about_dropped_problem_stanzas(tmp_path, capsys):
     assert err == "warning: stanza 0 (line 1): Installed: not a boolean: 'x'\n"
 
 
+def test_fmt_warns_about_dropped_stanzas(tmp_path, capsysbinary):
+    path = write(tmp_path, "drop.cudf",
+                 "Package: aa\nVersion: 1\nInstalled: x\n\n"
+                 "Package: aa\nVersion: 2\n\n"
+                 "Problem: p\nInstall: aa\n")
+    assert cli.main(["fmt", path]) == 0
+    assert capsysbinary.readouterr() == (
+        b"Package: aa\nVersion: 2\n\nProblem: p\nInstall: aa\n",
+        b"warning: stanza 0 (line 1): Installed: not a boolean: 'x'\n")
+
+
 # -- dudf ---------------------------------------------------------------------
 
 def test_cli_import_loads_no_dudf_modules():
@@ -429,6 +446,21 @@ def test_dudf_convert_roundtrips_through_check(tmp_path, capsysbinary):
     converted = tmp_path / "converted.cudf"
     converted.write_bytes(data)
     assert cli.main(["check", str(converted), "--strict"]) == 0
+
+
+def test_readme_dudf_commands_on_the_golden_submission(tmp_path, capsysbinary):
+    path = str(GOLDEN / "submission.xml")
+    assert cli.main(["dudf", "validate", path]) == 0
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert cli.main(["dudf", "convert", path]) == 0
+    converted = tmp_path / "submission.cudf"
+    converted.write_bytes(capsysbinary.readouterr().out)
+    assert cli.main(["check", str(converted), "--strict"]) == 0
+    assert capsysbinary.readouterr() == (b"packages: 4\n", b"")
+    assert cli.main(["solve", str(converted), "--criterion", "min-new"]) == 0
+    out, err = capsysbinary.readouterr()
+    assert textio.parse_solution(out) == [(("libc", 6), True), (("postfix", 2), True)]
+    assert err == b"cost: 0\n"
 
 
 # -- the collector around a command -----------------------------------------------

@@ -3,7 +3,7 @@ import string
 
 import pytest
 
-from cudfkit import dudf, textio
+from cudfkit import dudf, replace, textio
 from cudfkit.dudf import (
     ConversionError,
     DudfDocument,
@@ -262,3 +262,57 @@ def test_toy_convert_rejections():
         toy_convert(convertible(universe=STATUS_TEXT))
     with pytest.raises(ConversionError):
         toy_convert(convertible(action="Install: not valid syntax ("))
+
+
+# -- the rules no other test reaches --------------------------------------------
+
+def test_validation_outcome_result_and_failure_error():
+    doc = sample(outcome=DudfOutcome("maybe", package_status=PackageStatus(
+        installer=Extensional("x"))))
+    assert [(v.path, v.detail) for v in validate_dudf(doc)] == [
+        ("dudf/outcome", "dudf:result must be success or failure")]
+    doc = sample(outcome=DudfOutcome("failure"))
+    assert [(v.path, v.detail) for v in validate_dudf(doc)] == [
+        ("dudf/outcome/error", "failure carries an error")]
+
+
+def test_validation_rejects_an_empty_format():
+    doc = sample(problem=replace(sample().problem, package_universe=(
+        PackageList("", Extensional("db dump")),)))
+    assert [(v.path, v.detail) for v in validate_dudf(doc)] == [
+        ("dudf/problem/package-universe/package-list[0]",
+         "format identifier must be non-empty")]
+    with pytest.raises(InvalidDocument, match="format identifier must be non-empty"):
+        dudf_to_xml(doc)
+
+
+def test_broken_fixtures_in_the_dudf_namespace():
+    data = dudf_to_xml(sample())
+    with pytest.raises(SchemaViolation, match="^dudf/problem/extra: unexpected element$"):
+        xml_to_dudf(_broken(data, "</problem>", "<extra/></problem>"))
+    with pytest.raises(SchemaViolation) as info:
+        xml_to_dudf(_broken(data, ' dudf:format="native-db" dudf:filename', " dudf:filename"))
+    assert (info.value.path, info.value.reason) == (
+        "dudf/problem/package-universe/package-list[0]", "missing dudf:format annotation")
+
+
+def test_schema_violation_is_an_invalid_document():
+    exc = SchemaViolation("dudf/uid", "missing element")
+    assert isinstance(exc, InvalidDocument)
+    assert (exc.path, exc.reason, str(exc)) == ("dudf/uid", "missing element",
+                                                "dudf/uid: missing element")
+    assert [(v.path, v.detail) for v in exc.violations] == [("dudf/uid", "missing element")]
+
+
+def test_toy_convert_holes():
+    # An empty hole adds no stanza.
+    out = toy_convert(convertible(universe="  \n"))
+    assert [(p.key, p.installed) for p in out.packages] == [(("core", 1), True)]
+    with pytest.raises(ConversionError, match=r"^package-list\[0\]: 2 problem stanzas$"):
+        toy_convert(convertible(universe=UNIVERSE_TEXT + "\nProblem: smuggled\n"))
+    with pytest.raises(ConversionError,
+                       match=r"^package-list\[0\]: Version: not an integer: 'x'$"):
+        toy_convert(convertible(universe="Package: addon\nVersion: x\n"))
+    with pytest.raises(ConversionError,
+                       match="^action hole did not parse as a problem stanza$"):
+        toy_convert(convertible(action="Install: addon\n\njunk"))

@@ -61,6 +61,23 @@ def test_schema_invariants():
         PropertySchema("Size", "posint", "package", "optional", 0)
 
 
+@pytest.mark.parametrize("value_type, item_kind, optionality", [
+    ("bogus", "package", "optional"), ("enum(1a, bb)", "package", "optional"),
+    ("int", "stanza", "optional"), ("int", "package", "sometimes"),
+])
+@pytest.mark.parametrize("default", [(), (0,)])
+def test_schema_rejects_what_the_reader_cannot_honour(value_type, item_kind, optionality,
+                                                      default):
+    with pytest.raises(ValueError, match="^unknown "):
+        PropertySchema("Foo", value_type, item_kind, optionality, *default)
+
+
+def test_registry_refuses_problem_extras():
+    # A request item has no extras, so a registered one would be read and lost.
+    with pytest.raises(ValueError, match="only package items carry extra properties"):
+        SchemaRegistry([PropertySchema("Note", "oneliner", "problem", "optional")])
+
+
 def test_registry_collisions():
     reg = SchemaRegistry()
     reg.register(PropertySchema("Size", "posint", "package", "optional"))

@@ -90,6 +90,13 @@ def test_min_new_spares_installed_and_requested():
     assert costs == {("aa", 1): 0, ("bb", 1): 0, ("cc", 1): 1}
 
 
+def test_min_new_spares_upgrade_targets():
+    d = doc(pkg("aa", 1, installed=True), pkg("aa", 2), pkg("aa", 3), pkg("bb", 1))
+    r = req(upgrade=[VPkg("aa", VersionConstraint(">=", 3))])
+    costs = preset_costs(d, r, "min-new")
+    assert costs == {("aa", 1): 0, ("aa", 2): 1, ("aa", 3): 0, ("bb", 1): 1}
+
+
 def test_size_presets():
     d = doc(
         pkg("aa", 1, installed=True,
@@ -381,6 +388,30 @@ def test_search_matches_exhaustive_oracle_on_size_costs():
             assert got[:3] == want[:3], shape
             found += got[0]
     assert 0 < found < 1200
+
+
+# The node total of a fixed set of size-cost problems.  Answers cannot
+# show pruning power, so a search that prunes less (cost fixing one cost
+# step late, say) passes every oracle above; it must not pass here.  A
+# change that prunes more lowers the bound.
+SIZE_COST_NODES = 1766
+
+
+def test_search_prunes_no_less_on_size_costs():
+    rng = random.Random(7919)
+    explored = 0
+    for _ in range(300):
+        d = rand_document(rng)
+        costs = {p.key: rng.randint(1, 5000) for p in d.packages}
+        explored += _kernel_py.search(compile_problem(d, d.request, costs))[3]
+    assert explored <= SIZE_COST_NODES
+
+
+def test_solve_refuses_a_candidate_that_breaks_the_request(monkeypatch):
+    d = doc(pkg("aa", 1), request=req(install=[VPkg("aa")]))
+    monkeypatch.setattr(_kernel_py, "search", lambda problem: (True, 0, 0, 1))
+    with pytest.raises(AssertionError, match="^search produced an invalid candidate: "):
+        solve(d, d.request, {})
 
 
 def test_search_deep_problem_has_no_recursion_limit():

@@ -93,6 +93,21 @@ def test_registered_extra_property_is_typed():
     assert report.document.packages[0].extra_value("Installed-Size") == 120
 
 
+def test_registered_required_extra_is_enforced():
+    reg = SchemaRegistry([PropertySchema("Size", "posint", "package", "required")])
+    report = parse("Package: aa\nVersion: 1\nSize: 3\n\n"
+                   "Package: bb\nVersion: 1\n\nProblem: pb\n", registry=reg)
+    assert [p.key for p in report.document.packages] == [("aa", 1)]
+    assert [(e.stanza_index, e.reason) for e in report.recovered_errors] == [
+        (1, "missing required property 'Size'")]
+    # What the reader drops, validation reports, so it is never written.
+    doc = CudfDocument((PackageItem("aa", 1, extra=make_extra({"Size": 3})),
+                        PackageItem("bb", 1)))
+    assert [(v.kind, v.detail, v.package) for v in validate_document(doc, reg)] == [
+        ("MissingProperty", "missing required property 'Size'", "bb")]
+    assert validate_document(doc) == []
+
+
 # -- stanza-level recovery ----------------------------------------------------
 
 def test_bad_stanza_is_dropped_and_recorded():
@@ -229,10 +244,13 @@ TYPED_EXTRAS = {
     "Typed-alts": ("vpkgformula", st.sampled_from(
         [TRUE, VpkgFormula(((VPkg("aa"), VPkg("bb", VersionConstraint(">", 2))),))])),
 }
-TYPED_REGISTRY = SchemaRegistry(
-    PropertySchema(name, value_type, "package", "optional")
-    for name, (value_type, _) in TYPED_EXTRAS.items()
-)
+TYPED_SCHEMATA = tuple(PropertySchema(name, value_type, "package", "optional")
+                       for name, (value_type, _) in TYPED_EXTRAS.items())
+TYPED_REGISTRY = SchemaRegistry(TYPED_SCHEMATA)
+# The same with a required extra, which a stanza may lack or hold outside
+# its type.
+REQUIRED_REGISTRY = SchemaRegistry(
+    TYPED_SCHEMATA + (PropertySchema("Typed-size", "posint", "package", "required"),))
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -251,11 +269,19 @@ def test_whatever_validates_round_trips(seed, data, problem_id):
         name = data.draw(st.sampled_from(sorted(TYPED_EXTRAS)))
         extra[name] = data.draw(TYPED_EXTRAS[name][1])
         packages[i] = replace(packages[i], extra=make_extra(extra))
+    registry = TYPED_REGISTRY
+    if data.draw(st.booleans()):
+        registry = REQUIRED_REGISTRY
+        lacking = data.draw(st.sets(st.integers(0, len(packages) - 1), max_size=1))
+        for i, item in enumerate(packages):
+            if i not in lacking:
+                extra = dict(item.extra, **{"Typed-size": data.draw(st.integers(0, 3))})
+                packages[i] = replace(item, extra=make_extra(extra))
     doc = CudfDocument(tuple(packages), replace(doc.request, problem_id=problem_id))
-    if validate_document(doc, TYPED_REGISTRY):
+    if validate_document(doc, registry):
         return
     written = textio.serialize_cudf(doc)
-    report = textio.parse_cudf(written, registry=TYPED_REGISTRY)
+    report = textio.parse_cudf(written, registry=registry)
     assert report.recovered_errors == []
     assert report.document == doc
     assert textio.serialize_cudf(report.document) == written
@@ -360,8 +386,7 @@ ORACLE_SCHEMATA = (
     ("package", "Note", "oneliner", None),
     ("package", "Alt", "veqpkglist", None),
     ("package", "Tier", "enum(low, high)", None),
-    ("problem", "Urgency", "nat", None),
-)
+)  # only package extras can be registered, so "Urgency: 3" drops a problem stanza
 BAD_VALUES = ("zero", "0", "-1", "+2", "9" * 4400, "aa >= ", "| bb", "AA", "aa = 0",
               "aa >= 1 |", "", "  ", "true", "maybe", "feat-x > 2", "aa,,bb",
               "aa\r", "aa\tbb", "high", " low ", "é")
@@ -527,7 +552,7 @@ def test_solution_roundtrip_and_apply():
     data = textio.serialize_solution(solved)
     entries = textio.parse_solution(data)
     assert textio.apply_solution(doc, entries) == solved
-    with pytest.raises(textio.UnknownSolutionKey):
+    with pytest.raises(textio.MalformedSolution, match="not in the problem domain"):
         textio.apply_solution(doc, [(("zz", 9), True)])
 
 
@@ -538,6 +563,15 @@ def test_solution_repeating_a_key_is_malformed(flags):
                    for flag in flags)
     with pytest.raises(textio.MalformedSolution, match="^stanza 1: repeated postfix 2$"):
         textio.parse_solution(data.encode())
+
+
+def test_solution_not_utf8_is_malformed_with_the_encoding_message():
+    data = b"Package: postfix\xff\nVersion: 2\n"
+    with pytest.raises(textio.FatalEncoding) as fatal:
+        textio.parse_cudf(data)
+    with pytest.raises(textio.MalformedSolution) as malformed:
+        textio.parse_solution(data)
+    assert str(malformed.value) == str(fatal.value)
 
 
 def test_apply_solution_shares_unchanged_stanzas():

@@ -16,6 +16,7 @@ from cudfkit.types import (
     VpkgFormula,
     VpkgList,
     is_subtype_value,
+    is_type_tag,
     parse_value,
     serialize_value,
 )
@@ -237,6 +238,25 @@ def test_subtype_lattice():
     # an enum value of other symbols belongs to another enum type
     assert not is_subtype_value(EnumValue(("aa",), "aa"), "enum(aa, bb)")
     assert not is_subtype_value(EnumValue(("bb", "aa"), "aa"), "enum(aa, bb)")
+
+
+def test_atoms_must_be_vpkg():
+    with pytest.raises(ValueError, match="formula atoms must be VPkg"):
+        VpkgFormula((("aa",),))
+    with pytest.raises(ValueError, match="list elements must be VPkg"):
+        VpkgList(("aa",))
+    assert not is_subtype_value("aa", "vpkg") and not is_subtype_value("aa", "veqpkg")
+
+
+def test_type_tags():
+    for tag in ("bool", "int", "nat", "posint", "string", "oneliner", "pkgname", "vpkg",
+                "veqpkg", "vpkgformula", "vpkglist", "veqpkglist", KEEP, "enum(aa)"):
+        assert is_type_tag(tag), tag
+    # an enum tag must be whole and its symbols identifiers
+    for tag in ("bogus", "", "Bool", "enum(aa", "enum(1a, bb)", "enum(a b)", None, 5):
+        assert not is_type_tag(tag), tag
+    with pytest.raises(UnknownType):
+        is_subtype_value("aa", "bogus")
 
 
 # -- property tests -----------------------------------------------------------
