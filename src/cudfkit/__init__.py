@@ -1,40 +1,48 @@
 """CUDF/DUDF toolkit: typed parsing, serialization, solution-checking
-semantics and a desk-scale optimal solver for upgrade problems."""
+semantics and a desk-scale optimal solver for upgrade problems.
 
-from ._record import FrozenInstanceError, replace
-from .model import (
-    CudfDocument,
-    PackageItem,
-    PropertySchema,
-    RequestItem,
-    SchemaRegistry,
-    validate_document,
-)
-from .semantics import is_consistent, is_successor, satisfies_request
-from .solver import installation_cost, preset_costs, solve
-from .textio import parse_cudf, serialize_cudf
-from .types import parse_value, serialize_value, is_subtype_value
+Importing the package loads none of its modules.  Each name of __all__,
+and each submodule that defines one, is loaded on first access (PEP 562)
+and then kept in the package namespace, so `import cudfkit.cli` pays
+only for what the CLI itself imports.
+"""
 
-__all__ = [
-    "FrozenInstanceError",
-    "replace",
-    "CudfDocument",
-    "PackageItem",
-    "PropertySchema",
-    "RequestItem",
-    "SchemaRegistry",
-    "validate_document",
-    "is_consistent",
-    "is_successor",
-    "satisfies_request",
-    "installation_cost",
-    "preset_costs",
-    "solve",
-    "parse_cudf",
-    "serialize_cudf",
-    "parse_value",
-    "serialize_value",
-    "is_subtype_value",
-]
+import importlib
+
+# name -> the submodule that defines it, in the order of __all__
+_ORIGINS = {
+    "FrozenInstanceError": "_record",
+    "replace": "_record",
+    "CudfDocument": "model",
+    "PackageItem": "model",
+    "PropertySchema": "model",
+    "RequestItem": "model",
+    "SchemaRegistry": "model",
+    "validate_document": "model",
+    "is_consistent": "semantics",
+    "is_successor": "semantics",
+    "satisfies_request": "semantics",
+    "installation_cost": "solver",
+    "preset_costs": "solver",
+    "solve": "solver",
+    "parse_cudf": "textio",
+    "serialize_cudf": "textio",
+    "parse_value": "types",
+    "serialize_value": "types",
+    "is_subtype_value": "types",
+}
+
+__all__ = list(_ORIGINS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _ORIGINS:
+        value = getattr(importlib.import_module(f".{_ORIGINS[name]}", __name__), name)
+    elif name in _ORIGINS.values():
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -3,16 +3,20 @@
 Exit codes: 0 success/valid, 1 invalid/unsatisfied, 2 usage or I/O
 error, 3 solver budget exceeded.  Diagnostics go to stderr, data to
 stdout.
+
+Importing this module loads only what every command needs; each command
+imports the rest itself (semantics, the solver, json, dudf), so a run
+pays only for the layers it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from . import semantics, solver, textio
+from . import textio
+from .criteria import CRITERIA, DEFAULT_BUDGET, SIZE_PROPERTIES, MissingSizeProperty
 from .model import (
     InvalidDocument,
     NameCollision,
@@ -39,18 +43,24 @@ class _UsageError(Exception):
     pass
 
 
-def _json_text(value, newline="\n"):
+def _json_text(value):
     """json.dumps(value, indent=2) for the dicts, lists, tuples and scalars
     of a report, with no reference cycle left behind: json's indented
     encoder leaves a cycle of closures on every call, which only a
     collection reclaims, and main runs with the collector paused."""
+    import json
+
+    return _indented(value, json.dumps, "\n")
+
+
+def _indented(value, dumps, newline):
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        items = (f"{dumps(k)}: {_indented(v, dumps, inner)}" for k, v in value.items())
     elif isinstance(value, (list, tuple)) and value:
-        items = (_json_text(v, inner) for v in value)
+        items = (_indented(v, dumps, inner) for v in value)
     else:
-        return json.dumps(value)
+        return dumps(value)
     opening, closing = "{}" if isinstance(value, dict) else "[]"
     return opening + inner + ("," + inner).join(items) + newline + closing
 
@@ -74,6 +84,8 @@ def _priced_problem(args):
     """(document, costs) of args.path under --criterion or --cost-property.
 
     The flags are checked before the file is read."""
+    from . import solver
+
     criterion, cost_property = args.criterion, args.cost_property
     if (criterion is None) == (cost_property is None):
         raise _UsageError("exactly one of --criterion / --cost-property is required")
@@ -83,9 +95,9 @@ def _priced_problem(args):
             registry.register(PropertySchema(cost_property, "int", "package", "optional", 0))
         except NameCollision as exc:
             raise _UsageError(f"--cost-property: {exc}") from exc
-    elif criterion in solver.SIZE_PROPERTIES:
+    elif criterion in SIZE_PROPERTIES:
         registry.register(PropertySchema(
-            solver.SIZE_PROPERTIES[criterion], "posint", "package", "optional"))
+            SIZE_PROPERTIES[criterion], "posint", "package", "optional"))
     doc = _read_problem(args.path, registry)
     if cost_property is not None:
         return doc, {p.key: p.extra_value(cost_property, 0) for p in doc.packages}
@@ -126,6 +138,8 @@ def cmd_fmt(args):
 
 
 def cmd_verify(args):
+    from . import semantics
+
     problem = _read_problem(args.problem)
     after = textio.apply_solution(problem, textio.parse_solution(_read(args.solution)))
     verdict = semantics.satisfies_request(problem, problem.request, after)
@@ -159,6 +173,8 @@ def _explain(verdict):
 
 
 def cmd_solve(args):
+    from . import solver
+
     doc, costs = _priced_problem(args)
     result = solver.solve(doc, doc.request, costs, budget=args.budget)
     if result.status == "budget_exceeded":
@@ -182,13 +198,15 @@ def cmd_solve(args):
 
 
 def cmd_cost(args):
+    from . import solver
+
     doc, costs = _priced_problem(args)
     print(solver.installation_cost(doc, costs))
     return EXIT_OK
 
 
 def cmd_dudf(args):
-    from . import dudf  # only this subcommand needs the XML and mail modules
+    from . import dudf
 
     doc = dudf.xml_to_dudf(_read(args.path))
     if args.action == "validate":
@@ -244,11 +262,11 @@ def build_parser():
 
     priced = argparse.ArgumentParser(add_help=False)  # what solve and cost share
     priced.add_argument("path")
-    priced.add_argument("--criterion", choices=solver.CRITERIA)
+    priced.add_argument("--criterion", choices=CRITERIA)
     priced.add_argument("--cost-property")
 
     p = sub.add_parser("solve", parents=[priced], help="find a minimum-cost solution")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -275,7 +293,7 @@ def main(argv=None):
         except _UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except (solver.MissingSizeProperty, textio.MalformedSolution) as exc:
+        except (MissingSizeProperty, textio.MalformedSolution) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except textio.FatalParseError as exc:

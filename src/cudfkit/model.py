@@ -275,12 +275,14 @@ def validate_document(doc, registry=None):
                     append(Violation("PropertyName",
                                      f"{prop!r} cannot name an extra property",
                                      name, version))
+            schema = registry.get("package", prop) if registry else None
             if isinstance(value, RawValue):
                 text = value.text
-                if not isinstance(text, str) or "\n" in text or "\r" in text:
+                if schema:  # the name reads back typed, never raw
+                    append(_type_error(prop, schema.value_type, name, version))
+                elif not isinstance(text, str) or "\n" in text or "\r" in text:
                     append(_type_error(prop, "oneliner", name, version))
                 continue
-            schema = registry.get("package", prop) if registry else None
             if schema and not types.is_subtype_value(value, schema.value_type):
                 append(_type_error(prop, schema.value_type, name, version))
             elif not _has_one_line_form(value):

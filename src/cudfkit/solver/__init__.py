@@ -9,22 +9,12 @@ searched depth-first by branch-and-bound with unit propagation.
 from __future__ import annotations
 
 from .. import semantics
+from ..criteria import CRITERIA, DEFAULT_BUDGET, SIZE_PROPERTIES, MissingSizeProperty
 from ..model import CudfDocument, InvalidDocument, RawValue, validate_document
 from ._compile import compile_problem, is_pinned
 from . import _kernel_py
 
 KERNEL = "branch-and-bound"
-
-CRITERIA = ("installed-size", "download-size", "prefer-latest", "min-new", "min-removed")
-
-# criterion -> the package property that prices it
-SIZE_PROPERTIES = {"installed-size": "Installed-Size", "download-size": "Download-Size"}
-
-DEFAULT_BUDGET = 2 ** 20
-
-
-class MissingSizeProperty(ValueError):
-    pass
 
 
 class SolveResult:

@@ -636,9 +636,11 @@ def subtype_item_violations(item, registry):
     if item.keep is not None and not is_subtype_value(item.keep, KEEP_ENUM):
         bad("Keep", KEEP_ENUM)
     for prop, value in item.extra:
-        if isinstance(value, RawValue):
-            continue
         schema = registry.get("package", prop) if registry else None
+        if isinstance(value, RawValue):
+            if schema:
+                bad(prop, schema.value_type)
+            continue
         if schema and not is_subtype_value(value, schema.value_type):
             bad(prop, schema.value_type)
         elif not _one_line_value(value):
@@ -710,11 +712,13 @@ def naive_validate(doc, registry=None):
                 violations.append(Violation("PropertyName",
                                             f"{prop!r} cannot name an extra property",
                                             name, version))
+            schema = registry.get("package", prop) if registry else None
             if isinstance(value, RawValue):
-                if not types.is_subtype_value(value.text, "oneliner"):
+                if schema:  # the name reads back typed, never raw
+                    bad(prop, schema.value_type)
+                elif not types.is_subtype_value(value.text, "oneliner"):
                     bad(prop, "oneliner")
                 continue
-            schema = registry.get("package", prop) if registry else None
             if schema and not types.is_subtype_value(value, schema.value_type):
                 bad(prop, schema.value_type)
             elif not _one_line_value(value):

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import os
@@ -343,6 +344,70 @@ def test_cli_import_loads_no_dudf_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+# In a fresh interpreter: the modules each command adds to what
+# `import cudfkit.cli` loaded, and main's answer to each error.
+FRESH = """
+import contextlib, io, sys
+from cudfkit import cli
+
+WATCHED = ('json', 'dataclasses', 'inspect', 'email.utils', 'xml.etree.ElementTree')
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m in WATCHED or m.startswith('cudfkit.'))
+
+
+def run(argv):
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue(), loaded()
+
+
+print(repr([loaded()] + [run(argv) for argv in ARGVS]))
+"""
+
+
+def _fresh_runs(*argvs):
+    """[modules after import, then (exit code, stderr, modules) per argv]
+    of cli.main run on each argv in turn in one fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = FRESH.replace("ARGVS", repr(argvs))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60).stdout
+    return ast.literal_eval(out)
+
+
+def test_each_command_loads_only_the_layers_it_uses(mta_path, tmp_path):
+    solution = write(tmp_path, "mta.sol", "Package: postfix\nVersion: 2\nInstalled: true\n")
+    startup, *runs = _fresh_runs(
+        ["check", mta_path], ["fmt", mta_path], ["check", mta_path, "--json"],
+        ["verify", "--problem", mta_path, "--solution", solution, "--json"],
+        ["solve", mta_path, "--criterion", "min-new"])
+    base = ["cudfkit._record", "cudfkit.cli", "cudfkit.criteria", "cudfkit.model",
+            "cudfkit.textio", "cudfkit.types"]
+    assert startup == base
+    assert [(code, err) for code, err, _ in runs] == [(0, "")] * 4 + [(0, "cost: 0\n")]
+    check, fmt, check_json, verify, solve = (modules for _, _, modules in runs)
+    assert check == fmt == base
+    assert check_json == sorted(base + ["json"])
+    assert verify == sorted(base + ["json", "cudfkit.semantics"])
+    assert solve == sorted(base + ["json", "cudfkit.semantics", "cudfkit.solver",
+                                   "cudfkit.solver._compile", "cudfkit.solver._kernel_py"])
+
+
+def test_main_reports_each_error_kind_before_the_solver_is_loaded(mta_path, tmp_path):
+    no_problem = write(tmp_path, "np.cudf", "Package: aa\nVersion: 1\n")
+    twice = write(tmp_path, "twice.cudf", REPEATED_KEY)
+    malformed = write(tmp_path, "bad.sol", "Package: postfix\n")
+    runs = _fresh_runs(
+        ["check", no_problem], ["fmt", twice], ["check", str(tmp_path / "missing.cudf")],
+        ["verify", "--problem", mta_path, "--solution", malformed])[1:]
+    assert [(code, err.split(": ", 1)[0], err.count("\n")) for code, err, _ in runs] == [
+        (1, "fatal", 1), (1, "invalid", 1), (2, "usage error", 1), (2, "error", 1)]
+    assert not any("cudfkit.solver" in modules for _, _, modules in runs)
 
 
 DUDF_TIMESTAMP = "Tue, 18 Aug 2026 09:30:00 +0200"

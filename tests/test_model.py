@@ -137,6 +137,14 @@ def test_validate_checks_registered_extras():
         PackageItem("aa", 1, extra=make_extra({"Whatever": RawValue("??")})),
     ))
     assert validate_document(raw, reg) == []
+    # raw text under a registered name would read back typed, or dropped
+    for text in ("x", "3"):
+        raw = CudfDocument(packages=(
+            PackageItem("aa", 1, extra=make_extra({"Size": RawValue(text)})),
+        ))
+        assert [v.detail for v in validate_document(raw, reg)] == [
+            "Size value outside posint"]
+        assert validate_document(raw) == []
 
 
 def test_apply_package_defaults():
@@ -213,6 +221,7 @@ def test_item_type_checks_match_subtype_oracle():
         {"extra": make_extra({"Size": 0, "Note": "a\rb", "Alt": ge})},
         {"extra": make_extra({"Size": True, "Note": 5, "Alt": EMPTY_LIST})},
         {"extra": make_extra({"Size": 12, "Other": RawValue("x"), "Note": "ok"})},
+        {"extra": make_extra({"Size": RawValue("x"), "Note": RawValue("ok")})},
         {"version": 0, "depends": "x", "keep": "feature", "installed": None},
     ]
     items += [replace(base, **change) for change in wrong]
@@ -250,6 +259,11 @@ def _no_one_line_form(rng, packages):
     packages[i] = _with_extra(packages[i], ("Size", TRUE), ("Alt", "a\nb"))
 
 
+def _raw_under_registered_name(rng, packages):
+    i = rng.randrange(len(packages))
+    packages[i] = _with_extra(packages[i], ("Size", RawValue("3")), ("Alt", RawValue("a\rb")))
+
+
 def _duplicate_key(rng, packages):
     packages.append(rng.choice(packages))
 
@@ -265,7 +279,8 @@ def _foreign_keep_symbols(rng, packages):
 
 
 FAULTS = (_bad_name_twice, _bad_extra_name_twice, _raw_carriage_return, _no_one_line_form,
-          _duplicate_key, _non_bool_installed, _foreign_keep_symbols)
+          _raw_under_registered_name, _duplicate_key, _non_bool_installed,
+          _foreign_keep_symbols)
 
 
 def test_validate_matches_naive_validator_on_injected_faults():

@@ -70,6 +70,7 @@ def test_installation_and_features():
     assert index.provided(VPkg("ff", eq(2)))
     assert not index.provided(VPkg("ff", eq(3)))
     assert index.provided(VPkg("gg", VersionConstraint(">", 40)))
+    assert repr(index.providers["gg"]) == "[(0, ALL)]"
 
 
 def test_merge_all_absorbs():

@@ -261,7 +261,8 @@ def test_whatever_validates_round_trips(seed, data, problem_id):
     for _ in range(data.draw(st.integers(0, 2))):
         i = data.draw(st.integers(0, len(packages) - 1))
         extra = dict(packages[i].extra)
-        extra[data.draw(EXTRA_NAMES)] = RawValue(data.draw(RAW_TEXTS))
+        name = data.draw(st.one_of(EXTRA_NAMES, st.sampled_from(sorted(TYPED_EXTRAS))))
+        extra[name] = RawValue(data.draw(RAW_TEXTS))
         packages[i] = replace(packages[i], extra=make_extra(extra))
     for _ in range(data.draw(st.integers(0, 2))):
         i = data.draw(st.integers(0, len(packages) - 1))
