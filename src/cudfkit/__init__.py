@@ -7,7 +7,7 @@ and then kept in the package namespace, so `import cudfkit.cli` pays
 only for what the CLI itself imports.
 """
 
-import importlib
+import sys
 
 # name -> the submodule that defines it, in the order of __all__
 _ORIGINS = {
@@ -37,11 +37,20 @@ __all__ = list(_ORIGINS)
 __version__ = "0.1.0"
 
 
+def _submodule(name):
+    """The submodule `name`, imported by the interpreter's import
+    statement machinery, which -X importtime logs (importlib.import_module
+    is not logged, so its time would show as the importer's own)."""
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
 def __getattr__(name):
     if name in _ORIGINS:
-        value = getattr(importlib.import_module(f".{_ORIGINS[name]}", __name__), name)
+        value = getattr(_submodule(_ORIGINS[name]), name)
     elif name in _ORIGINS.values():
-        value = importlib.import_module(f".{name}", __name__)
+        value = _submodule(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -20,6 +20,13 @@ field values within one class, a ``Name(field=value, ...)`` repr, and a
 and copying go back through the constructor.  The class body names no
 base class, and its methods do not use zero-argument ``super()``, which
 would find the class the decorator replaced.
+
+A class body may also name non-field slots in ``__slots__``: private
+state that is not a field, so equality, hashing, repr, pickling and
+``replace`` never read it.  The constructor sets each to None; code of
+the record's own module sets it through its member descriptor.  The
+dependency records keep their lexical text in one (see
+``types.VpkgFormula``).
 """
 
 from __future__ import annotations
@@ -53,9 +60,11 @@ class Record:
             set_field(self, value)
         if kwargs:
             field = next(iter(kwargs))
-            problem = ("multiple values for argument" if field in self.__slots__
+            problem = ("multiple values for argument" if field in self._fields
                        else "an unexpected keyword argument")
             raise TypeError(f"{type(self).__name__}() got {problem} {field!r}")
+        for set_slot in self._private_setters:
+            set_slot(self, None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -73,7 +82,7 @@ class Record:
 
     def __repr__(self):
         values = ", ".join(f"{field}={value!r}"
-                           for field, value in zip(self.__slots__, self._values(self)))
+                           for field, value in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({values})"
 
     def __setattr__(self, name, value):
@@ -96,16 +105,19 @@ def record(cls):
     namespace = dict(cls.__dict__)
     names = tuple(namespace.get("__annotations__", ()))
     defaults = [namespace.pop(field, _MISSING) for field in names]
-    namespace.pop("__dict__", None)
-    namespace.pop("__weakref__", None)
-    namespace["__slots__"] = names
+    private = tuple(namespace.pop("__slots__", ()))
+    for slot in private + ("__dict__", "__weakref__"):
+        namespace.pop(slot, None)  # the replaced class's descriptors
+    namespace["__slots__"] = names + private
     namespace["__match_args__"] = names
     namespace["__qualname__"] = cls.__qualname__
     new = type(cls.__name__, (Record,), namespace)
+    new._fields = names
     new._init_spec = tuple(
         (field, new.__dict__[field].__set__, default)
         for field, default in zip(names, defaults)
     )
+    new._private_setters = tuple(new.__dict__[slot].__set__ for slot in private)
     # _key reads what equality compares in one C call: the field values
     # as a tuple, or the value of a record's only field.  _values is
     # always the tuple, which hashing, repr, pickling and replace read.
@@ -117,12 +129,12 @@ def record(cls):
 
 def fields(record):
     """Names of the fields of a record, in order."""
-    return type(record).__slots__
+    return type(record)._fields
 
 
 def replace(record, **changes):
     """A record of the same class with some fields changed, built
     through the constructor, so its checks run again."""
-    values = dict(zip(record.__slots__, record._values(record)))
+    values = dict(zip(record._fields, record._values(record)))
     values.update(changes)
     return type(record)(**values)

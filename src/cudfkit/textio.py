@@ -317,7 +317,11 @@ def serialize_package(item):
     out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
     values = (item.depends, item.conflicts, item.provides, item.installed, item.keep)
     for name, value, default in zip(_PACKAGE_PROP_ORDER, values, _PACKAGE_DEFAULTS):
-        if value is None or value is default or value == default:
+        # A parsed default is the default object itself, and a value that
+        # keeps its text is never a default, so == runs only for values
+        # built elsewhere; on a kept value it would build the atoms.
+        if value is None or value is default or (
+                not types.keeps_text(value) and value == default):
             continue  # the True formula, which has no lexical form, included
         out.append(_prop_line(name, value))
     for prop, value in item.extra:
@@ -332,7 +336,8 @@ def serialize_request(request):
     out = [f"Problem: {request.problem_id}\n"]
     for name in _PROBLEM_PROP_ORDER:
         value = getattr(request, name.lower())
-        if value == types.EMPTY_LIST:
+        if value is types.EMPTY_LIST or (
+                not types.keeps_text(value) and value == types.EMPTY_LIST):
             continue
         out.append(_prop_line(name, value))
     return "".join(out)

@@ -7,6 +7,10 @@ Every property value lives in one of these domains:
 
 Each type has a parse function (lexical -> value) and a canonical
 serialization (value -> lexical) such that parse(serialize(v)) == v.
+
+A vpkgformula or vpkglist value whose text is already canonical keeps
+that text, and its atoms are built on first read (see VpkgFormula);
+most commands read few of a universe's dependencies.
 """
 
 from __future__ import annotations
@@ -80,13 +84,25 @@ class VPkg:
             raise ValueError(f"bad package name {self.name!r}")
 
 
+def _no_attribute(record, name):
+    return AttributeError(f"{type(record).__name__!r} object has no attribute {name!r}")
+
+
 @record
 class VpkgFormula:
     """CNF formula: a conjunction of disjunctions of VPkg atoms.
 
     The empty conjunction is the True formula; it has no lexical form.
+
+    A formula that parse_value read from canonical text keeps that text,
+    and the table of VersionConstraints of its parse, in `_lexical`, a
+    slot that is not a field (None otherwise).  Its `clauses` slot stays
+    unset until the first read, which builds the atoms from the text
+    through that table and stores them.  Equality, hashing, repr and
+    pickling read `clauses`, so they build the atoms too.
     """
 
+    __slots__ = ("_lexical",)
     clauses: tuple[tuple[VPkg, ...], ...] = ()
 
     def __post_init__(self):
@@ -97,9 +113,21 @@ class VpkgFormula:
                 if not isinstance(atom, VPkg):
                     raise ValueError("formula atoms must be VPkg")
 
+    def __getattr__(self, name):
+        # Reached only when ordinary lookup fails: for `clauses`, when the
+        # slot is unset because the formula is still its kept text.
+        lexical = self._lexical if name == "clauses" else None
+        if lexical is None:
+            raise _no_attribute(self, name)
+        text, constraints = lexical
+        clauses = tuple([tuple(_canonical_atoms(clause.split(" | "), constraints))
+                         for clause in text.split(", ")])
+        _set_clauses(self, clauses)
+        return clauses
+
     @property
     def is_true(self):
-        return not self.clauses
+        return self._lexical is None and not self.clauses
 
 
 TRUE = VpkgFormula()
@@ -107,12 +135,25 @@ TRUE = VpkgFormula()
 
 @record
 class VpkgList:
+    """A list of VPkg atoms; one read from canonical text keeps it, and
+    builds `items` on first read, as a VpkgFormula does its clauses."""
+
+    __slots__ = ("_lexical",)
     items: tuple[VPkg, ...] = ()
 
     def __post_init__(self):
         for item in self.items:
             if not isinstance(item, VPkg):
                 raise ValueError("list elements must be VPkg")
+
+    def __getattr__(self, name):
+        lexical = self._lexical if name == "items" else None
+        if lexical is None:
+            raise _no_attribute(self, name)
+        text, constraints = lexical
+        items = tuple(_canonical_atoms(text.split(", "), constraints))
+        _set_items(self, items)
+        return items
 
 
 EMPTY_LIST = VpkgList()
@@ -166,6 +207,16 @@ def is_identifier(s):
 # linear time (a separate trailing " *" would make it quadratic).
 _ATOM_RE = re.compile(r" *([a-z][a-z0-9.-]+) *(?:(!=|>=|<=|=|>|<) *([0-9]+) *)?")
 
+# The canonical text of a non-empty vpkgformula, which serialize_value
+# writes: atoms `name` or `name relop version` with single spaces, joined
+# by ", " and " | ".  A vpkglist in canonical form matches it and holds
+# no "|".  Versions have no leading zero and at most 18 digits, so each
+# is a posint and reads back as the same digits.  Text of this form is
+# kept as it is and its atoms are built on first read; any other text,
+# errors included, goes through _parse_formula and _parse_vpkglist.
+_CANONICAL_ATOM = r"[a-z][a-z0-9.-]+(?: (?:!=|>=|<=|=|>|<) [1-9][0-9]{0,17})?"
+_CANONICAL_RE = re.compile(rf"{_CANONICAL_ATOM}(?:(?:, | \| ){_CANONICAL_ATOM})*")
+
 
 def _to_int(digits, type_tag, position):
     """int(digits); a string longer than the interpreter converts is a
@@ -189,6 +240,8 @@ _set_relop = VersionConstraint.__dict__["relop"].__set__
 _set_version = VersionConstraint.__dict__["version"].__set__
 _set_clauses = VpkgFormula.__dict__["clauses"].__set__
 _set_items = VpkgList.__dict__["items"].__set__
+_set_formula_lexical = VpkgFormula.__dict__["_lexical"].__set__
+_set_list_lexical = VpkgList.__dict__["_lexical"].__set__
 
 
 def _vpkg(name, constraint):
@@ -205,10 +258,17 @@ def _constraint(relop, version):
     return constraint
 
 
+def keeps_text(value):
+    """Whether value is a VpkgFormula or VpkgList that keeps the canonical
+    text it was parsed from; such a value is never empty."""
+    return getattr(value, "_lexical", None) is not None
+
+
 def _formula(clauses):
     """The VpkgFormula of non-empty clauses of VPkg atoms."""
     formula = _new(VpkgFormula)
     _set_clauses(formula, clauses)
+    _set_formula_lexical(formula, None)
     return formula
 
 
@@ -216,7 +276,43 @@ def _vpkglist(items):
     """The VpkgList of a tuple of VPkg atoms."""
     lst = _new(VpkgList)
     _set_items(lst, items)
+    _set_list_lexical(lst, None)
     return lst
+
+
+def _kept_formula(text, constraints):
+    """The VpkgFormula of canonical text, its clauses not yet built."""
+    formula = _new(VpkgFormula)
+    _set_formula_lexical(formula, (text, constraints))
+    return formula
+
+
+def _kept_list(text, constraints):
+    """The VpkgList of canonical text, its items not yet built."""
+    lst = _new(VpkgList)
+    _set_list_lexical(lst, (text, constraints))
+    return lst
+
+
+def _canonical_atoms(texts, constraints):
+    """The VPkg atoms of canonical atom texts, whose constraints come
+    from and go into `constraints`, as _parse_atom's do."""
+    atoms = []
+    for text in texts:
+        atom = _new(VPkg)  # _vpkg inlined: this loop runs once per atom
+        name, _, constrained = text.partition(" ")
+        _set_vpkg_name(atom, name)
+        if constrained:
+            relop, _, digits = constrained.partition(" ")
+            key = (relop, int(digits))
+            constraint = constraints.get(key)
+            if constraint is None:
+                constraint = constraints[key] = _constraint(relop, key[1])
+            _set_vpkg_constraint(atom, constraint)
+        else:
+            _set_vpkg_constraint(atom, TOP)
+        atoms.append(atom)
+    return atoms
 
 
 def _parse_atom(text, type_tag, position, constraints):
@@ -288,8 +384,9 @@ def parse_value(type_tag, lexical, constraints=None):
     Raises LexicalError when the string is outside the type's lexical
     space, UnknownType for an unrecognized type tag.  `constraints`, a
     dict that a reader of one document passes to every call, gives the
-    atoms of all its values one VersionConstraint per (relop, version);
-    without it the atoms of this value share theirs.
+    atoms of all its values one VersionConstraint per (relop, version),
+    those built later from kept canonical text included; without it the
+    atoms of this value share theirs.
     """
     if constraints is None:
         constraints = {}
@@ -324,6 +421,8 @@ def parse_value(type_tag, lexical, constraints=None):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
     if type_tag == "vpkglist":
+        if "|" not in lexical and _CANONICAL_RE.fullmatch(lexical):
+            return _kept_list(lexical, constraints)
         return _parse_vpkglist(lexical, "vpkglist", constraints)
     if type_tag == "veqpkglist":
         lst = _parse_vpkglist(lexical, "veqpkglist", constraints)
@@ -332,6 +431,8 @@ def parse_value(type_tag, lexical, constraints=None):
                 raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
     if type_tag == "vpkgformula":
+        if _CANONICAL_RE.fullmatch(lexical):
+            return _kept_formula(lexical, constraints)
         return _parse_formula(lexical, constraints)
     if type_tag.startswith("enum("):
         symbols = _enum_symbols(type_tag)
@@ -372,8 +473,12 @@ def serialize_value(value):
     if isinstance(value, VPkg):
         return serialize_vpkg(value)
     if isinstance(value, VpkgList):
+        if value._lexical is not None:
+            return value._lexical[0]
         return ", ".join(serialize_vpkg(a) for a in value.items)
     if isinstance(value, VpkgFormula):
+        if value._lexical is not None:
+            return value._lexical[0]
         if value.is_true:
             raise SerializeError("the True formula has no lexical form")
         return ", ".join(

@@ -111,6 +111,15 @@ def test_fmt_idempotent(mta_path, tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == once
 
 
+def test_fmt_writes_canonical_spacing_byte_for_byte(capsysbinary):
+    """Relops without spaces, runs of spaces, leading zeros, a space
+    before "," and a 19-digit version, each in a value that is kept as
+    text only when it is canonical."""
+    assert cli.main(["fmt", str(GOLDEN / "spacing.cudf")]) == 0
+    out = capsysbinary.readouterr()
+    assert (out.out, out.err) == ((GOLDEN / "spacing.fmt").read_bytes(), b"")
+
+
 def test_fmt_fatal(tmp_path, capsysbinary):
     path = write(tmp_path, "two.cudf", "Problem: one\n\nProblem: two\n")
     assert cli.main(["fmt", path]) == 1

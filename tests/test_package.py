@@ -48,3 +48,15 @@ def test_import_loads_no_submodule_until_one_is_named():
         "'cudfkit.types']",
         "True True",
     ]
+
+
+def test_lazily_loaded_submodules_show_in_the_import_time_log():
+    """The loader imports through the import statement's machinery, so
+    -X importtime times each submodule on its own line instead of adding
+    it to the self time of the module that named it."""
+    src = str(Path(cudfkit.__file__).resolve().parents[1])
+    log = subprocess.run([sys.executable, "-X", "importtime", "-c", "import cudfkit.cli"],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60).stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in log.splitlines()}
+    assert {"cudfkit.types", "cudfkit.textio", "cudfkit.cli"} <= timed

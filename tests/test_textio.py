@@ -22,7 +22,7 @@ from cudfkit.model import (
     validate_document,
 )
 from cudfkit.types import (
-    TOP, TRUE, EnumValue, VersionConstraint, VPkg, VpkgFormula, VpkgList,
+    EMPTY_LIST, TOP, TRUE, EnumValue, VersionConstraint, VPkg, VpkgFormula, VpkgList,
 )
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.cudf"))
@@ -514,6 +514,52 @@ def test_two_parses_share_no_values():
     constraints = [v for v in ids.values() if isinstance(v, VersionConstraint)]
     assert len(constraints) > 5
     assert len(constraints) == len(set(constraints))
+
+
+def atoms_built(value):
+    """Whether the atoms of a VpkgFormula or VpkgList are built: read
+    through the slot's descriptor, which does not build them."""
+    slot = type(value).__dict__["clauses" if isinstance(value, VpkgFormula) else "items"]
+    try:
+        slot.__get__(value)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_check_fmt_and_an_over_budget_solve_build_no_atoms():
+    """A parse keeps canonical Depends and Conflicts text, and validation,
+    serialization, costing and a solve stopped by its budget read none
+    of it; atoms built later share the parse's VersionConstraints."""
+    from cudfkit import solver
+
+    doc = rand_document(random.Random(5), max_names=10, max_versions=5)
+    text = textio.serialize_cudf(doc).decode()
+    # Some formulas without the spaces around "|": they are parsed at once.
+    data = text.replace(" | ", "|", 3).encode()
+    assert textio.parse_cudf(data).document == doc  # comparing builds the atoms
+    parsed = textio.parse_cudf(data).document
+    values = [v for p in parsed.packages for v in (p.depends, p.conflicts)
+              if v is not TRUE and v is not EMPTY_LIST]
+    parsed_at_once = {id(v) for v in values if atoms_built(v)}
+    assert parsed_at_once and len(values) - len(parsed_at_once) > 30
+    assert validate_document(parsed) == []
+    assert textio.serialize_cudf(parsed).decode() == text
+    costs = solver.preset_costs(parsed, parsed.request, "min-new")
+    assert solver.solve(parsed, parsed.request, costs, budget=1).status == "budget_exceeded"
+    assert {id(v) for v in values if atoms_built(v)} == parsed_at_once
+
+    atoms = [a for p in parsed.packages for clause in p.depends.clauses for a in clause]
+    for p in parsed.packages:
+        atoms += p.conflicts.items + p.provides.items
+    for lst in (parsed.request.install, parsed.request.remove, parsed.request.upgrade):
+        atoms += lst.items
+    assert all(atoms_built(v) for v in values)
+    shared = {}
+    for atom in atoms:
+        c = atom.constraint
+        assert shared.setdefault((c.relop, c.version), c) is c
+    assert len(shared) > 10
 
 
 def test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges():

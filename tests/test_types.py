@@ -1,7 +1,10 @@
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _gen import ScanReject, scan_parse_value
+from _gen import FEATURES, NAMES, ScanReject, rand_formula, rand_list, scan_parse_value
 from cudfkit._record import FrozenInstanceError, fields, replace
 from cudfkit.types import (
     RELOPS,
@@ -201,6 +204,41 @@ def test_records_are_slotted_frozen_and_replace_checks():
         replace(atom.constraint, version=0)
 
 
+def test_canonical_text_is_kept_and_its_atoms_built_on_first_read():
+    text = "aa >= 2, bb | cc = 123456789012345678"
+    kept = parse_value("vpkgformula", text)
+    slot = VpkgFormula.__dict__["clauses"]
+    with pytest.raises(AttributeError):
+        slot.__get__(kept)  # not built yet
+    assert serialize_value(kept) is text and not kept.is_true
+    with pytest.raises(AttributeError, match="has no attribute 'atoms'"):
+        kept.atoms
+    clauses = kept.clauses  # the first read builds and stores them
+    assert slot.__get__(kept) is clauses is kept.clauses
+    assert clauses == ((VPkg("aa", VersionConstraint(">=", 2)),),
+                       (VPkg("bb"), VPkg("cc", VersionConstraint("=", 123456789012345678))))
+    assert serialize_value(kept) is text
+    # The same text read again compares, hashes and pickles as the value.
+    again = parse_value("vpkgformula", text)
+    assert again == kept and hash(parse_value("vpkgformula", text)) == hash(kept)
+    assert repr(parse_value("vpkgformula", text)) == repr(kept)
+    assert pickle.loads(pickle.dumps(parse_value("vpkgformula", text))) == kept
+    lst = parse_value("vpkglist", "aa, bb != 3")
+    assert serialize_value(lst) == "aa, bb != 3"
+    assert lst.items == (VPkg("aa"), VPkg("bb", VersionConstraint("!=", 3)))
+    # Any other spelling is parsed at once, to the same value.
+    for tag, spelled, canonical in [
+            ("vpkgformula", "aa>=2", "aa >= 2"), ("vpkgformula", "aa  =  01", "aa = 1"),
+            ("vpkgformula", "aa|bb", "aa | bb"), ("vpkglist", "aa ,bb", "aa, bb"),
+            ("vpkglist", "aa = 1234567890123456789", "aa = 1234567890123456789")]:
+        value = parse_value(tag, spelled)
+        built = slot if tag == "vpkgformula" else VpkgList.__dict__["items"]
+        assert built.__get__(value)  # raises AttributeError while unbuilt
+        assert serialize_value(value) == canonical
+    with pytest.raises(LexicalError):
+        parse_value("vpkglist", "aa | bb")
+
+
 def test_one_parse_shares_one_constraint_per_relop_and_version():
     value = parse_value("vpkgformula", "aa >= 2, bb >= 2 | cc >= 02, dd > 2, ee")
     atoms = [atom for clause in value.clauses for atom in clause]
@@ -358,14 +396,47 @@ near_atoms = st.tuples(
 near_values = st.lists(
     st.tuples(near_atoms, st.sampled_from([",", "|"])), max_size=4,
 ).map(lambda pairs: "".join(atom + sep for atom, sep in pairs)[:-1])
-grammar_strings = token_soup | near_values
 
 
-@settings(max_examples=1000, derandomize=True)
+def canonical_text(seed, edits):
+    """serialize_value of a random non-empty formula or list, with
+    versions of one, up to 18 or up to 19 digits, after `edits` random
+    one-character edits: " ", ",", "|" or "0" inserted or put in place
+    of a character, or a character deleted, at an end or next to a
+    space, where the canonical spelling is strictest."""
+    rng = random.Random(seed)
+    max_version = rng.choice((5, 5, 5, 10 ** 18 - 1, 10 ** 19 - 1))
+    value = rand_formula(rng, NAMES + FEATURES, max_version=max_version)
+    if value.is_true:
+        value = rand_list(rng, NAMES + FEATURES, max_version=max_version)
+    text = serialize_value(value)
+    for _ in range(edits):
+        cuts = [0, len(text)] + [i for i in range(1, len(text)) if " " in text[i - 1:i + 1]]
+        i = rng.choice(cuts)
+        kept = i + (rng.random() < 0.6)  # a character replaced or deleted
+        text = text[:i] + rng.choice(("", " ", ",", "|", "0")) + text[kept:]
+    return text
+
+
+# Canonical text, which parse_value keeps as it is, and its one-character
+# neighbours, which it must keep only when they are canonical too.
+canonical_texts = st.builds(canonical_text, st.integers(0, 2 ** 32 - 1),
+                            st.sampled_from((0, 1, 1, 1)))
+grammar_strings = token_soup | near_values | canonical_texts
+
+
+@settings(max_examples=1600, derandomize=True)
 @given(grammar_strings)
 def test_atom_grammar_matches_scanner_oracle(text):
     """Same accept/reject result and the same value as a token-at-a-time
-    scanner, for every vpkg type."""
+    scanner, for every vpkg type.  The canonical texts are compared
+    before the values: a value kept as text serializes as that text, so
+    text kept although it is not canonical shows there, while the atoms
+    that the comparison of values builds from it can still be right."""
+    assert_parses_as_the_scanner(text)
+
+
+def assert_parses_as_the_scanner(text):
     for tag in VPKG_TAGS:
         try:
             expected = scan_parse_value(tag, text)
@@ -373,4 +444,15 @@ def test_atom_grammar_matches_scanner_oracle(text):
             with pytest.raises(LexicalError):
                 parse_value(tag, text)
         else:
-            assert parse_value(tag, text) == expected, (tag, text)
+            got = parse_value(tag, text)
+            assert serialize_value(got) == serialize_value(expected), (tag, text)
+            assert got == expected, (tag, text)
+
+
+@pytest.mark.parametrize("text", ["aa >= 2, bb | cc = 123456789012345678", "aa, bb != 3"])
+def test_every_one_character_edit_of_canonical_text_parses_as_the_scanner(text):
+    for i in range(len(text) + 1):
+        assert_parses_as_the_scanner(text[:i] + text[i + 1:])
+        for char in " ,|0\t":
+            assert_parses_as_the_scanner(text[:i] + char + text[i:])
+            assert_parses_as_the_scanner(text[:i] + char + text[i + 1:])
