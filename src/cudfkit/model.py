@@ -317,25 +317,3 @@ def required_package_extras(registry):
     if not registry:
         return ()
     return tuple(s.name for s in registry.package_extras() if s.optionality == "required")
-
-
-def package_from_fields(fields, extra_defaults):
-    """The PackageItem of a field mapping, given
-    package_extra_defaults(registry): a reader of many stanzas computes
-    those once."""
-    extra = [(prop, value) for prop, value in fields.items()
-             if prop not in CORE_PACKAGE_SCHEMATA]
-    for prop, default in extra_defaults:
-        if prop not in fields:
-            extra.append((prop, default))
-    extra.sort()
-    return _package_item(
-        fields["Package"],
-        fields["Version"],
-        fields.get("Depends", TRUE),
-        fields.get("Conflicts", EMPTY_LIST),
-        fields.get("Provides", EMPTY_LIST),
-        fields.get("Installed", False),
-        fields.get("Keep"),
-        tuple(extra),
-    )

@@ -1,9 +1,11 @@
 """CUDF file parsing and serialization.
 
-Files are UTF-8 text split into stanzas at the "Package: " / "Problem: "
-postmarks.  Errors local to a stanza are recoverable: the stanza is
-dropped and recorded.  Document-level failures (bad encoding, zero or
-multiple surviving problem stanzas) are fatal.
+Files are UTF-8 text whose stanzas open at a "Package: " or "Problem: "
+line and close at a blank line or the next such line.  One walk over the
+lines reads each property line straight into its stanza's record.
+Errors local to a stanza are recoverable: the stanza is dropped and
+recorded.  Document-level failures (bad encoding, zero or multiple
+surviving problem stanzas) are fatal.
 """
 
 from __future__ import annotations
@@ -21,16 +23,12 @@ from .model import (
     InvalidDocument,
     RawValue,
     RequestItem,
+    _package_item,
     _raw_value,
     package_extra_defaults,
-    package_from_fields,
     required_package_extras,
     validate_document,
 )
-
-PACKAGE_POSTMARK = "Package: "
-PROBLEM_POSTMARK = "Problem: "
-_POSTMARKS = (PACKAGE_POSTMARK, PROBLEM_POSTMARK)
 
 
 class FatalParseError(ValueError):
@@ -67,103 +65,17 @@ class ParseReport:
         self.recovered_errors = recovered_errors
 
 
-class _LineOffsets:
-    """Byte offsets of the lines of one document, computed on first use.
-
-    0x0A never occurs inside a multi-byte UTF-8 sequence, so the text and
-    byte splits have the same lines.
-    """
-
-    def __init__(self, data):
-        self.data = data
-        self._lengths = None  # bytes before each line, newlines left out
-
-    def _start(self, line):
-        """Byte offset of 1-based `line`: the lengths before it plus one
-        newline for each line before it."""
-        return self._lengths[line - 1] + line - 1
-
-    def byte_range(self, first, end):
-        """Bytes of lines first..end-1 (1-based), cut at the end of the data."""
-        if self._lengths is None:
-            self._lengths = list(accumulate(map(len, self.data.split(b"\n")), initial=0))
-        return self._start(first), min(self._start(end), len(self.data))
-
-
-class _RawStanza:
-    __slots__ = ("kind", "index", "line", "offsets", "problem_id", "end", "lines")
-
-    def __init__(self, kind, index, line, offsets, problem_id=""):
-        self.kind = kind  # "package" | "problem"
-        self.index = index
-        self.line = line  # 1-based line of the postmark
-        self.offsets = offsets
-        self.problem_id = problem_id
-        self.end = 0  # line that closes the stanza; one past the last at the end of data
-        self.lines = None  # property lines, postmark line included for packages
-
-    def close(self, end, lines):
-        self.end = end
-        self.lines = lines[self.line - (self.kind == "package"):end - 1]
-
-    @property
-    def byte_range(self):
-        """Bytes from the postmark to where the closing line starts, or to
-        the end of the data."""
-        return self.offsets.byte_range(self.line, self.end)
-
-
-def _split_stanzas(data):
-    """Split raw bytes into stanzas at postmark lines.
-
-    Returns (stanzas, recovered_errors_for_preamble); invalid UTF-8 raises
-    FatalEncoding. Blank lines between stanzas are dropped; \r is stripped
-    before the newline check. A stanza ends at the line that closes it (a
-    blank line or the next postmark), or at the end of the data.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FatalEncoding(str(exc)) from exc
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    offsets = _LineOffsets(data)
-    stanzas = []
-    errors = []
-    current = None
-    for number, line in enumerate(lines, 1):
-        if line.startswith(_POSTMARKS):
-            if current is not None:
-                current.close(number, lines)
-            if line.startswith(PACKAGE_POSTMARK):
-                current = _RawStanza("package", len(stanzas), number, offsets)
-            else:
-                current = _RawStanza("problem", len(stanzas), number, offsets,
-                                     line[len(PROBLEM_POSTMARK):])
-            stanzas.append(current)
-        elif not line.strip(" \t"):
-            if current is not None:  # blank line ends the stanza
-                current.close(number, lines)
-                current = None
-        elif current is None:
-            errors.append(RecoveredError(-1, offsets.byte_range(number, number + 1),
-                                         "content outside any stanza", number))
-    if current is not None:
-        current.close(len(lines) + 1, lines)
-    return stanzas, errors
-
-
-class _StanzaError(ValueError):
-    pass
-
-
 _UNPARSED = object()
 _INVALID_NAME = object()
+# Slot of each core property in a stanza's list of values; the package
+# slots are PackageItem's first seven fields, in order.
+_PACKAGE_SLOTS = {name: slot for slot, name in enumerate(CORE_PACKAGE_SCHEMATA)}
+_PROBLEM_SLOTS = {name: slot for slot, name in enumerate(CORE_PROBLEM_SCHEMATA)}
 _REQUIRED_PACKAGE_PROPS = tuple(
     name for name, schema in CORE_PACKAGE_SCHEMATA.items()
     if schema.optionality == "required"
 )
+_ONLY_PACKAGES = "solution files contain package stanzas only"
 
 
 class _Reader:
@@ -171,79 +83,160 @@ class _Reader:
     once, each lexical value of a property parsed once, and one
     VersionConstraint per (relop, version).  Values are immutable, so
     stanzas share them.  A reader lives for one parse call; nothing is
-    kept across calls."""
+    kept across calls.
 
-    def __init__(self, registry=None):
+    A solution reader reads a missing Installed as true and drops every
+    problem stanza."""
+
+    def __init__(self, registry=None, solution=False):
         self.registry = registry
-        self.extra_defaults = package_extra_defaults(registry)
-        self.required = _REQUIRED_PACKAGE_PROPS + required_package_extras(registry)
-        self.props = {"package": {}, "problem": {}}  # kind -> name -> property
+        self.solution = solution
+        # kind -> name -> (slot or None, bit, value type or None, value
+        # memo), or _INVALID_NAME; each name of a kind has its own bit.
+        self.props = {"package": {}, "problem": {}}
         self.constraints = {}  # (relop, version) -> the atoms' VersionConstraint
+        self.template = [
+            s.default if s.has_default else None for s in CORE_PACKAGE_SCHEMATA.values()]
+        self.template[_PACKAGE_SLOTS["Installed"]] = solution
+        # (bit, name) of each property a package must carry, in the order
+        # in which a missing one is reported
+        self.required = [(self._prop("package", name)[1], name) for name in
+                         _REQUIRED_PACKAGE_PROPS + required_package_extras(registry)]
+        self.required_bits = sum(bit for bit, _ in self.required)
+        self.defaults = tuple((self._prop("package", name)[1], name, default)
+                              for name, default in package_extra_defaults(registry))
+        self.bounds = []  # (first line, closing line) of each stanza read
 
-    def _property(self, item_kind, name):
-        """(value type or None, value memo) of a property name, or
-        _INVALID_NAME."""
-        core = CORE_PACKAGE_SCHEMATA if item_kind == "package" else CORE_PROBLEM_SCHEMATA
-        schema = core.get(name)
-        if schema is None:
-            if not types.is_identifier(name):
-                return _INVALID_NAME
-            if self.registry is not None:
-                schema = self.registry.get(item_kind, name)
-        return (schema.value_type if schema else None), {}
+    def _prop(self, kind, name):
+        """The props entry of a property name, made on first sight."""
+        props = self.props[kind]
+        prop = props.get(name)
+        if prop is None:
+            core = CORE_PACKAGE_SCHEMATA if kind == "package" else CORE_PROBLEM_SCHEMATA
+            schema = core.get(name)
+            if schema is None and not types.is_identifier(name):
+                prop = _INVALID_NAME
+            else:
+                if schema is None and self.registry is not None:
+                    schema = self.registry.get(kind, name)
+                slots = _PACKAGE_SLOTS if kind == "package" else _PROBLEM_SLOTS
+                prop = (slots.get(name), 1 << len(props),
+                        schema.value_type if schema else None, {})
+            props[name] = prop
+        return prop
 
-    def properties(self, lines, item_kind):
-        """Parse "Name: value" lines into a field mapping; raises _StanzaError."""
-        fields = {}
-        props = self.props[item_kind]
-        for line in lines:
+    def read(self, data):
+        """(packages, requests, junk, dropped) of CUDF bytes, in one walk
+        over their lines; invalid UTF-8 raises FatalEncoding.
+
+        A "Package: " or "Problem: " line opens a stanza, and a blank line
+        or the next such line closes it.  Each property line goes straight
+        into the open stanza's slots and extras, and the stanza's record
+        is built when it closes; a stanza's first error drops it, and its
+        later lines are skipped.  Junk lines and dropped stanzas come back
+        as RecoveredErrors, each list in line order.  A carriage return is
+        stripped before each newline and at the end of the data.
+        """
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FatalEncoding(str(exc)) from exc
+        lines = text.split("\n")
+        if "\r" in text:
+            lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+        lines.append("")  # closes the last stanza, one line past the data
+        package_props, problem_props = self.props["package"], self.props["problem"]
+        template, constraints = self.template, self.constraints
+        required, required_bits, defaults = self.required, self.required_bits, self.defaults
+        bounds = self.bounds
+        packages, requests, junk, dropped = [], [], [], []
+        slots = props = None  # of the open stanza; None between stanzas
+        for number, line in enumerate(lines, 1):
             name, sep, value = line.partition(": ")
-            if not sep:
+            if sep and (name == "Package" or name == "Problem") or not (
+                    sep or line.strip(" \t")):
+                if slots is not None:
+                    bounds.append((first, number))
+                    if error is None and props is package_props:
+                        if mask & required_bits == required_bits:
+                            for bit, extra_name, default in defaults:
+                                if not mask & bit:
+                                    extras.append((extra_name, default))
+                            extras.sort()
+                            slots.append(tuple(extras))
+                            packages.append(_package_item(*slots))
+                        else:
+                            missing = next(n for bit, n in required if not mask & bit)
+                            error = f"missing required property {missing!r}"
+                    elif error is None:
+                        requests.append(RequestItem(problem_id, *slots))
+                    if error is not None:
+                        dropped.append((len(bounds) - 1, error))
+                if not sep:
+                    slots = None
+                    continue
+                first, error, mask = number, None, 0
+                if name == "Problem":
+                    slots, props, problem_id = [types.EMPTY_LIST] * 3, problem_props, value
+                    if self.solution:
+                        error = _ONLY_PACKAGES
+                    continue
+                slots, props, extras = template[:], package_props, []
+                # the postmark line is the stanza's Package property
+            elif slots is None:
+                junk.append(number)
+                continue
+            elif error is not None:
+                continue
+            elif not sep:
                 if not line.endswith(":"):
-                    raise _StanzaError(f"missing ': ' separator in {line!r}")
+                    error = f"missing ': ' separator in {line!r}"
+                    continue
                 name, value = line[:-1], ""
             prop = props.get(name)
             if prop is None:
-                prop = props[name] = self._property(item_kind, name)
+                prop = self._prop("package" if props is package_props else "problem", name)
             if prop is _INVALID_NAME:
-                raise _StanzaError(f"invalid property name {name!r}")
-            if name in fields:
-                raise _StanzaError(f"duplicate property {name!r}")
-            value_type, values = prop
+                error = f"invalid property name {name!r}"
+                continue
+            slot, bit, value_type, values = prop
+            if mask & bit:
+                error = f"duplicate property {name!r}"
+                continue
+            mask |= bit
             parsed = values.get(value, _UNPARSED)
             if parsed is _UNPARSED:
                 if value_type is None:
-                    if item_kind == "problem":
-                        raise _StanzaError(f"unknown problem property {name!r}")
+                    if props is problem_props:
+                        error = f"unknown problem property {name!r}"
+                        continue
                     parsed = _raw_value(value)
                 else:
                     try:
-                        parsed = types.parse_value(value_type, value, self.constraints)
+                        parsed = types.parse_value(value_type, value, constraints)
                     except types.LexicalError as exc:
-                        raise _StanzaError(f"{name}: {exc.reason}") from exc
+                        error = f"{name}: {exc.reason}"
+                        continue
                 values[value] = parsed
-            fields[name] = parsed
-        return fields
+            if slot is None:
+                extras.append((name, parsed))
+            else:
+                slots[slot] = parsed
+        del text, lines  # before the byte ranges split the data again
+        if junk or dropped:
+            # Bytes before each line; 0x0A never occurs inside a multi-byte
+            # UTF-8 sequence, so the text and byte splits have the same lines.
+            before = list(accumulate(map(len, data.split(b"\n")), initial=0))
 
-    def package_fields(self, lines):
-        """Field mapping of a package stanza with every required property."""
-        fields = self.properties(lines, "package")
-        for name in self.required:
-            if name not in fields:
-                raise _StanzaError(f"missing required property {name!r}")
-        return fields
+            def byte_range(first, end):
+                """Bytes of lines first..end-1, cut at the end of the data."""
+                return before[first - 1] + first - 1, min(before[end - 1] + end - 1, len(data))
 
-    def package(self, lines):
-        return package_from_fields(self.package_fields(lines), self.extra_defaults)
-
-    def request(self, stanza):
-        fields = self.properties(stanza.lines, "problem")
-        return RequestItem(
-            problem_id=stanza.problem_id,
-            install=fields.get("Install", types.EMPTY_LIST),
-            remove=fields.get("Remove", types.EMPTY_LIST),
-            upgrade=fields.get("Upgrade", types.EMPTY_LIST),
-        )
+            junk = [RecoveredError(-1, byte_range(number, number + 1),
+                                   "content outside any stanza", number) for number in junk]
+            dropped = [RecoveredError(index, byte_range(*bounds[index]), reason,
+                                      bounds[index][0]) for index, reason in dropped]
+        return packages, requests, junk, dropped
 
 
 @contextmanager
@@ -272,26 +265,13 @@ def parse_cudf(data, registry=None):
     are fatal.
     """
     with collector_paused():
-        stanzas, errors = _split_stanzas(data)
-        reader = _Reader(registry)
-        packages = []
-        requests = []
-        for stanza in stanzas:
-            try:
-                if stanza.kind == "package":
-                    packages.append(reader.package(stanza.lines))
-                else:
-                    requests.append(reader.request(stanza))
-            except _StanzaError as exc:
-                errors.append(
-                    RecoveredError(stanza.index, stanza.byte_range, str(exc), stanza.line)
-                )
+        packages, requests, junk, dropped = _Reader(registry).read(data)
         if len(requests) == 0:
             raise FatalNoProblemStanza("no surviving problem stanza")
         if len(requests) > 1:
             raise FatalMultipleProblemStanzas(f"{len(requests)} problem stanzas")
         doc = CudfDocument(packages=tuple(packages), request=requests[0])
-    return ParseReport(document=doc, recovered_errors=errors)
+    return ParseReport(document=doc, recovered_errors=junk + dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -383,28 +363,24 @@ def parse_solution(data):
     """
     with collector_paused():
         try:
-            stanzas, errors = _split_stanzas(data)
+            packages, _, junk, dropped = _Reader(solution=True).read(data)
         except FatalEncoding as exc:
             raise MalformedSolution(str(exc)) from exc
-        if errors:
-            raise MalformedSolution(errors[0].reason)
-        reader = _Reader()
-        entries = []
-        seen = set()
-        for stanza in stanzas:
-            if stanza.kind != "package":
-                raise MalformedSolution("solution files contain package stanzas only")
-            try:
-                fields = reader.package_fields(stanza.lines)
-            except _StanzaError as exc:
-                raise MalformedSolution(f"stanza {stanza.index}: {exc}") from exc
-            key = (fields["Package"], fields["Version"])
-            if key in seen:
-                raise MalformedSolution(
-                    f"stanza {stanza.index}: repeated {key[0]} {key[1]}")
-            seen.add(key)
-            entries.append((key, fields.get("Installed", True)))
-    return entries
+    if junk:
+        raise MalformedSolution(junk[0].reason)
+    # Up to the first dropped stanza, the packages are the stanzas in order.
+    first_bad = dropped[0] if dropped else None
+    end = first_bad.stanza_index if first_bad else len(packages)
+    seen = set()
+    for index, item in enumerate(packages[:end]):
+        if item.key in seen:
+            raise MalformedSolution(f"stanza {index}: repeated {item.name} {item.version}")
+        seen.add(item.key)
+    if first_bad:
+        if first_bad.reason is _ONLY_PACKAGES:
+            raise MalformedSolution(_ONLY_PACKAGES)
+        raise MalformedSolution(f"stanza {first_bad.stanza_index}: {first_bad.reason}")
+    return [(item.key, item.installed) for item in packages]
 
 
 def apply_solution(problem_doc, entries):

@@ -1,0 +1,140 @@
+"""Mutation check of the tier-1 suite: every mutant below must be killed.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py LABEL ...  # only these
+
+Run from anywhere; pytest does not collect this file.  The runner copies
+the source tree to a temporary directory, checks that tier-1 passes there
+unchanged, then for each mutant applies its one edit (the old text must
+occur exactly once) and runs tier-1 with `-x -q`.  A mutant is killed
+when a test fails; one that passes the whole suite is a survivor, and
+any survivor fails the run.  Tier-1 starts with the test file named for
+the mutant, only so that a kill comes sooner.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TEXTIO = "src/cudfkit/textio.py"
+
+# (label, file, old text, new text, test file run first)
+MUTANTS = (
+    # The reader's one walk over the lines.
+    ("junk errors interleaved in line order", TEXTIO,
+     "recovered_errors=junk + dropped",
+     "recovered_errors=sorted(junk + dropped, key=lambda e: e.line)",
+     "tests/test_textio.py"),
+    ("any whitespace makes a blank line", TEXTIO,
+     'sep or line.strip(" \\t")', "sep or line.strip()",
+     "tests/test_textio.py"),
+    ("a dropped stanza's bytes end at its last line", TEXTIO,
+     "byte_range(*bounds[index])", "byte_range(bounds[index][0], bounds[index][1] - 1)",
+     "tests/test_textio.py"),
+    ("a later error replaces a stanza's first", TEXTIO,
+     "            elif error is not None:\n                continue\n", "",
+     "tests/test_textio.py"),
+    ("a repeated core property overwrites the first", TEXTIO,
+     "if mask & bit:", "if mask & bit and slot is None:",
+     "tests/test_textio.py"),
+    ("extras left unsorted", TEXTIO,
+     "extras.sort()\n", "\n",
+     "tests/test_textio.py"),
+    ("a registered default not filled", TEXTIO,
+     "in defaults:", "in ():",
+     "tests/test_model.py"),
+    ("a solution stanza without Installed reads as not installed", TEXTIO,
+     '[_PACKAGE_SLOTS["Installed"]] = solution', '[_PACKAGE_SLOTS["Installed"]] = False',
+     "tests/test_textio.py"),
+    ("CR stripped only before a newline", TEXTIO,
+     '        lines = text.split("\\n")\n'
+     '        if "\\r" in text:\n'
+     '            lines = [line[:-1] if line.endswith("\\r") else line for line in lines]\n',
+     '        lines = text.replace("\\r\\n", "\\n").split("\\n")\n',
+     "tests/test_textio.py"),
+    ("Package: without its space opens a stanza", TEXTIO,
+     'if sep and (name == "Package" or name == "Problem") or',
+     'if line.startswith(("Package:", "Problem:")) or',
+     "tests/test_textio.py"),
+    # Solution files.
+    ("a solution's junk line passes", TEXTIO,
+     "    if junk:\n        raise MalformedSolution(junk[0].reason)\n", "",
+     "tests/test_textio.py"),
+    ("a solution's problem stanza is skipped", TEXTIO,
+     "                    if self.solution:\n                        error = _ONLY_PACKAGES\n",
+     "",
+     "tests/test_textio.py"),
+    # Survivors of earlier hand-run mutation checks.
+    ("serialize_request compares with == first", TEXTIO,
+     "if value is types.EMPTY_LIST or (\n"
+     "                not types.keeps_text(value) and value == types.EMPTY_LIST):",
+     "if value == types.EMPTY_LIST or value is types.EMPTY_LIST:",
+     "tests/test_textio.py"),
+    ('preset_costs("min-new") ignores Upgrade', "src/cudfkit/solver/__init__.py",
+     "list(request.install.items) + list(request.upgrade.items)",
+     "list(request.install.items)",
+     "tests/test_solver.py"),
+    ("cost fixing one cost step weaker", "src/cudfkit/solver/_kernel_py.py",
+     "heavy[bisect_left(steps, slack)]", "heavy[bisect_left(steps, slack) + 1]",
+     "tests/test_solver.py"),
+)
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                ".perfbench", ".benchmarks", "*.egg-info")
+
+
+def tier1(tree, first=None):
+    """pytest's exit code for tier-1 in `tree`, stopping at the first failure."""
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors"]
+    argv += [first, "tests"] if first else ["tests"]
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, timeout=900).returncode
+
+
+def mutate(tree, path, old, new):
+    target = Path(tree) / path
+    text = target.read_text()
+    count = text.count(old)
+    if count != 1:
+        raise SystemExit(f"{path}: the mutated text occurs {count} times, not once: {old!r}")
+    target.write_text(text.replace(old, new))
+    return text
+
+
+def main(argv=None):
+    labels = set(sys.argv[1:] if argv is None else argv)
+    chosen = [m for m in MUTANTS if not labels or m[0] in labels]
+    if labels - {m[0] for m in chosen}:
+        raise SystemExit(f"unknown mutants: {sorted(labels - {m[0] for m in chosen})}")
+    with tempfile.TemporaryDirectory(prefix="cudfkit-mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        if tier1(tree) != 0:
+            raise SystemExit("tier-1 fails on the unmutated tree")
+        survivors = []
+        for label, path, old, new, first in chosen:
+            original = mutate(tree, path, old, new)
+            start = time.perf_counter()
+            try:
+                code = tier1(tree, first)
+            finally:
+                (tree / path).write_text(original)
+            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            print(f"{outcome:10s} {time.perf_counter() - start:6.1f} s  {label}", flush=True)
+            if code != 1:
+                survivors.append(label)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -199,6 +199,18 @@ def test_verify_solution_repeating_a_key_is_usage_error(mta_path, tmp_path, caps
     assert captured.err == "error: stanza 1: repeated postfix 2\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("Package: postfix\nVersion: x\n\njunk\n", "content outside any stanza"),
+    ("Package: postfix\nVersion: 2\n\nProblem: pb\n",
+     "solution files contain package stanzas only"),
+])
+def test_verify_solution_with_junk_or_a_problem_is_usage_error(
+        mta_path, tmp_path, capsys, text, message):
+    bad = write(tmp_path, "bad.sol", text)
+    assert cli.main(["verify", "--problem", mta_path, "--solution", bad]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_unknown_key_is_usage_error(mta_path, tmp_path):
     bad = write(tmp_path, "bad.sol",
                 "Package: exim\nVersion: 9\nInstalled: true\n")

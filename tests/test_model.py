@@ -4,6 +4,7 @@ import pytest
 
 from _gen import naive_validate, rand_document, subtype_item_violations
 from cudfkit._record import replace
+from cudfkit.textio import parse_cudf
 from cudfkit.model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,
@@ -16,8 +17,6 @@ from cudfkit.model import (
     RequestItem,
     SchemaRegistry,
     make_extra,
-    package_extra_defaults,
-    package_from_fields,
     validate_document,
 )
 from cudfkit.types import (
@@ -147,16 +146,21 @@ def test_validate_checks_registered_extras():
         assert validate_document(raw) == []
 
 
+def _read_package(text, registry=None):
+    """The one package item of a stanza's text, read with an empty problem."""
+    report = parse_cudf(f"{text}\n\nProblem: pb\n".encode(), registry)
+    assert report.recovered_errors == []
+    (item,) = report.document.packages
+    return item
+
+
 def test_apply_package_defaults():
-    item = package_from_fields({"Package": "aa", "Version": 3}, package_extra_defaults(None))
+    item = _read_package("Package: aa\nVersion: 3")
     assert item == PackageItem("aa", 3)
     assert item.depends is TRUE and item.installed is False and item.keep is None
 
     keep = EnumValue(("version", "package", "feature"), "version")
-    item = package_from_fields({
-        "Package": "aa", "Version": 3, "Installed": True, "Keep": keep,
-        "Note": RawValue("hi"),
-    }, package_extra_defaults(None))
+    item = _read_package("Package: aa\nVersion: 3\nInstalled: true\nKeep: version\nNote: hi")
     assert item.installed is True
     assert item.keep == keep
     assert item.extra_value("Note") == RawValue("hi")
@@ -166,10 +170,9 @@ def test_registered_extra_default_is_filled():
     reg = SchemaRegistry(
         [PropertySchema("Cost", "int", "package", "optional", 0)]
     )
-    item = package_from_fields({"Package": "aa", "Version": 1}, package_extra_defaults(reg))
+    item = _read_package("Package: aa\nVersion: 1", reg)
     assert item.extra_value("Cost") == 0
-    item = package_from_fields({"Package": "aa", "Version": 1, "Cost": 5},
-                               package_extra_defaults(reg))
+    item = _read_package("Package: aa\nVersion: 1\nCost: 5", reg)
     assert item.extra_value("Cost") == 5
 
 

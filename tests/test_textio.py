@@ -322,15 +322,45 @@ def mutate_document_text(rng, text):
     return data.encode("utf-8")
 
 
+def walked_stanzas(data):
+    """(stanza line ranges, junk errors, lines) of one reader walk over
+    CUDF bytes: the (first line, closing line) bounds the walk kept, and
+    the lines as it reads them, a carriage return stripped from each."""
+    reader = textio._Reader()
+    _, _, junk, _ = reader.read(data)
+    lines = [line.removesuffix("\r") for line in data.decode("utf-8").split("\n")]
+    return reader.bounds, junk, lines
+
+
+def read_stanzas(data):
+    """(stanzas, junk errors) of one reader walk over CUDF bytes, the
+    stanzas in split_oracle's form: (kind, index, first line, byte range,
+    property lines, problem id).  A stanza's bytes run from its first
+    line to where its closing line starts, or to the end of the data."""
+    bounds, junk, all_lines = walked_stanzas(data)
+    before = [0]  # bytes before each line
+    for raw in data.split(b"\n"):
+        before.append(before[-1] + len(raw) + 1)
+    stanzas = []
+    for index, (first, end) in enumerate(bounds):
+        lines = all_lines[first - 1:end - 1]
+        kind, _, problem_id = lines[0].partition(": ")
+        if kind == "Problem":
+            lines = lines[1:]
+        else:
+            problem_id = ""
+        byte_range = (before[first - 1], min(before[end - 1], len(data)))
+        stanzas.append((kind.lower(), index, first, byte_range, lines, problem_id))
+    return stanzas, junk
+
+
 def test_splitter_matches_line_oracle():
     rng = random.Random(4051)
     for _ in range(300):
         data = mutate_document_text(rng, textio.serialize_cudf(rand_document(rng)).decode())
-        stanzas, errors = textio._split_stanzas(data)
+        stanzas, errors = read_stanzas(data)
         expected_stanzas, expected_junk = split_oracle(data)
-        got = [(s.kind, s.index, s.line, s.byte_range, s.lines, s.problem_id)
-               for s in stanzas]
-        assert got == expected_stanzas
+        assert stanzas == expected_stanzas
         assert [(e.line, e.byte_range) for e in errors] == expected_junk
         assert all(e.stanza_index == -1 for e in errors)
 
@@ -528,12 +558,17 @@ def atoms_built(value):
 
 
 def test_check_fmt_and_an_over_budget_solve_build_no_atoms():
-    """A parse keeps canonical Depends and Conflicts text, and validation,
-    serialization, costing and a solve stopped by its budget read none
-    of it; atoms built later share the parse's VersionConstraints."""
+    """A parse keeps canonical Depends, Conflicts and request text, and
+    validation, serialization, costing and a solve stopped by its budget
+    read none of the package text, nor serialization the request's;
+    atoms built later share the parse's VersionConstraints."""
     from cudfkit import solver
 
     doc = rand_document(random.Random(5), max_names=10, max_versions=5)
+    a, b, c = sorted({p.name for p in doc.packages})[:3]
+    doc = replace(doc, request=RequestItem(
+        "pb", VpkgList((VPkg(a),)), VpkgList((VPkg(b, VersionConstraint(">", 1)),)),
+        VpkgList((VPkg(a), VPkg(c)))))
     text = textio.serialize_cudf(doc).decode()
     # Some formulas without the spaces around "|": they are parsed at once.
     data = text.replace(" | ", "|", 3).encode()
@@ -545,6 +580,9 @@ def test_check_fmt_and_an_over_budget_solve_build_no_atoms():
     assert parsed_at_once and len(values) - len(parsed_at_once) > 30
     assert validate_document(parsed) == []
     assert textio.serialize_cudf(parsed).decode() == text
+    # min-new reads the request's atoms, so serialization is judged first.
+    request = parsed.request
+    assert not any(atoms_built(v) for v in (request.install, request.remove, request.upgrade))
     costs = solver.preset_costs(parsed, parsed.request, "min-new")
     assert solver.solve(parsed, parsed.request, costs, budget=1).status == "budget_exceeded"
     assert {id(v) for v in values if atoms_built(v)} == parsed_at_once
@@ -582,6 +620,43 @@ def test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges():
     assert "too many digits" in bb.reason and "too many digits" in dd.reason
 
 
+def test_a_dropped_stanza_reports_its_first_error():
+    report = parse("Package: aa\nVersion: x\nVersion: 1\nbad\n\n"
+                   "Package: bb\nVersion: 1\nKeep: no\nFoo bar\n\nProblem: pb\n")
+    assert [e.reason for e in report.recovered_errors] == [
+        "Version: not an integer: 'x'",
+        "Keep: 'no' not in ('version', 'package', 'feature')",
+    ]
+
+
+def test_only_spaces_and_tabs_make_a_blank_line():
+    # A form feed, vertical tab or no-break space is content: the line has
+    # no separator, so it drops its stanza instead of closing it.
+    for space in ("\f", "\v", "\xa0", " \t\f"):
+        report = parse(f"Package: aa\nVersion: 1\n{space}\nInstalled: true\n\n"
+                       "Problem: pb\n")
+        assert report.document.packages == ()
+        (dropped,) = report.recovered_errors
+        assert dropped.reason == f"missing ': ' separator in {space!r}"
+
+
+def test_a_carriage_return_is_stripped_at_the_end_of_the_data_too():
+    report = parse("Package: aa\r\nVersion: 1\r\n\r\nProblem: pb\r")
+    assert report.document.request.problem_id == "pb"
+    assert textio.parse_solution(b"Package: aa\r\nVersion: 1\r") == [(("aa", 1), True)]
+
+
+def test_only_a_postmark_with_its_space_opens_a_stanza():
+    report = parse("Package: aa\nVersion: 1\nPackage:bb\n\nPackage:\nProblem:pb\n\n"
+                   "Problem: pb\n")
+    assert report.document.packages == ()
+    assert [(e.stanza_index, e.line, e.reason) for e in report.recovered_errors] == [
+        (-1, 5, "content outside any stanza"),
+        (-1, 6, "content outside any stanza"),
+        (0, 1, "missing ': ' separator in 'Package:bb'"),
+    ]
+
+
 # -- solution files -----------------------------------------------------------
 
 def test_solution_roundtrip_and_apply():
@@ -610,6 +685,38 @@ def test_solution_repeating_a_key_is_malformed(flags):
                    for flag in flags)
     with pytest.raises(textio.MalformedSolution, match="^stanza 1: repeated postfix 2$"):
         textio.parse_solution(data.encode())
+
+
+def test_solution_junk_line_is_malformed_even_after_a_malformed_stanza():
+    for data in (b"Package: aa\nVersion: 1\n\njunk\n",
+                 b"Package: aa\nVersion: x\n\nProblem: pb\n\njunk\n"):
+        with pytest.raises(textio.MalformedSolution, match="^content outside any stanza$"):
+            textio.parse_solution(data)
+
+
+def test_solution_problem_stanza_is_malformed():
+    with pytest.raises(textio.MalformedSolution,
+                       match="^solution files contain package stanzas only$"):
+        textio.parse_solution(b"Package: aa\nVersion: 1\n\nProblem: pb\n")
+
+
+@pytest.mark.parametrize("stanzas, message", [
+    (["Problem: pb", "Package: aa\nVersion: x"], "solution files contain package stanzas only"),
+    (["Package: aa\nVersion: x", "Problem: pb"], "stanza 0: Version: not an integer: 'x'"),
+    (["Package: aa\nVersion: 1", "Package: aa\nVersion: 1", "Package: bb"],
+     "stanza 1: repeated aa 1"),
+    (["Package: aa\nVersion: 1", "Package: bb", "Package: aa\nVersion: 1"],
+     "stanza 1: missing required property 'Version'"),
+])
+def test_solution_reports_its_first_bad_stanza(stanzas, message):
+    with pytest.raises(textio.MalformedSolution) as malformed:
+        textio.parse_solution("\n\n".join(stanzas).encode())
+    assert str(malformed.value) == message
+
+
+def test_solution_stanza_without_installed_reads_as_installed():
+    data = b"Package: aa\nVersion: 1\n\nPackage: bb\nVersion: 2\nInstalled: false\n"
+    assert textio.parse_solution(data) == [(("aa", 1), True), (("bb", 2), False)]
 
 
 def test_solution_not_utf8_is_malformed_with_the_encoding_message():
@@ -649,15 +756,14 @@ def rfc822_blocks(data):
 
 
 def native_blocks(data):
-    stanzas, errors = textio._split_stanzas(data)
-    assert errors == []
+    """The "name: value" pairs of each stanza, at the bounds one reader
+    walk kept."""
+    bounds, junk, lines = walked_stanzas(data)
+    assert junk == []
     out = []
-    for stanza in stanzas:
-        lines = list(stanza.lines)
-        if stanza.kind == "problem":
-            lines.insert(0, f"Problem: {stanza.problem_id}")
+    for first, end in bounds:
         pairs = []
-        for line in lines:
+        for line in lines[first - 1:end - 1]:
             name, _, value = line.partition(":")
             pairs.append((name, value.strip()))
         out.append(pairs)
