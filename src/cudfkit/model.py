@@ -185,11 +185,6 @@ def _package_item(name, version, depends, conflicts, provides, installed, keep, 
     return item
 
 
-def make_extra(mapping):
-    """Normalize an extra-property mapping into the stored tuple form."""
-    return tuple(sorted(mapping.items()))
-
-
 @record
 class RequestItem:
     problem_id: str = ""
@@ -224,15 +219,18 @@ def validate_document(doc, registry=None):
     """All global-constraint and schema violations in the document,
     including whatever its CUDF text could not carry back unchanged.
 
-    Within one call each distinct package name and extra-property name
-    is checked once; only names that passed are remembered, so every
-    bad occurrence is reported."""
+    Within one call each distinct package name, extra-property name and
+    Provides value is checked once; only those that passed are
+    remembered, so every bad occurrence is reported.  A Provides value
+    is known by its id: the reader shares one value per distinct text,
+    and the document holds every value for the whole call."""
     violations = []
     append = violations.append
     required = required_package_extras(registry)
     seen = set()
     good_names = set()  # package names that passed is_pkgname
     good_extras = set()  # extra-property names that passed the name rules
+    good_provides = set()  # ids of the Provides values that passed
     for item in doc.packages:
         name, version = item.name, item.version
         key = (name, version)
@@ -245,18 +243,25 @@ def validate_document(doc, registry=None):
                 good_names.add(name)
             else:
                 append(_type_error("Package", "pkgname", name, version))
-        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+        # the exact type first: a bool is an int, and other int subclasses are rare
+        if type(version) is not int and (
+                not isinstance(version, int) or isinstance(version, bool)) or version < 1:
             append(_type_error("Version", "posint", name, version))
         if not isinstance(item.depends, VpkgFormula):
             append(_type_error("Depends", "vpkgformula", name, version))
         if not isinstance(item.conflicts, VpkgList):
             append(_type_error("Conflicts", "vpkglist", name, version))
         provides = item.provides
-        if not isinstance(provides, VpkgList) or (provides.items and not all(
-            isinstance(a, VPkg) and a.constraint.relop in (None, "=") for a in provides.items
-        )):
-            append(_type_error("Provides", "veqpkglist", name, version))
-        if not isinstance(item.installed, bool):
+        if provides is not EMPTY_LIST and id(provides) not in good_provides:
+            if not isinstance(provides, VpkgList) or not all(
+                isinstance(a, VPkg) and a.constraint.relop in (None, "=")
+                for a in provides.items
+            ):
+                append(_type_error("Provides", "veqpkglist", name, version))
+            else:
+                good_provides.add(id(provides))
+        installed = item.installed
+        if installed is not True and installed is not False:
             append(_type_error("Installed", "bool", name, version))
         keep = item.keep
         # Other symbols would read back as the core three.

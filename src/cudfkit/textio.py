@@ -29,6 +29,7 @@ from .model import (
     required_package_extras,
     validate_document,
 )
+from .types import EMPTY_LIST, TRUE
 
 
 class FatalParseError(ValueError):
@@ -177,7 +178,7 @@ class _Reader:
                     continue
                 first, error, mask = number, None, 0
                 if name == "Problem":
-                    slots, props, problem_id = [types.EMPTY_LIST] * 3, problem_props, value
+                    slots, props, problem_id = [EMPTY_LIST] * 3, problem_props, value
                     if self.solution:
                         error = _ONLY_PACKAGES
                     continue
@@ -277,50 +278,46 @@ def parse_cudf(data, registry=None):
 # ---------------------------------------------------------------------------
 # Serialization
 
-_PACKAGE_PROP_ORDER = ("Depends", "Conflicts", "Provides", "Installed", "Keep")
-_PROBLEM_PROP_ORDER = ("Install", "Remove", "Upgrade")
-
-
-def _prop_line(name, value):
-    return f"{name}: {types.serialize_value(value)}\n"
-
-
-# The default of each property of _PACKAGE_PROP_ORDER; None for Keep,
-# which has none, since a None value is never written.
-_PACKAGE_DEFAULTS = tuple(
-    CORE_PACKAGE_SCHEMATA[name].default if CORE_PACKAGE_SCHEMATA[name].has_default else None
-    for name in _PACKAGE_PROP_ORDER
-)
-
 
 def serialize_package(item):
-    out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
-    values = (item.depends, item.conflicts, item.provides, item.installed, item.keep)
-    for name, value, default in zip(_PACKAGE_PROP_ORDER, values, _PACKAGE_DEFAULTS):
-        # A parsed default is the default object itself, and a value that
-        # keeps its text is never a default, so == runs only for values
-        # built elsewhere; on a kept value it would build the atoms.
-        if value is None or value is default or (
-                not types.keeps_text(value) and value == default):
-            continue  # the True formula, which has no lexical form, included
-        out.append(_prop_line(name, value))
+    """One package stanza: Package and Version, then each other core
+    property that is not its default, then the extras.
+
+    A parsed default is the default object itself.  Any other formula or
+    list is written when it keeps its text or has clauses or items,
+    tested in that order, so writing a kept value builds no atoms.
+    """
+    serialize = types.serialize_value
+    out = f"Package: {item.name}\nVersion: {item.version}\n"
+    value = item.depends
+    if value is not TRUE and (value._lexical is not None or value.clauses):
+        out += f"Depends: {serialize(value)}\n"
+    value = item.conflicts
+    if value is not EMPTY_LIST and (value._lexical is not None or value.items):
+        out += f"Conflicts: {serialize(value)}\n"
+    value = item.provides
+    if value is not EMPTY_LIST and (value._lexical is not None or value.items):
+        out += f"Provides: {serialize(value)}\n"
+    if item.installed:
+        out += f"Installed: {serialize(item.installed)}\n"
+    if item.keep is not None:
+        out += f"Keep: {serialize(item.keep)}\n"
     for prop, value in item.extra:
         if isinstance(value, RawValue):
-            out.append(f"{prop}: {value.text}\n")
+            out += f"{prop}: {value.text}\n"
         else:
-            out.append(_prop_line(prop, value))
-    return "".join(out)
+            out += f"{prop}: {serialize(value)}\n"
+    return out
 
 
 def serialize_request(request):
-    out = [f"Problem: {request.problem_id}\n"]
-    for name in _PROBLEM_PROP_ORDER:
-        value = getattr(request, name.lower())
-        if value is types.EMPTY_LIST or (
-                not types.keeps_text(value) and value == types.EMPTY_LIST):
-            continue
-        out.append(_prop_line(name, value))
-    return "".join(out)
+    """The problem stanza; each list is written as Conflicts is."""
+    out = f"Problem: {request.problem_id}\n"
+    for name, value in (("Install", request.install), ("Remove", request.remove),
+                        ("Upgrade", request.upgrade)):
+        if value is not EMPTY_LIST and (value._lexical is not None or value.items):
+            out += f"{name}: {types.serialize_value(value)}\n"
+    return out
 
 
 def serialize_cudf(doc):

@@ -258,12 +258,6 @@ def _constraint(relop, version):
     return constraint
 
 
-def keeps_text(value):
-    """Whether value is a VpkgFormula or VpkgList that keeps the canonical
-    text it was parsed from; such a value is never empty."""
-    return getattr(value, "_lexical", None) is not None
-
-
 def _formula(clauses):
     """The VpkgFormula of non-empty clauses of VPkg atoms."""
     formula = _new(VpkgFormula)
@@ -459,7 +453,11 @@ def serialize_value(value):
 
     parse_value(tag, serialize_value(v)) == v for every value with a
     lexical form; the True formula has none and raises SerializeError.
+    A formula or list that keeps its text returns that text.
     """
+    lexical = getattr(value, "_lexical", None)
+    if lexical is not None:
+        return lexical[0]
     if value is True:
         return "true"
     if value is False:
@@ -473,12 +471,8 @@ def serialize_value(value):
     if isinstance(value, VPkg):
         return serialize_vpkg(value)
     if isinstance(value, VpkgList):
-        if value._lexical is not None:
-            return value._lexical[0]
         return ", ".join(serialize_vpkg(a) for a in value.items)
     if isinstance(value, VpkgFormula):
-        if value._lexical is not None:
-            return value._lexical[0]
         if value.is_true:
             raise SerializeError("the True formula has no lexical form")
         return ", ".join(

@@ -9,7 +9,7 @@ import random
 import re
 from types import SimpleNamespace
 
-from cudfkit.model import CudfDocument, PackageItem, RequestItem, make_extra
+from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.types import (
     TOP,
     EnumValue,
@@ -23,6 +23,12 @@ NAMES = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "ii", "jj"]
 FEATURES = ["feat-x", "feat-y", "feat-z"]
 KEEP_SYMBOLS = ("version", "package", "feature")
 RELOPS = ("=", "!=", ">", "<", ">=", "<=")
+
+
+def make_extra(mapping):
+    """The stored form of a package's extra properties: (name, value)
+    pairs sorted by name."""
+    return tuple(sorted(mapping.items()))
 
 
 def rand_constraint(rng, max_version=5):
@@ -728,6 +734,47 @@ def naive_validate(doc, registry=None):
     if not types.is_subtype_value(doc.request.problem_id, "oneliner"):
         violations.append(Violation("TypeError", "Problem value outside oneliner"))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Writer oracle for serialize_cudf: the writer as it was before it wrote
+# each stanza in one step, a loop over the optional core properties that
+# compares each value with its schema default.
+
+
+def oracle_serialize_cudf(doc):
+    """The bytes serialize_cudf writes for a valid document."""
+    from cudfkit import types
+    from cudfkit.model import CORE_PACKAGE_SCHEMATA, CORE_PROBLEM_SCHEMATA, RawValue
+
+    def line(name, value):
+        return f"{name}: {types.serialize_value(value)}\n"
+
+    def omitted(value, default):
+        # A value that keeps its text is never a default, and == on it
+        # would build its atoms.
+        return value is None or value is default or (
+            getattr(value, "_lexical", None) is None and value == default)
+
+    chunks = []
+    for item in doc.packages:
+        out = [f"Package: {item.name}\n", f"Version: {item.version}\n"]
+        for name in ("Depends", "Conflicts", "Provides", "Installed", "Keep"):
+            schema = CORE_PACKAGE_SCHEMATA[name]
+            value = getattr(item, name.lower())
+            if not omitted(value, schema.default if schema.has_default else None):
+                out.append(line(name, value))
+        for prop, value in item.extra:
+            out.append(f"{prop}: {value.text}\n" if isinstance(value, RawValue)
+                       else line(prop, value))
+        chunks.append("".join(out))
+    out = [f"Problem: {doc.request.problem_id}\n"]
+    for name, schema in CORE_PROBLEM_SCHEMATA.items():
+        value = getattr(doc.request, name.lower())
+        if not omitted(value, schema.default):
+            out.append(line(name, value))
+    chunks.append("".join(out))
+    return "\n".join(chunks).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

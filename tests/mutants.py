@@ -8,8 +8,9 @@ the source tree to a temporary directory, checks that tier-1 passes there
 unchanged, then for each mutant applies its one edit (the old text must
 occur exactly once) and runs tier-1 with `-x -q`.  A mutant is killed
 when a test fails; one that passes the whole suite is a survivor, and
-any survivor fails the run.  Tier-1 starts with the test file named for
-the mutant, only so that a kill comes sooner.
+any survivor fails the run.  The test file named for the mutant runs
+first, in a pytest call of its own, only so that a kill comes sooner;
+tier-1 runs only if that file passes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TEXTIO = "src/cudfkit/textio.py"
+MODEL = "src/cudfkit/model.py"
 
 # (label, file, old text, new text, test file run first)
 MUTANTS = (
@@ -71,11 +73,30 @@ MUTANTS = (
      "                    if self.solution:\n                        error = _ONLY_PACKAGES\n",
      "",
      "tests/test_textio.py"),
+    # The writer.
+    ("Installed: false written", TEXTIO,
+     '    if item.installed:\n        out += f"Installed:',
+     '    if item.installed is not None:\n        out += f"Installed:',
+     "tests/test_textio.py"),
+    ("a default-equal list built elsewhere written", TEXTIO,
+     "if value is not EMPTY_LIST and (value._lexical is not None or value.items):\n"
+     '        out += f"Conflicts:',
+     'if value is not EMPTY_LIST:\n        out += f"Conflicts:',
+     "tests/test_textio.py"),
+    ("clauses read before the kept text", TEXTIO,
+     "(value._lexical is not None or value.clauses)",
+     "(value.clauses or value._lexical is not None)",
+     "tests/test_textio.py"),
+    # The validator.
+    ("a bad Provides value cached as good", MODEL,
+     "            else:\n                good_provides.add(id(provides))\n",
+     "            good_provides.add(id(provides))\n",
+     "tests/test_model.py"),
     # Survivors of earlier hand-run mutation checks.
     ("serialize_request compares with == first", TEXTIO,
-     "if value is types.EMPTY_LIST or (\n"
-     "                not types.keeps_text(value) and value == types.EMPTY_LIST):",
-     "if value == types.EMPTY_LIST or value is types.EMPTY_LIST:",
+     "if value is not EMPTY_LIST and (value._lexical is not None or value.items):\n"
+     '            out += f"{name}:',
+     'if value != EMPTY_LIST:\n            out += f"{name}:',
      "tests/test_textio.py"),
     ('preset_costs("min-new") ignores Upgrade', "src/cudfkit/solver/__init__.py",
      "list(request.install.items) + list(request.upgrade.items)",
@@ -91,13 +112,19 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypoth
 
 
 def tier1(tree, first=None):
-    """pytest's exit code for tier-1 in `tree`, stopping at the first failure."""
+    """pytest's exit code for tier-1 in `tree`, stopping at the first
+    failure; the test file `first` runs alone before it.  (Named beside
+    "tests", the file would be collected as part of the directory, in
+    the directory's order.)"""
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             "--continue-on-collection-errors"]
-    argv += [first, "tests"] if first else ["tests"]
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=900).returncode
+    for paths in ([first], ["tests"]) if first else (["tests"],):
+        code = subprocess.run(argv + paths, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=900).returncode
+        if code != 0:
+            return code
+    return 0
 
 
 def mutate(tree, path, old, new):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from _gen import enumerate_solutions, naive_consistent, rand_document
+from _gen import enumerate_solutions, make_extra, naive_consistent, rand_document
 from cudfkit import cli, textio
 from cudfkit.dudf import (
     DudfDocument,
@@ -23,7 +23,7 @@ from cudfkit.dudf import (
     validate_dudf,
     xml_to_dudf,
 )
-from cudfkit.model import CudfDocument, PackageItem, RequestItem, make_extra
+from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.semantics import is_consistent, is_successor, satisfies_request
 from cudfkit.solver import CRITERIA, preset_costs, solve
 from cudfkit.types import (

@@ -120,6 +120,13 @@ def test_fmt_writes_canonical_spacing_byte_for_byte(capsysbinary):
     assert (out.out, out.err) == ((GOLDEN / "spacing.fmt").read_bytes(), b"")
 
 
+def test_fmt_writes_every_core_property_byte_for_byte(capsysbinary):
+    """Depends, Conflicts, Provides, Installed, Keep and a request list."""
+    assert cli.main(["fmt", str(GOLDEN / "kitchen.cudf")]) == 0
+    out = capsysbinary.readouterr()
+    assert (out.out, out.err) == ((GOLDEN / "kitchen.fmt").read_bytes(), b"")
+
+
 def test_fmt_fatal(tmp_path, capsysbinary):
     path = write(tmp_path, "two.cudf", "Problem: one\n\nProblem: two\n")
     assert cli.main(["fmt", path]) == 1

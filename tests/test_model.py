@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _gen import naive_validate, rand_document, subtype_item_violations
+from _gen import make_extra, naive_validate, rand_document, subtype_item_violations
 from cudfkit._record import replace
 from cudfkit.textio import parse_cudf
 from cudfkit.model import (
@@ -16,7 +16,6 @@ from cudfkit.model import (
     RawValue,
     RequestItem,
     SchemaRegistry,
-    make_extra,
     validate_document,
 )
 from cudfkit.types import (
@@ -281,9 +280,22 @@ def _foreign_keep_symbols(rng, packages):
     packages[i] = replace(packages[i], keep=EnumValue(("version",), "version"))
 
 
+# One Provides value per text, shared by the stanzas that carry it, as
+# the reader builds them.
+_BAD_PROVIDES = VpkgList((VPkg("feat-x", VersionConstraint(">=", 2)),))
+_GOOD_PROVIDES = VpkgList((VPkg("feat-y", VersionConstraint("=", 1)), VPkg("feat-z")))
+
+
+def _shared_provides(rng, packages):
+    """The bad value in two stanzas, then the good one in two more."""
+    chosen = rng.sample(range(len(packages)), min(4, len(packages)))
+    for n, i in enumerate(chosen):
+        packages[i] = replace(packages[i], provides=_BAD_PROVIDES if n < 2 else _GOOD_PROVIDES)
+
+
 FAULTS = (_bad_name_twice, _bad_extra_name_twice, _raw_carriage_return, _no_one_line_form,
           _raw_under_registered_name, _duplicate_key, _non_bool_installed,
-          _foreign_keep_symbols)
+          _foreign_keep_symbols, _shared_provides)
 
 
 def test_validate_matches_naive_validator_on_injected_faults():
@@ -308,6 +320,8 @@ def test_validate_matches_naive_validator_on_injected_faults():
             assert (sum(v.detail == "'1bad' cannot name an extra property"
                         for v in violations)
                     == sum(prop == "1bad" for p in packages for prop, _ in p.extra))
+            assert (sum(v.detail == "Provides value outside veqpkglist" for v in violations)
+                    == sum(p.provides is _BAD_PROVIDES for p in packages))
             seen.update(v.kind for v in violations)
     assert seen == {"DuplicateKey", "TypeError", "PropertyName"}
 

@@ -18,7 +18,7 @@ def one_record_of_each_type():
     keep = EnumValue(model.KEEP_SYMBOLS, "version")
     item = model.PackageItem("aa", 2, VpkgFormula(((atom, VPkg("bb")),)),
                              VpkgList((VPkg("cc"),)), VpkgList((VPkg("dd", VersionConstraint("=", 1)),)),
-                             True, keep, model.make_extra({"Note": model.RawValue("hi")}))
+                             True, keep, (("Note", model.RawValue("hi")),))
     request = model.RequestItem("pb", install=VpkgList((atom,)))
     status = dudf.PackageStatus(dudf.Extensional("Package: aa\nVersion: 2\n"),
                                 dudf.Intensional("sha1:0f0f"))

@@ -5,6 +5,7 @@ import pytest
 from _gen import (
     enumerate_solutions,
     exhaustive_search,
+    make_extra,
     mask_less,
     rand_document,
     scan_compile,
@@ -15,7 +16,6 @@ from cudfkit.model import (
     CudfDocument,
     PackageItem,
     RequestItem,
-    make_extra,
 )
 from cudfkit.semantics import satisfies_request
 from cudfkit.solver import (

@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import OracleFatal, oracle_parse_cudf, rand_document, split_oracle
+from _gen import (
+    OracleFatal, make_extra, oracle_parse_cudf, oracle_serialize_cudf, rand_document,
+    split_oracle,
+)
 from cudfkit import textio
 from cudfkit._record import FrozenInstanceError, fields, replace
 from cudfkit.model import (
+    KEEP_SYMBOLS,
     CudfDocument,
     PackageItem,
     PropertySchema,
     RawValue,
     RequestItem,
     SchemaRegistry,
-    make_extra,
     validate_document,
 )
 from cudfkit.types import (
@@ -295,8 +298,54 @@ def test_golden_files_parse_and_fmt_idempotent():
         report = textio.parse_cudf(data)
         assert report.recovered_errors == [], path.name
         once = textio.serialize_cudf(report.document)
+        assert once == oracle_serialize_cudf(report.document), path.name
         again = textio.serialize_cudf(textio.parse_cudf(once).document)
         assert once == again, path.name
+
+
+def test_writer_matches_oracle_writer_on_random_documents():
+    """Each document as built, with default-equal values built by the
+    constructors, and as read back, with kept text and parsed defaults."""
+    rng = random.Random(2111)
+    for _ in range(1000):
+        doc = rand_document(rng, max_names=rng.randint(1, 6))
+        data = textio.serialize_cudf(doc)
+        assert data == oracle_serialize_cudf(doc)
+        parsed = textio.parse_cudf(data).document
+        assert textio.serialize_cudf(parsed) == oracle_serialize_cudf(parsed) == data
+
+
+def test_writer_matches_oracle_writer_on_constructor_built_values():
+    keep = [EnumValue(KEEP_SYMBOLS, symbol) for symbol in KEEP_SYMBOLS]
+    eq1 = VPkg("ff", VersionConstraint("=", 1))
+    extra = make_extra({
+        "Note": RawValue("raw: text"), "Word": "typed text", "Size": 3, "Flag": False,
+        "Tier": EnumValue(("low", "high"), "high"), "Atom": eq1, "None": VpkgList(()),
+        "Alts": VpkgFormula(((VPkg("aa"), eq1),)),
+    })
+    doc = CudfDocument(
+        packages=(
+            PackageItem("aa", 1, TRUE, EMPTY_LIST, EMPTY_LIST, False),
+            PackageItem("aa", 2, VpkgFormula(()), VpkgList(()), VpkgList(()), True),
+            *(PackageItem("bb", v, installed=True, keep=k) for v, k in enumerate(keep, 1)),
+            PackageItem("cc", 1, VpkgFormula(((VPkg("aa"), VPkg("bb")), (eq1,))),
+                        VpkgList((VPkg("bb", VersionConstraint("<", 2)),)),
+                        VpkgList((eq1, VPkg("gg"))), extra=extra),
+        ),
+        request=RequestItem("pb", VpkgList(()), EMPTY_LIST, VpkgList((VPkg("cc"),))),
+    )
+    data = textio.serialize_cudf(doc)
+    assert data == oracle_serialize_cudf(doc)
+    assert data.decode() == (
+        "Package: aa\nVersion: 1\n\n"
+        "Package: aa\nVersion: 2\nInstalled: true\n\n"
+        "Package: bb\nVersion: 1\nInstalled: true\nKeep: version\n\n"
+        "Package: bb\nVersion: 2\nInstalled: true\nKeep: package\n\n"
+        "Package: bb\nVersion: 3\nInstalled: true\nKeep: feature\n\n"
+        "Package: cc\nVersion: 1\nDepends: aa | bb, ff = 1\nConflicts: bb < 2\n"
+        "Provides: ff = 1, gg\nAlts: aa | ff = 1\nAtom: ff = 1\nFlag: false\n"
+        "None: \nNote: raw: text\nSize: 3\nTier: high\nWord: typed text\n\n"
+        "Problem: pb\nUpgrade: cc\n")
 
 
 # -- splitter against the line-at-a-time oracle --------------------------------
