@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 from . import textio
 from ._record import record
 from .model import CudfDocument, InvalidDocument, RequestItem, validate_document
-from .types import EMPTY_LIST
+from .types import EMPTY_LIST, is_subtype_value
 
 DUDF_NS = "http://www.mancoosi.org/2008/cudf/dudf"
 DUDF_VERSION = "1.0"
@@ -397,7 +397,13 @@ def _parse_stanzas(text, where, installed=None):
 
 def toy_convert(doc):
     """Assemble a CUDF document from extensional holes containing CUDF
-    package stanzas and an action hole in problem-stanza syntax."""
+    package stanzas and an action hole in problem-stanza syntax.
+
+    The uid becomes the Problem line, so it must be a oneliner, and the
+    action hole may hold request properties only: a line break in the
+    uid or a package stanza in the hole would change the problem."""
+    if not is_subtype_value(doc.uid, "oneliner"):
+        raise ConversionError("uid is not a oneliner")
     status_text = _extensional_text(doc.problem.package_status.installer, "package-status")
     packages = _parse_stanzas(status_text, "package-status", installed=True)
     for i, plist in enumerate(doc.problem.package_universe):
@@ -417,6 +423,8 @@ def toy_convert(doc):
         ) from exc
     if report.recovered_errors:
         raise ConversionError("action hole did not parse as a problem stanza")
+    if report.document.packages:
+        raise ConversionError("action hole holds a package stanza")
     request = report.document.request
 
     out = CudfDocument(packages=tuple(packages), request=request)

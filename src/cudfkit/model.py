@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import types
 from ._record import record
-from .types import EMPTY_LIST, TRUE, EnumValue, VPkg, VpkgFormula, VpkgList
+from .types import EMPTY_LIST, TRUE, EnumValue, VpkgFormula, VpkgList
 
 
 class _Missing:
@@ -223,7 +223,8 @@ def validate_document(doc, registry=None):
     Provides value is checked once; only those that passed are
     remembered, so every bad occurrence is reported.  A Provides value
     is known by its id: the reader shares one value per distinct text,
-    and the document holds every value for the whole call."""
+    and the document holds every value for the whole call.  A parsed one
+    is judged by its kept text, so validation builds no atoms."""
     violations = []
     append = violations.append
     required = required_package_extras(registry)
@@ -253,13 +254,10 @@ def validate_document(doc, registry=None):
             append(_type_error("Conflicts", "vpkglist", name, version))
         provides = item.provides
         if provides is not EMPTY_LIST and id(provides) not in good_provides:
-            if not isinstance(provides, VpkgList) or not all(
-                isinstance(a, VPkg) and a.constraint.relop in (None, "=")
-                for a in provides.items
-            ):
-                append(_type_error("Provides", "veqpkglist", name, version))
-            else:
+            if types.is_subtype_value(provides, "veqpkglist"):
                 good_provides.add(id(provides))
+            else:
+                append(_type_error("Provides", "veqpkglist", name, version))
         installed = item.installed
         if installed is not True and installed is not False:
             append(_type_error("Installed", "bool", name, version))

@@ -8,9 +8,10 @@ Every property value lives in one of these domains:
 Each type has a parse function (lexical -> value) and a canonical
 serialization (value -> lexical) such that parse(serialize(v)) == v.
 
-A vpkgformula or vpkglist value whose text is already canonical keeps
-that text, and its atoms are built on first read (see VpkgFormula);
-most commands read few of a universe's dependencies.
+A non-empty vpkgformula, vpkglist or veqpkglist value is kept as its
+canonical text, and its atoms are built on first read (see VpkgFormula);
+most commands read few of a universe's dependencies, and check and fmt
+read none.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ class VpkgFormula:
 
     The empty conjunction is the True formula; it has no lexical form.
 
-    A formula that parse_value read from canonical text keeps that text,
-    and the table of VersionConstraints of its parse, in `_lexical`, a
-    slot that is not a field (None otherwise).  Its `clauses` slot stays
-    unset until the first read, which builds the atoms from the text
-    through that table and stores them.  Equality, hashing, repr and
-    pickling read `clauses`, so they build the atoms too.
+    A formula that parse_value returns keeps its canonical text, and the
+    table of VersionConstraints of its parse, in `_lexical`, a slot that
+    is not a field (None in a formula built by the constructor).  Its
+    `clauses` slot stays unset until the first read, which builds the
+    atoms from the text through that table and stores them.  Equality,
+    hashing, repr and pickling read `clauses`, so they build the atoms too.
     """
 
     __slots__ = ("_lexical",)
@@ -135,8 +136,9 @@ TRUE = VpkgFormula()
 
 @record
 class VpkgList:
-    """A list of VPkg atoms; one read from canonical text keeps it, and
-    builds `items` on first read, as a VpkgFormula does its clauses."""
+    """A list of VPkg atoms; one that parse_value returns keeps its
+    canonical text and builds `items` on first read, as a VpkgFormula
+    does its clauses."""
 
     __slots__ = ("_lexical",)
     items: tuple[VPkg, ...] = ()
@@ -212,8 +214,8 @@ _ATOM_RE = re.compile(r" *([a-z][a-z0-9.-]+) *(?:(!=|>=|<=|=|>|<) *([0-9]+) *)?"
 # by ", " and " | ".  A vpkglist in canonical form matches it and holds
 # no "|".  Versions have no leading zero and at most 18 digits, so each
 # is a posint and reads back as the same digits.  Text of this form is
-# kept as it is and its atoms are built on first read; any other text,
-# errors included, goes through _parse_formula and _parse_vpkglist.
+# kept as it is; any other text is checked atom by atom by _canonical_text,
+# which raises the error or returns the canonical spelling to keep.
 _CANONICAL_ATOM = r"[a-z][a-z0-9.-]+(?: (?:!=|>=|<=|=|>|<) [1-9][0-9]{0,17})?"
 _CANONICAL_RE = re.compile(rf"{_CANONICAL_ATOM}(?:(?:, | \| ){_CANONICAL_ATOM})*")
 
@@ -227,11 +229,11 @@ def _to_int(digits, type_tag, position):
         raise LexicalError(type_tag, position, "too many digits") from None
 
 
-# The parser builds its records from what _ATOM_RE, _parse_atom and the
-# value splitters have already checked, so it skips the __post_init__
-# checks of the public constructors, which stay for every other caller.
-# Each builder sets the slots through their member descriptors, one call
-# per field.
+# The parser builds its records from text that _CANONICAL_RE or
+# _parse_atom has already checked, so it skips the __post_init__ checks
+# of the public constructors, which stay for every other caller.  Each
+# builder sets the slots through their member descriptors, one call per
+# field.
 
 _new = object.__new__
 _set_vpkg_name = VPkg.__dict__["name"].__set__
@@ -244,34 +246,11 @@ _set_formula_lexical = VpkgFormula.__dict__["_lexical"].__set__
 _set_list_lexical = VpkgList.__dict__["_lexical"].__set__
 
 
-def _vpkg(name, constraint):
-    atom = _new(VPkg)
-    _set_vpkg_name(atom, name)
-    _set_vpkg_constraint(atom, constraint)
-    return atom
-
-
 def _constraint(relop, version):
     constraint = _new(VersionConstraint)
     _set_relop(constraint, relop)
     _set_version(constraint, version)
     return constraint
-
-
-def _formula(clauses):
-    """The VpkgFormula of non-empty clauses of VPkg atoms."""
-    formula = _new(VpkgFormula)
-    _set_clauses(formula, clauses)
-    _set_formula_lexical(formula, None)
-    return formula
-
-
-def _vpkglist(items):
-    """The VpkgList of a tuple of VPkg atoms."""
-    lst = _new(VpkgList)
-    _set_items(lst, items)
-    _set_list_lexical(lst, None)
-    return lst
 
 
 def _kept_formula(text, constraints):
@@ -290,10 +269,10 @@ def _kept_list(text, constraints):
 
 def _canonical_atoms(texts, constraints):
     """The VPkg atoms of canonical atom texts, whose constraints come
-    from and go into `constraints`, as _parse_atom's do."""
+    from and go into `constraints`: one per (relop, version)."""
     atoms = []
     for text in texts:
-        atom = _new(VPkg)  # _vpkg inlined: this loop runs once per atom
+        atom = _new(VPkg)
         name, _, constrained = text.partition(" ")
         _set_vpkg_name(atom, name)
         if constrained:
@@ -309,25 +288,20 @@ def _canonical_atoms(texts, constraints):
     return atoms
 
 
-def _parse_atom(text, type_tag, position, constraints):
-    """The VPkg spelled by `text`, which starts at `position` in the value.
-
-    `constraints` maps (relop, version) to the VersionConstraint that the
-    atoms parsed with it share."""
+def _parse_atom(text, type_tag, position):
+    """The canonical text of the atom spelled by `text`, which starts at
+    `position` in the value."""
     m = _ATOM_RE.fullmatch(text)
     if m is None:
         reason = "empty" if not text.strip(" ") else f"not a package atom: {text!r}"
         raise LexicalError(type_tag, position, reason)
     name, relop, digits = m.groups()
     if relop is None:
-        return _vpkg(name, TOP)
+        return name
     version = _to_int(digits, type_tag, position)
     if version < 1:
         raise LexicalError(type_tag, position, "version must be positive")
-    constraint = constraints.get((relop, version))
-    if constraint is None:
-        constraint = constraints[relop, version] = _constraint(relop, version)
-    return _vpkg(name, constraint)
+    return f"{name} {relop} {version}"
 
 
 def _parse_int(lexical, type_tag, lower):
@@ -340,29 +314,20 @@ def _parse_int(lexical, type_tag, lower):
     return value
 
 
-def _parse_vpkglist(lexical, type_tag, constraints):
-    if not lexical.strip(" "):
-        return EMPTY_LIST
-    items = []
-    position = 0
-    for text in lexical.split(","):
-        items.append(_parse_atom(text, type_tag, position, constraints))
-        position += len(text) + 1
-    return _vpkglist(tuple(items))
-
-
-def _parse_formula(lexical, constraints):
-    if not lexical.strip(" "):
-        raise LexicalError("vpkgformula", 0, "empty formula (True has no lexical form)")
+def _canonical_text(lexical, type_tag):
+    """The canonical spelling of a non-empty vpkglist, veqpkglist or
+    vpkgformula, checked atom by atom.  Only a formula is split on "|";
+    in a list it fails the atom that holds it."""
+    disjunctive = type_tag == "vpkgformula"
     clauses = []
     position = 0
     for clause in lexical.split(","):
-        disjuncts = []
-        for text in clause.split("|"):
-            disjuncts.append(_parse_atom(text, "vpkgformula", position, constraints))
+        atoms = []
+        for text in clause.split("|") if disjunctive else (clause,):
+            atoms.append(_parse_atom(text, type_tag, position))
             position += len(text) + 1
-        clauses.append(tuple(disjuncts))
-    return _formula(tuple(clauses))
+        clauses.append(" | ".join(atoms))
+    return ", ".join(clauses)
 
 
 def _enum_symbols(type_tag):
@@ -407,27 +372,27 @@ def parse_value(type_tag, lexical, constraints=None):
         if not _PKGNAME_RE.fullmatch(lexical):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
-    if type_tag == "vpkg":
-        return _parse_atom(lexical, "vpkg", 0, constraints)
-    if type_tag == "veqpkg":
-        atom = _parse_atom(lexical, "veqpkg", 0, constraints)
-        if not is_subtype_value(atom, "veqpkg"):
+    if type_tag == "vpkg" or type_tag == "veqpkg":
+        (atom,) = _canonical_atoms([_parse_atom(lexical, type_tag, 0)], constraints)
+        if type_tag == "veqpkg" and not is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
-    if type_tag == "vpkglist":
-        if "|" not in lexical and _CANONICAL_RE.fullmatch(lexical):
-            return _kept_list(lexical, constraints)
-        return _parse_vpkglist(lexical, "vpkglist", constraints)
-    if type_tag == "veqpkglist":
-        lst = _parse_vpkglist(lexical, "veqpkglist", constraints)
-        for item in lst.items:
-            if not is_subtype_value(item, "veqpkg"):
-                raise LexicalError("veqpkglist", 0, "version constraint other than '='")
+    if type_tag == "vpkglist" or type_tag == "veqpkglist":
+        if "|" in lexical or not _CANONICAL_RE.fullmatch(lexical):
+            if not lexical.strip(" "):
+                return EMPTY_LIST
+            lexical = _canonical_text(lexical, type_tag)
+        lst = _kept_list(lexical, constraints)
+        if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):
+            raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
     if type_tag == "vpkgformula":
-        if _CANONICAL_RE.fullmatch(lexical):
-            return _kept_formula(lexical, constraints)
-        return _parse_formula(lexical, constraints)
+        if not _CANONICAL_RE.fullmatch(lexical):
+            if not lexical.strip(" "):
+                raise LexicalError("vpkgformula", 0,
+                                   "empty formula (True has no lexical form)")
+            lexical = _canonical_text(lexical, "vpkgformula")
+        return _kept_formula(lexical, constraints)
     if type_tag.startswith("enum("):
         symbols = _enum_symbols(type_tag)
         s = lexical.strip(" ")
@@ -520,6 +485,11 @@ def is_subtype_value(value, target):
         if not isinstance(value, VpkgList):
             return False
         if target == "veqpkglist":
+            lexical = value._lexical
+            if lexical is not None:
+                # Canonical text: "<", ">" and "!" occur only in relops.
+                text = lexical[0]
+                return "<" not in text and ">" not in text and "!" not in text
             return all(is_subtype_value(a, "veqpkg") for a in value.items)
         return True
     if target == "vpkgformula":

@@ -8,9 +8,9 @@ the source tree to a temporary directory, checks that tier-1 passes there
 unchanged, then for each mutant applies its one edit (the old text must
 occur exactly once) and runs tier-1 with `-x -q`.  A mutant is killed
 when a test fails; one that passes the whole suite is a survivor, and
-any survivor fails the run.  The test file named for the mutant runs
-first, in a pytest call of its own, only so that a kill comes sooner;
-tier-1 runs only if that file passes.
+any survivor fails the run.  The test file or test (a pytest node id)
+named for the mutant runs first, in a pytest call of its own, only so
+that a kill comes sooner; tier-1 runs only if it passes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TEXTIO = "src/cudfkit/textio.py"
 MODEL = "src/cudfkit/model.py"
+TYPES = "src/cudfkit/types.py"
 
-# (label, file, old text, new text, test file run first)
+# (label, file, old text, new text, test file or node id run first)
 MUTANTS = (
     # The reader's one walk over the lines.
     ("junk errors interleaved in line order", TEXTIO,
@@ -54,7 +55,7 @@ MUTANTS = (
      "tests/test_model.py"),
     ("a solution stanza without Installed reads as not installed", TEXTIO,
      '[_PACKAGE_SLOTS["Installed"]] = solution', '[_PACKAGE_SLOTS["Installed"]] = False',
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_solution_stanza_without_installed_reads_as_installed"),
     ("CR stripped only before a newline", TEXTIO,
      '        lines = text.split("\\n")\n'
      '        if "\\r" in text:\n'
@@ -68,11 +69,11 @@ MUTANTS = (
     # Solution files.
     ("a solution's junk line passes", TEXTIO,
      "    if junk:\n        raise MalformedSolution(junk[0].reason)\n", "",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_solution_junk_line_is_malformed_even_after_a_malformed_stanza"),
     ("a solution's problem stanza is skipped", TEXTIO,
      "                    if self.solution:\n                        error = _ONLY_PACKAGES\n",
      "",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_solution_problem_stanza_is_malformed"),
     # The writer.
     ("Installed: false written", TEXTIO,
      '    if item.installed:\n        out += f"Installed:',
@@ -87,10 +88,23 @@ MUTANTS = (
      "(value._lexical is not None or value.clauses)",
      "(value.clauses or value._lexical is not None)",
      "tests/test_textio.py"),
+    # Dependency values: canonical text, kept.
+    ("a non-canonical spelling kept verbatim", TYPES,
+     "lexical = _canonical_text(lexical, type_tag)", "_canonical_text(lexical, type_tag)",
+     "tests/test_types.py"),
+    ("the veqpkglist '='-only test skipped for kept text", TYPES,
+     'if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):',
+     "if False:",
+     "tests/test_types.py"),
+    ("is_subtype_value's kept veqpkglist text always passes", TYPES,
+     'return "<" not in text and ">" not in text and "!" not in text', "return True",
+     "tests/test_types.py"),
     # The validator.
     ("a bad Provides value cached as good", MODEL,
-     "            else:\n                good_provides.add(id(provides))\n",
-     "            good_provides.add(id(provides))\n",
+     "            if types.is_subtype_value(provides, \"veqpkglist\"):\n"
+     "                good_provides.add(id(provides))\n            else:\n",
+     "            good_provides.add(id(provides))\n"
+     "            if not types.is_subtype_value(provides, \"veqpkglist\"):\n",
      "tests/test_model.py"),
     # Survivors of earlier hand-run mutation checks.
     ("serialize_request compares with == first", TEXTIO,

@@ -512,6 +512,24 @@ def test_dudf_convert_rejects_what_it_cannot_convert(tmp_path, capsys, problem, 
     assert captured.err == message
 
 
+def test_dudf_convert_rejects_a_uid_that_is_not_a_oneliner(tmp_path, capsys):
+    # The uid becomes the Problem line, so its second line would be a request.
+    path = tmp_path / "uid.xml"
+    path.write_text((GOLDEN / "submission.xml").read_text().replace(
+        "<uid>mta-switch</uid>", "<uid>mta-switch\nRemove: libc</uid>"))
+    assert cli.main(["dudf", "convert", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: uid is not a oneliner\n")
+
+
+def test_dudf_convert_rejects_a_package_stanza_in_the_action_hole(tmp_path, capsys):
+    path = tmp_path / "action.xml"
+    path.write_text((GOLDEN / "submission.xml").read_text().replace(
+        "<action>Install: postfix</action>",
+        "<action>Install: postfix\n\nPackage: ghost\nVersion: 1\n</action>"))
+    assert cli.main(["dudf", "convert", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: action hole holds a package stanza\n")
+
+
 def test_dudf_validate_rejects_broken_xml(tmp_path):
     path = tmp_path / "broken.xml"
     path.write_bytes(b"<not-dudf/>")

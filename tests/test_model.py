@@ -25,6 +25,7 @@ from cudfkit.types import (
     VersionConstraint,
     VPkg,
     VpkgList,
+    parse_value,
 )
 
 
@@ -113,6 +114,15 @@ def test_validate_reports_duplicates_and_type_errors():
         ))),
     ))
     assert [v.kind for v in validate_document(bad)] == ["TypeError"]
+
+
+def test_validate_judges_a_kept_provides_list_by_its_text():
+    kept = parse_value("vpkglist", "aa >= 1")
+    doc = CudfDocument(packages=(PackageItem("bb", 1, provides=kept),))
+    assert [v.detail for v in validate_document(doc)] == [
+        "Provides value outside veqpkglist"]
+    with pytest.raises(AttributeError):
+        VpkgList.__dict__["items"].__get__(kept)  # its atoms are not built
 
 
 def test_validate_rejects_a_name_with_a_trailing_newline():

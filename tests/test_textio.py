@@ -607,10 +607,11 @@ def atoms_built(value):
 
 
 def test_check_fmt_and_an_over_budget_solve_build_no_atoms():
-    """A parse keeps canonical Depends, Conflicts and request text, and
-    validation, serialization, costing and a solve stopped by its budget
-    read none of the package text, nor serialization the request's;
-    atoms built later share the parse's VersionConstraints."""
+    """A parse keeps Depends, Conflicts, Provides and request values as
+    canonical text, and validation, serialization, costing and a solve
+    stopped by its budget read none of the package text, nor
+    serialization the request's; atoms built later share the parse's
+    VersionConstraints."""
     from cudfkit import solver
 
     doc = rand_document(random.Random(5), max_names=10, max_versions=5)
@@ -619,14 +620,16 @@ def test_check_fmt_and_an_over_budget_solve_build_no_atoms():
         "pb", VpkgList((VPkg(a),)), VpkgList((VPkg(b, VersionConstraint(">", 1)),)),
         VpkgList((VPkg(a), VPkg(c)))))
     text = textio.serialize_cudf(doc).decode()
-    # Some formulas without the spaces around "|": they are parsed at once.
+    # Some formulas without the spaces around "|": kept as canonical text too.
     data = text.replace(" | ", "|", 3).encode()
+    assert data.count(b"|") - data.count(b" | ") == 3
     assert textio.parse_cudf(data).document == doc  # comparing builds the atoms
     parsed = textio.parse_cudf(data).document
-    values = [v for p in parsed.packages for v in (p.depends, p.conflicts)
+    values = [v for p in parsed.packages for v in (p.depends, p.conflicts, p.provides)
               if v is not TRUE and v is not EMPTY_LIST]
+    assert any(p.provides is not EMPTY_LIST for p in parsed.packages)
     parsed_at_once = {id(v) for v in values if atoms_built(v)}
-    assert parsed_at_once and len(values) - len(parsed_at_once) > 30
+    assert not parsed_at_once and len(values) > 30
     assert validate_document(parsed) == []
     assert textio.serialize_cudf(parsed).decode() == text
     # min-new reads the request's atoms, so serialization is judged first.

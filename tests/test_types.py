@@ -226,15 +226,18 @@ def test_canonical_text_is_kept_and_its_atoms_built_on_first_read():
     lst = parse_value("vpkglist", "aa, bb != 3")
     assert serialize_value(lst) == "aa, bb != 3"
     assert lst.items == (VPkg("aa"), VPkg("bb", VersionConstraint("!=", 3)))
-    # Any other spelling is parsed at once, to the same value.
+    # Any other spelling is kept as its canonical text, not yet built.
     for tag, spelled, canonical in [
             ("vpkgformula", "aa>=2", "aa >= 2"), ("vpkgformula", "aa  =  01", "aa = 1"),
             ("vpkgformula", "aa|bb", "aa | bb"), ("vpkglist", "aa ,bb", "aa, bb"),
-            ("vpkglist", "aa = 1234567890123456789", "aa = 1234567890123456789")]:
+            ("vpkglist", "aa = 1234567890123456789", "aa = 1234567890123456789"),
+            ("veqpkglist", "aa", "aa"), ("veqpkglist", "aa=1 ,bb", "aa = 1, bb")]:
         value = parse_value(tag, spelled)
+        assert value._lexical[0] == canonical, (tag, spelled)
         built = slot if tag == "vpkgformula" else VpkgList.__dict__["items"]
-        assert built.__get__(value)  # raises AttributeError while unbuilt
-        assert serialize_value(value) == canonical
+        with pytest.raises(AttributeError):
+            built.__get__(value)
+        assert value == parse_value(tag, canonical)
     with pytest.raises(LexicalError):
         parse_value("vpkglist", "aa | bb")
 
@@ -446,6 +449,9 @@ def assert_parses_as_the_scanner(text):
         else:
             got = parse_value(tag, text)
             assert serialize_value(got) == serialize_value(expected), (tag, text)
+            if tag == "vpkglist":  # judged from the kept text, then from the atoms
+                assert (is_subtype_value(got, "veqpkglist")
+                        == is_subtype_value(expected, "veqpkglist")), text
             assert got == expected, (tag, text)
 
 
