@@ -23,9 +23,9 @@ would find the class the decorator replaced.
 
 A class body may also name non-field slots in ``__slots__``: private
 state that is not a field, so equality, hashing, repr, pickling and
-``replace`` never read it.  The constructor sets each to None; code of
-the record's own module sets it through its member descriptor.  The
-dependency records keep their lexical text in one (see
+``replace`` never read it.  Code of the record's own module sets it
+through its member descriptor, ``__post_init__`` included.  The
+dependency records keep their canonical text in one (see
 ``types.VpkgFormula``).
 """
 
@@ -63,8 +63,6 @@ class Record:
             problem = ("multiple values for argument" if field in self._fields
                        else "an unexpected keyword argument")
             raise TypeError(f"{type(self).__name__}() got {problem} {field!r}")
-        for set_slot in self._private_setters:
-            set_slot(self, None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -117,7 +115,6 @@ def record(cls):
         (field, new.__dict__[field].__set__, default)
         for field, default in zip(names, defaults)
     )
-    new._private_setters = tuple(new.__dict__[slot].__set__ for slot in private)
     # _key reads what equality compares in one C call: the field values
     # as a tuple, or the value of a record's only field.  _values is
     # always the tuple, which hashing, repr, pickling and replace read.

@@ -29,7 +29,7 @@ from .model import (
     required_package_extras,
     validate_document,
 )
-from .types import EMPTY_LIST, TRUE
+from .types import EMPTY_LIST
 
 
 class FatalParseError(ValueError):
@@ -81,10 +81,9 @@ _ONLY_PACKAGES = "solution files contain package stanzas only"
 
 class _Reader:
     """The tables of one document being read: each property name resolved
-    once, each lexical value of a property parsed once, and one
-    VersionConstraint per (relop, version).  Values are immutable, so
-    stanzas share them.  A reader lives for one parse call; nothing is
-    kept across calls.
+    once, and each lexical value of a property parsed once.  Values are
+    immutable, so stanzas share them.  A reader lives for one parse call;
+    nothing is kept across calls.
 
     A solution reader reads a missing Installed as true and drops every
     problem stanza."""
@@ -95,7 +94,6 @@ class _Reader:
         # kind -> name -> (slot or None, bit, value type or None, value
         # memo), or _INVALID_NAME; each name of a kind has its own bit.
         self.props = {"package": {}, "problem": {}}
-        self.constraints = {}  # (relop, version) -> the atoms' VersionConstraint
         self.template = [
             s.default if s.has_default else None for s in CORE_PACKAGE_SCHEMATA.values()]
         self.template[_PACKAGE_SLOTS["Installed"]] = solution
@@ -147,7 +145,7 @@ class _Reader:
             lines = [line[:-1] if line.endswith("\r") else line for line in lines]
         lines.append("")  # closes the last stanza, one line past the data
         package_props, problem_props = self.props["package"], self.props["problem"]
-        template, constraints = self.template, self.constraints
+        template = self.template
         required, required_bits, defaults = self.required, self.required_bits, self.defaults
         bounds = self.bounds
         packages, requests, junk, dropped = [], [], [], []
@@ -214,7 +212,7 @@ class _Reader:
                     parsed = _raw_value(value)
                 else:
                     try:
-                        parsed = types.parse_value(value_type, value, constraints)
+                        parsed = types.parse_value(value_type, value)
                     except types.LexicalError as exc:
                         error = f"{name}: {exc.reason}"
                         continue
@@ -283,21 +281,17 @@ def serialize_package(item):
     """One package stanza: Package and Version, then each other core
     property that is not its default, then the extras.
 
-    A parsed default is the default object itself.  Any other formula or
-    list is written when it keeps its text or has clauses or items,
-    tested in that order, so writing a kept value builds no atoms.
+    A formula or list is written when its canonical text is not empty,
+    so writing one builds no atoms.
     """
     serialize = types.serialize_value
     out = f"Package: {item.name}\nVersion: {item.version}\n"
-    value = item.depends
-    if value is not TRUE and (value._lexical is not None or value.clauses):
-        out += f"Depends: {serialize(value)}\n"
-    value = item.conflicts
-    if value is not EMPTY_LIST and (value._lexical is not None or value.items):
-        out += f"Conflicts: {serialize(value)}\n"
-    value = item.provides
-    if value is not EMPTY_LIST and (value._lexical is not None or value.items):
-        out += f"Provides: {serialize(value)}\n"
+    if item.depends._lexical:
+        out += f"Depends: {serialize(item.depends)}\n"
+    if item.conflicts._lexical:
+        out += f"Conflicts: {serialize(item.conflicts)}\n"
+    if item.provides._lexical:
+        out += f"Provides: {serialize(item.provides)}\n"
     if item.installed:
         out += f"Installed: {serialize(item.installed)}\n"
     if item.keep is not None:
@@ -315,7 +309,7 @@ def serialize_request(request):
     out = f"Problem: {request.problem_id}\n"
     for name, value in (("Install", request.install), ("Remove", request.remove),
                         ("Upgrade", request.upgrade)):
-        if value is not EMPTY_LIST and (value._lexical is not None or value.items):
+        if value._lexical:
             out += f"{name}: {types.serialize_value(value)}\n"
     return out
 

@@ -8,8 +8,9 @@ Every property value lives in one of these domains:
 Each type has a parse function (lexical -> value) and a canonical
 serialization (value -> lexical) such that parse(serialize(v)) == v.
 
-A non-empty vpkgformula, vpkglist or veqpkglist value is kept as its
-canonical text, and its atoms are built on first read (see VpkgFormula);
+Every vpkgformula, vpkglist and veqpkglist value carries its canonical
+text, whether parsed or built by the constructor.  A parsed one keeps
+only that text, and its atoms are built on first read (see VpkgFormula);
 most commands read few of a universe's dependencies, and check and fmt
 read none.
 """
@@ -95,12 +96,12 @@ class VpkgFormula:
 
     The empty conjunction is the True formula; it has no lexical form.
 
-    A formula that parse_value returns keeps its canonical text, and the
-    table of VersionConstraints of its parse, in `_lexical`, a slot that
-    is not a field (None in a formula built by the constructor).  Its
-    `clauses` slot stays unset until the first read, which builds the
-    atoms from the text through that table and stores them.  Equality,
-    hashing, repr and pickling read `clauses`, so they build the atoms too.
+    Every formula keeps its canonical text in `_lexical`, a slot that is
+    not a field: the constructor writes it from the atoms ("" for the
+    True formula), and parse_value keeps the text it read.  A parsed
+    formula's `clauses` slot stays unset until the first read, which
+    builds the atoms from the text and stores them.  Equality, hashing,
+    repr and pickling read `clauses`, so they build the atoms too.
     """
 
     __slots__ = ("_lexical",)
@@ -113,32 +114,29 @@ class VpkgFormula:
             for atom in clause:
                 if not isinstance(atom, VPkg):
                     raise ValueError("formula atoms must be VPkg")
+        _set_formula_lexical(self, ", ".join(
+            [" | ".join([serialize_vpkg(atom) for atom in clause]) for clause in self.clauses]))
 
     def __getattr__(self, name):
         # Reached only when ordinary lookup fails: for `clauses`, when the
         # slot is unset because the formula is still its kept text.
-        lexical = self._lexical if name == "clauses" else None
-        if lexical is None:
+        if name != "clauses":
             raise _no_attribute(self, name)
-        text, constraints = lexical
-        clauses = tuple([tuple(_canonical_atoms(clause.split(" | "), constraints))
-                         for clause in text.split(", ")])
+        clauses = tuple([tuple(_canonical_atoms(clause.split(" | ")))
+                         for clause in self._lexical.split(", ")])
         _set_clauses(self, clauses)
         return clauses
 
     @property
     def is_true(self):
-        return self._lexical is None and not self.clauses
-
-
-TRUE = VpkgFormula()
+        return not self._lexical
 
 
 @record
 class VpkgList:
-    """A list of VPkg atoms; one that parse_value returns keeps its
-    canonical text and builds `items` on first read, as a VpkgFormula
-    does its clauses."""
+    """A list of VPkg atoms.  Every list keeps its canonical text ("" when
+    empty), and one that parse_value returns builds `items` on first
+    read, as a VpkgFormula does its clauses."""
 
     __slots__ = ("_lexical",)
     items: tuple[VPkg, ...] = ()
@@ -147,18 +145,14 @@ class VpkgList:
         for item in self.items:
             if not isinstance(item, VPkg):
                 raise ValueError("list elements must be VPkg")
+        _set_list_lexical(self, ", ".join([serialize_vpkg(item) for item in self.items]))
 
     def __getattr__(self, name):
-        lexical = self._lexical if name == "items" else None
-        if lexical is None:
+        if name != "items":
             raise _no_attribute(self, name)
-        text, constraints = lexical
-        items = tuple(_canonical_atoms(text.split(", "), constraints))
+        items = tuple(_canonical_atoms(self._lexical.split(", ")))
         _set_items(self, items)
         return items
-
-
-EMPTY_LIST = VpkgList()
 
 
 @record
@@ -253,23 +247,22 @@ def _constraint(relop, version):
     return constraint
 
 
-def _kept_formula(text, constraints):
+def _kept_formula(text):
     """The VpkgFormula of canonical text, its clauses not yet built."""
     formula = _new(VpkgFormula)
-    _set_formula_lexical(formula, (text, constraints))
+    _set_formula_lexical(formula, text)
     return formula
 
 
-def _kept_list(text, constraints):
+def _kept_list(text):
     """The VpkgList of canonical text, its items not yet built."""
     lst = _new(VpkgList)
-    _set_list_lexical(lst, (text, constraints))
+    _set_list_lexical(lst, text)
     return lst
 
 
-def _canonical_atoms(texts, constraints):
-    """The VPkg atoms of canonical atom texts, whose constraints come
-    from and go into `constraints`: one per (relop, version)."""
+def _canonical_atoms(texts):
+    """The VPkg atoms of canonical atom texts."""
     atoms = []
     for text in texts:
         atom = _new(VPkg)
@@ -277,11 +270,7 @@ def _canonical_atoms(texts, constraints):
         _set_vpkg_name(atom, name)
         if constrained:
             relop, _, digits = constrained.partition(" ")
-            key = (relop, int(digits))
-            constraint = constraints.get(key)
-            if constraint is None:
-                constraint = constraints[key] = _constraint(relop, key[1])
-            _set_vpkg_constraint(atom, constraint)
+            _set_vpkg_constraint(atom, _constraint(relop, int(digits)))
         else:
             _set_vpkg_constraint(atom, TOP)
         atoms.append(atom)
@@ -337,18 +326,14 @@ def _enum_symbols(type_tag):
     return tuple(s.strip() for s in m.group(1).split(",") if s.strip())
 
 
-def parse_value(type_tag, lexical, constraints=None):
+def parse_value(type_tag, lexical):
     """Parse a lexical string into a value of the named type.
 
     Raises LexicalError when the string is outside the type's lexical
-    space, UnknownType for an unrecognized type tag.  `constraints`, a
-    dict that a reader of one document passes to every call, gives the
-    atoms of all its values one VersionConstraint per (relop, version),
-    those built later from kept canonical text included; without it the
-    atoms of this value share theirs.
+    space, UnknownType for an unrecognized type tag.  A non-empty
+    vpkgformula, vpkglist or veqpkglist comes back as its canonical
+    text, its atoms built on first read.
     """
-    if constraints is None:
-        constraints = {}
     if type_tag == "bool":
         s = lexical.strip(" ")
         if s == "true":
@@ -373,7 +358,7 @@ def parse_value(type_tag, lexical, constraints=None):
             raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
         return lexical
     if type_tag == "vpkg" or type_tag == "veqpkg":
-        (atom,) = _canonical_atoms([_parse_atom(lexical, type_tag, 0)], constraints)
+        (atom,) = _canonical_atoms([_parse_atom(lexical, type_tag, 0)])
         if type_tag == "veqpkg" and not is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
@@ -382,7 +367,7 @@ def parse_value(type_tag, lexical, constraints=None):
             if not lexical.strip(" "):
                 return EMPTY_LIST
             lexical = _canonical_text(lexical, type_tag)
-        lst = _kept_list(lexical, constraints)
+        lst = _kept_list(lexical)
         if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):
             raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
@@ -392,7 +377,7 @@ def parse_value(type_tag, lexical, constraints=None):
                 raise LexicalError("vpkgformula", 0,
                                    "empty formula (True has no lexical form)")
             lexical = _canonical_text(lexical, "vpkgformula")
-        return _kept_formula(lexical, constraints)
+        return _kept_formula(lexical)
     if type_tag.startswith("enum("):
         symbols = _enum_symbols(type_tag)
         s = lexical.strip(" ")
@@ -413,16 +398,20 @@ def serialize_vpkg(atom):
     return f"{atom.name} {atom.constraint.relop} {atom.constraint.version}"
 
 
+TRUE = VpkgFormula()
+EMPTY_LIST = VpkgList()
+
+
 def serialize_value(value):
     """Canonical lexical form of a typed value.
 
     parse_value(tag, serialize_value(v)) == v for every value with a
     lexical form; the True formula has none and raises SerializeError.
-    A formula or list that keeps its text returns that text.
+    A formula or list returns the canonical text it keeps.
     """
     lexical = getattr(value, "_lexical", None)
-    if lexical is not None:
-        return lexical[0]
+    if lexical:
+        return lexical
     if value is True:
         return "true"
     if value is False:
@@ -436,13 +425,9 @@ def serialize_value(value):
     if isinstance(value, VPkg):
         return serialize_vpkg(value)
     if isinstance(value, VpkgList):
-        return ", ".join(serialize_vpkg(a) for a in value.items)
+        return ""
     if isinstance(value, VpkgFormula):
-        if value.is_true:
-            raise SerializeError("the True formula has no lexical form")
-        return ", ".join(
-            " | ".join(serialize_vpkg(a) for a in clause) for clause in value.clauses
-        )
+        raise SerializeError("the True formula has no lexical form")
     raise SerializeError(f"cannot serialize {value!r}")
 
 
@@ -485,12 +470,9 @@ def is_subtype_value(value, target):
         if not isinstance(value, VpkgList):
             return False
         if target == "veqpkglist":
-            lexical = value._lexical
-            if lexical is not None:
-                # Canonical text: "<", ">" and "!" occur only in relops.
-                text = lexical[0]
-                return "<" not in text and ">" not in text and "!" not in text
-            return all(is_subtype_value(a, "veqpkg") for a in value.items)
+            # Canonical text: "<", ">" and "!" occur only in relops.
+            text = value._lexical
+            return "<" not in text and ">" not in text and "!" not in text
         return True
     if target == "vpkgformula":
         return isinstance(value, VpkgFormula)

@@ -751,10 +751,7 @@ def oracle_serialize_cudf(doc):
         return f"{name}: {types.serialize_value(value)}\n"
 
     def omitted(value, default):
-        # A value that keeps its text is never a default, and == on it
-        # would build its atoms.
-        return value is None or value is default or (
-            getattr(value, "_lexical", None) is None and value == default)
+        return value is None or value is default or value == default
 
     chunks = []
     for item in doc.packages:

@@ -34,22 +34,22 @@ MUTANTS = (
     ("junk errors interleaved in line order", TEXTIO,
      "recovered_errors=junk + dropped",
      "recovered_errors=sorted(junk + dropped, key=lambda e: e.line)",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_only_a_postmark_with_its_space_opens_a_stanza"),
     ("any whitespace makes a blank line", TEXTIO,
      'sep or line.strip(" \\t")', "sep or line.strip()",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_only_spaces_and_tabs_make_a_blank_line"),
     ("a dropped stanza's bytes end at its last line", TEXTIO,
      "byte_range(*bounds[index])", "byte_range(bounds[index][0], bounds[index][1] - 1)",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges"),
     ("a later error replaces a stanza's first", TEXTIO,
      "            elif error is not None:\n                continue\n", "",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_a_dropped_stanza_reports_its_first_error"),
     ("a repeated core property overwrites the first", TEXTIO,
      "if mask & bit:", "if mask & bit and slot is None:",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_recovery_reasons"),
     ("extras left unsorted", TEXTIO,
      "extras.sort()\n", "\n",
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_reader_matches_oracle_reader"),
     ("a registered default not filled", TEXTIO,
      "in defaults:", "in ():",
      "tests/test_model.py"),
@@ -61,11 +61,11 @@ MUTANTS = (
      '        if "\\r" in text:\n'
      '            lines = [line[:-1] if line.endswith("\\r") else line for line in lines]\n',
      '        lines = text.replace("\\r\\n", "\\n").split("\\n")\n',
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_a_carriage_return_is_stripped_at_the_end_of_the_data_too"),
     ("Package: without its space opens a stanza", TEXTIO,
      'if sep and (name == "Package" or name == "Problem") or',
      'if line.startswith(("Package:", "Problem:")) or',
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_only_a_postmark_with_its_space_opens_a_stanza"),
     # Solution files.
     ("a solution's junk line passes", TEXTIO,
      "    if junk:\n        raise MalformedSolution(junk[0].reason)\n", "",
@@ -78,17 +78,23 @@ MUTANTS = (
     ("Installed: false written", TEXTIO,
      '    if item.installed:\n        out += f"Installed:',
      '    if item.installed is not None:\n        out += f"Installed:',
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_canonical_serialization_omits_defaults"),
     ("a default-equal list built elsewhere written", TEXTIO,
-     "if value is not EMPTY_LIST and (value._lexical is not None or value.items):\n"
-     '        out += f"Conflicts:',
-     'if value is not EMPTY_LIST:\n        out += f"Conflicts:',
-     "tests/test_textio.py"),
+     "if item.conflicts._lexical:", "if item.conflicts is not EMPTY_LIST:",
+     "tests/test_textio.py::test_writer_matches_oracle_writer_on_constructor_built_values"),
     ("clauses read before the kept text", TEXTIO,
-     "(value._lexical is not None or value.clauses)",
-     "(value.clauses or value._lexical is not None)",
-     "tests/test_textio.py"),
-    # Dependency values: canonical text, kept.
+     "if item.depends._lexical:", "if item.depends.clauses and item.depends._lexical:",
+     "tests/test_textio.py::test_check_fmt_and_an_over_budget_solve_build_no_atoms"),
+    # Dependency values: canonical text, kept by every formula and list.
+    ("constructor text joined by ','", TYPES,
+     '_set_list_lexical(self, ", ".join(', '_set_list_lexical(self, ",".join(',
+     "tests/test_types.py::test_serialize_canonical_forms"),
+    ("is_true always False", TYPES,
+     "        return not self._lexical\n", "        return False\n",
+     "tests/test_types.py::test_the_empty_values_keep_empty_text"),
+    ("serialize_value returns '' for a True formula", TYPES,
+     'raise SerializeError("the True formula has no lexical form")', 'return ""',
+     "tests/test_types.py::test_serialize_canonical_forms"),
     ("a non-canonical spelling kept verbatim", TYPES,
      "lexical = _canonical_text(lexical, type_tag)", "_canonical_text(lexical, type_tag)",
      "tests/test_types.py"),
@@ -108,10 +114,9 @@ MUTANTS = (
      "tests/test_model.py"),
     # Survivors of earlier hand-run mutation checks.
     ("serialize_request compares with == first", TEXTIO,
-     "if value is not EMPTY_LIST and (value._lexical is not None or value.items):\n"
-     '            out += f"{name}:',
+     'if value._lexical:\n            out += f"{name}:',
      'if value != EMPTY_LIST:\n            out += f"{name}:',
-     "tests/test_textio.py"),
+     "tests/test_textio.py::test_check_fmt_and_an_over_budget_solve_build_no_atoms"),
     ('preset_costs("min-new") ignores Upgrade', "src/cudfkit/solver/__init__.py",
      "list(request.install.items) + list(request.upgrade.items)",
      "list(request.install.items)",
@@ -119,6 +124,17 @@ MUTANTS = (
     ("cost fixing one cost step weaker", "src/cudfkit/solver/_kernel_py.py",
      "heavy[bisect_left(steps, slack)]", "heavy[bisect_left(steps, slack) + 1]",
      "tests/test_solver.py"),
+    # The semantics checker, the compiler and the search.
+    ("a stanza's conflict with itself counts", "src/cudfkit/semantics.py",
+     "index.provided(atom, exclude_key=item.key)", "index.provided(atom)",
+     "tests/test_semantics.py::test_self_conflict_is_ignored"),
+    ("the installed version counts as below the upgrade floor", "src/cudfkit/solver/_compile.py",
+     "stanzas[j].version < floor", "stanzas[j].version <= floor",
+     "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
+    ("a two-bit clause propagated as a unit", "src/cudfkit/solver/_kernel_py.py",
+     "if clause & (clause - 1):",
+     "if clause & (clause - 1) & (clause & (clause - 1)) - 1:",
+     "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

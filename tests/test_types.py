@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from _gen import FEATURES, NAMES, ScanReject, rand_formula, rand_list, scan_parse_value
 from cudfkit._record import FrozenInstanceError, fields, replace
 from cudfkit.types import (
+    EMPTY_LIST,
     RELOPS,
     TOP,
     TRUE,
@@ -233,25 +234,13 @@ def test_canonical_text_is_kept_and_its_atoms_built_on_first_read():
             ("vpkglist", "aa = 1234567890123456789", "aa = 1234567890123456789"),
             ("veqpkglist", "aa", "aa"), ("veqpkglist", "aa=1 ,bb", "aa = 1, bb")]:
         value = parse_value(tag, spelled)
-        assert value._lexical[0] == canonical, (tag, spelled)
+        assert value._lexical == canonical, (tag, spelled)
         built = slot if tag == "vpkgformula" else VpkgList.__dict__["items"]
         with pytest.raises(AttributeError):
             built.__get__(value)
         assert value == parse_value(tag, canonical)
     with pytest.raises(LexicalError):
         parse_value("vpkglist", "aa | bb")
-
-
-def test_one_parse_shares_one_constraint_per_relop_and_version():
-    value = parse_value("vpkgformula", "aa >= 2, bb >= 2 | cc >= 02, dd > 2, ee")
-    atoms = [atom for clause in value.clauses for atom in clause]
-    assert atoms[0].constraint is atoms[1].constraint is atoms[2].constraint
-    assert atoms[3].constraint is not atoms[0].constraint
-    assert atoms[4].constraint is TOP
-    table = {}
-    first = parse_value("vpkg", "aa = 3", table)
-    assert parse_value("vpkglist", "bb = 3", table).items[0].constraint is first.constraint
-    assert parse_value("vpkg", "aa = 3").constraint is not first.constraint
 
 
 # -- subtype lattice ----------------------------------------------------------
@@ -350,6 +339,33 @@ def test_roundtrip_vpkglist(value):
 @given(formulas)
 def test_roundtrip_formula(value):
     assert parse_value("vpkgformula", serialize_value(value)) == value
+
+
+@given(formulas)
+def test_a_built_formula_keeps_its_canonical_text(value):
+    assert value._lexical == serialize_value(value) and not value.is_true
+    # Canonical: the text reads back as the value and is kept as it is.
+    parsed = parse_value("vpkgformula", value._lexical)
+    assert parsed == value and parsed._lexical == value._lexical
+
+
+@given(vpkglists | st.builds(lambda items: VpkgList(tuple(items)),
+                             st.lists(eq_vpkgs, max_size=5)))
+def test_a_built_list_keeps_its_canonical_text(value):
+    assert value._lexical == serialize_value(value)
+    parsed = parse_value("vpkglist", value._lexical)
+    assert parsed == value and parsed._lexical == value._lexical
+    eq_only = all(a.constraint.is_top or a.constraint.relop == "=" for a in value.items)
+    assert is_subtype_value(value, "veqpkglist") == eq_only
+    if eq_only:
+        assert parse_value("veqpkglist", value._lexical) == value
+
+
+def test_the_empty_values_keep_empty_text():
+    assert TRUE._lexical == VpkgFormula()._lexical == "" and VpkgFormula().is_true
+    assert EMPTY_LIST._lexical == VpkgList()._lexical == serialize_value(VpkgList()) == ""
+    with pytest.raises(SerializeError):
+        serialize_value(VpkgFormula())
 
 
 @given(st.integers(-10**9, 10**9))
