@@ -241,53 +241,73 @@ def dudf_to_xml(doc):
 # XML parsing
 
 
+_NS = f"{{{DUDF_NS}}}"
+
+
 def _q(tag):
-    return f"{{{DUDF_NS}}}{tag}"
+    return _NS + tag
 
 
-def _hole_from(elem):
-    ref = elem.get(_q("reference"))
-    if ref is not None:
-        return Intensional(ref)
-    return Extensional(elem.text or "")
-
-
-def _child(elem, tag, path):
-    found = elem.find(_q(tag))
-    if found is None:
-        raise SchemaViolation(f"{path}/{tag}", "missing element")
+def _children(elem, path, required=(), optional=(), repeated=()):
+    """elem's children by name, all checked before any is read: each is in
+    the DUDF namespace and listed, a name outside `repeated` occurs once
+    at most, and every `required` name occurs.  A `repeated` name maps to
+    the list of its elements, an absent optional one to None.  Only
+    whitespace may stand around listed children; with none listed (a leaf
+    or a hole) no child may stand at all."""
+    names = (*required, *optional, *repeated)
+    texts = [elem.text, *(child.tail for child in elem)] if names else ()
+    if any(text and not text.isspace() for text in texts):
+        raise SchemaViolation(path, "stray text")
+    found = {**dict.fromkeys(optional), **{name: [] for name in repeated}}
+    for child in elem:
+        name = child.tag.removeprefix(_NS)
+        if name == child.tag:
+            raise SchemaViolation(f"{path}/{name}", "foreign namespace")
+        if name not in names:
+            raise SchemaViolation(f"{path}/{name}", "unexpected element")
+        if name in repeated:
+            found[name].append(child)
+        elif found.get(name) is not None:
+            raise SchemaViolation(f"{path}/{name}", "repeated element")
+        else:
+            found[name] = child
+    for name in required:
+        if name not in found:
+            raise SchemaViolation(f"{path}/{name}", "missing element")
     return found
 
 
-def _check_children(elem, allowed, path):
-    for child in elem:
-        name = child.tag.split("}")[-1] if "}" in child.tag else child.tag
-        if child.tag.startswith(f"{{{DUDF_NS}}}"):
-            if name not in allowed:
-                raise SchemaViolation(f"{path}/{name}", "unexpected element")
-        else:
-            raise SchemaViolation(f"{path}/{child.tag}", "foreign namespace")
+def _text(elem, path):
+    _children(elem, path)
+    return elem.text or ""
 
 
-def _status_from(elem, path):
-    _check_children(elem, {"installer", "meta-installer"}, path)
-    installer = _child(elem, "installer", path)
-    meta = elem.find(_q("meta-installer"))
-    return PackageStatus(
-        installer=_hole_from(installer),
-        meta_installer=None if meta is None else _hole_from(meta),
-    )
+def _hole(elem, path):
+    """The hole elem holds, None for no element."""
+    if elem is None:
+        return None
+    text = _text(elem, path)
+    ref = elem.get(_q("reference"))
+    if ref is None:
+        return Extensional(text)
+    if text.strip():
+        raise SchemaViolation(path, "text in an intensional hole")
+    return Intensional(ref)
 
 
-def _tool_from(elem, path):
-    _check_children(elem, {"name", "version"}, path)
-    name = _child(elem, "name", path)
-    version = _child(elem, "version", path)
-    return (name.text or "", version.text or "")
+def _status(elem, path):
+    holes = _children(elem, path, required=("installer",), optional=("meta-installer",))
+    return PackageStatus(_hole(holes["installer"], f"{path}/installer"),
+                         _hole(holes["meta-installer"], f"{path}/meta-installer"))
 
 
 def xml_to_dudf(data):
-    """Inverse of dudf_to_xml; rejects foreign and unexpected elements."""
+    """Inverse of dudf_to_xml.  XML that is not DUDF raises SchemaViolation
+    naming its path: an element missing, repeated, unexpected or in a
+    foreign namespace, markup inside a leaf or a hole, text around the
+    elements of any other element, and text in a hole with a
+    dudf:reference.  Unknown attributes are ignored."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -297,71 +317,50 @@ def xml_to_dudf(data):
     version = root.get(_q("version"))
     if version is None:
         raise SchemaViolation("dudf", "missing dudf:version attribute")
-    _check_children(
-        root,
-        {"timestamp", "uid", "distribution", "installer", "meta-installer",
-         "problem", "outcome"},
-        "dudf",
-    )
+    top = _children(root, "dudf", required=("timestamp", "uid", "distribution", "installer",
+                                            "meta-installer", "problem"), optional=("outcome",))
+    tools = []
+    for tag in ("installer", "meta-installer"):
+        leaves = _children(top[tag], f"dudf/{tag}", required=("name", "version"))
+        tools.append((_text(leaves["name"], f"dudf/{tag}/name"),
+                      _text(leaves["version"], f"dudf/{tag}/version")))
 
-    problem_elem = _child(root, "problem", "dudf")
-    _check_children(
-        problem_elem,
-        {"package-status", "package-universe", "action", "desiderata"},
-        "dudf/problem",
-    )
-    universe_elem = _child(problem_elem, "package-universe", "dudf/problem")
-    _check_children(universe_elem, {"package-list"}, "dudf/problem/package-universe")
+    problem = _children(top["problem"], "dudf/problem", optional=("desiderata",),
+                        required=("package-status", "package-universe", "action"))
+    path = "dudf/problem/package-universe"
     package_lists = []
-    for i, elem in enumerate(universe_elem.findall(_q("package-list"))):
+    for i, elem in enumerate(_children(problem["package-universe"], path,
+                                       repeated=("package-list",))["package-list"]):
         fmt = elem.get(_q("format"))
         if not fmt:
-            raise SchemaViolation(
-                f"dudf/problem/package-universe/package-list[{i}]",
-                "missing dudf:format annotation",
-            )
-        package_lists.append(
-            PackageList(
-                format=fmt,
-                filename=elem.get(_q("filename")),
-                payload=_hole_from(elem),
-            )
-        )
-    desiderata_elem = problem_elem.find(_q("desiderata"))
-    problem = DudfProblem(
-        package_status=_status_from(
-            _child(problem_elem, "package-status", "dudf/problem"),
-            "dudf/problem/package-status",
-        ),
-        package_universe=tuple(package_lists),
-        action=_hole_from(_child(problem_elem, "action", "dudf/problem")),
-        desiderata=None if desiderata_elem is None else _hole_from(desiderata_elem),
-    )
+            raise SchemaViolation(f"{path}/package-list[{i}]", "missing dudf:format annotation")
+        package_lists.append(PackageList(fmt, _hole(elem, f"{path}/package-list[{i}]"),
+                                         elem.get(_q("filename"))))
 
     outcome = None
-    outcome_elem = root.find(_q("outcome"))
-    if outcome_elem is not None:
-        _check_children(outcome_elem, {"error", "package-status"}, "dudf/outcome")
-        result = outcome_elem.get(_q("result"))
-        error_elem = outcome_elem.find(_q("error"))
-        status_elem = outcome_elem.find(_q("package-status"))
-        violations = _outcome_violations(result, error_elem, status_elem)
+    if top["outcome"] is not None:
+        parts = _children(top["outcome"], "dudf/outcome", optional=("error", "package-status"))
+        result = top["outcome"].get(_q("result"))
+        error, status = parts["error"], parts["package-status"]
+        violations = _outcome_violations(result, error, status)
         if violations:
             raise SchemaViolation(violations[0].path, violations[0].detail)
         outcome = DudfOutcome(
-            result,
-            error=None if error_elem is None else _hole_from(error_elem),
-            package_status=(None if status_elem is None else
-                            _status_from(status_elem, "dudf/outcome/package-status")),
-        )
+            result, _hole(error, "dudf/outcome/error"),
+            None if status is None else _status(status, "dudf/outcome/package-status"))
 
     return DudfDocument(
-        timestamp=(_child(root, "timestamp", "dudf").text or ""),
-        uid=(_child(root, "uid", "dudf").text or ""),
-        distribution=(_child(root, "distribution", "dudf").text or ""),
-        installer=_tool_from(_child(root, "installer", "dudf"), "dudf/installer"),
-        meta_installer=_tool_from(_child(root, "meta-installer", "dudf"), "dudf/meta-installer"),
-        problem=problem,
+        timestamp=_text(top["timestamp"], "dudf/timestamp"),
+        uid=_text(top["uid"], "dudf/uid"),
+        distribution=_text(top["distribution"], "dudf/distribution"),
+        installer=tools[0],
+        meta_installer=tools[1],
+        problem=DudfProblem(
+            _status(problem["package-status"], "dudf/problem/package-status"),
+            tuple(package_lists),
+            _hole(problem["action"], "dudf/problem/action"),
+            _hole(problem["desiderata"], "dudf/problem/desiderata"),
+        ),
         outcome=outcome,
         version=version,
     )

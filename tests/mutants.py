@@ -6,11 +6,11 @@
 Run from anywhere; pytest does not collect this file.  The runner copies
 the source tree to a temporary directory, checks that tier-1 passes there
 unchanged, then for each mutant applies its one edit (the old text must
-occur exactly once) and runs tier-1 with `-x -q`.  A mutant is killed
-when a test fails; one that passes the whole suite is a survivor, and
-any survivor fails the run.  The test file or test (a pytest node id)
-named for the mutant runs first, in a pytest call of its own, only so
-that a kill comes sooner; tier-1 runs only if it passes.
+occur exactly once) and runs, with `-x -q`, the test file or test (a
+pytest node id) named for it.  A mutant is killed when that test fails.
+When it passes, tier-1 runs: a mutant that tier-1 kills is reported as
+`killed, not by <test>` (the name is stale), and one that passes tier-1
+too is a survivor.  Either fails the run.
 """
 
 from __future__ import annotations
@@ -27,8 +27,12 @@ ROOT = Path(__file__).resolve().parents[1]
 TEXTIO = "src/cudfkit/textio.py"
 MODEL = "src/cudfkit/model.py"
 TYPES = "src/cudfkit/types.py"
+SEMANTICS = "src/cudfkit/semantics.py"
+COMPILE = "src/cudfkit/solver/_compile.py"
+KERNEL = "src/cudfkit/solver/_kernel_py.py"
+DUDF = "src/cudfkit/dudf.py"
 
-# (label, file, old text, new text, test file or node id run first)
+# (label, file, old text, new text, test file or node id that kills it)
 MUTANTS = (
     # The reader's one walk over the lines.
     ("junk errors interleaved in line order", TEXTIO,
@@ -121,40 +125,103 @@ MUTANTS = (
      "list(request.install.items) + list(request.upgrade.items)",
      "list(request.install.items)",
      "tests/test_solver.py"),
-    ("cost fixing one cost step weaker", "src/cudfkit/solver/_kernel_py.py",
+    ("cost fixing one cost step weaker", KERNEL,
      "heavy[bisect_left(steps, slack)]", "heavy[bisect_left(steps, slack) + 1]",
      "tests/test_solver.py"),
     # The semantics checker, the compiler and the search.
-    ("a stanza's conflict with itself counts", "src/cudfkit/semantics.py",
+    ("a stanza's conflict with itself counts", SEMANTICS,
      "index.provided(atom, exclude_key=item.key)", "index.provided(atom)",
      "tests/test_semantics.py::test_self_conflict_is_ignored"),
-    ("the installed version counts as below the upgrade floor", "src/cudfkit/solver/_compile.py",
+    ("the installed version counts as below the upgrade floor", COMPILE,
      "stanzas[j].version < floor", "stanzas[j].version <= floor",
      "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
-    ("a two-bit clause propagated as a unit", "src/cudfkit/solver/_kernel_py.py",
+    ("a two-bit clause propagated as a unit", KERNEL,
      "if clause & (clause - 1):",
      "if clause & (clause - 1) & (clause & (clause - 1)) - 1:",
      "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
+    ("the successor's metadata ignores Provides", SEMANTICS,
+     "(p.keep, p.depends, p.conflicts, p.provides)", "(p.keep, p.depends, p.conflicts)",
+     "tests/test_semantics.py::test_successor_metadata_frozen[provides]"),
+    ("the successor's metadata ignores Keep", SEMANTICS,
+     "(p.keep, p.depends, p.conflicts, p.provides)", "(p.depends, p.conflicts, p.provides)",
+     "tests/test_semantics.py::test_successor_metadata_frozen[keep]"),
+    ("the successor's domain check skipped", SEMANTICS,
+     "for key in sorted(meta_before.keys() ^ meta_after.keys()):", "for key in ():",
+     "tests/test_semantics.py::test_successor_reflexive_and_domain_fixed"),
+    ("FeatureIndex.provided ignores exclude_key", SEMANTICS,
+     "any(self.stanzas[i].key != exclude_key for i in", "any(True for i in",
+     "tests/test_index.py::test_self_conflict_through_own_provide"),
+    ("an unversioned provide matches any constraint", SEMANTICS,
+     "constraint_satisfiable(c) if v is ALL", "True if v is ALL",
+     "tests/test_semantics.py::test_constraint_satisfaction"),
+    ("keep 'feature checked with any", SEMANTICS,
+     'keep == "feature" and not all(', 'keep == "feature" and not any(',
+     "tests/test_verdict_golden.py::test_verify_json_payload_is_pinned[keep-feature]"),
+    ("an upgrade to the same version counts as older", SEMANTICS,
+     "any(n < m for m in", "any(n <= m for m in",
+     "tests/test_semantics.py::test_upgrade_triple"),
+    ("the upgrade singleton test lets no version pass", SEMANTICS,
+     "if len(after_versions) != 1:", "if len(after_versions) > 1:",
+     "tests/test_semantics.py::test_upgrade_requires_singleton_and_dominance"),
+    ("conflicts compiled one way", COMPILE,
+     "                    exclusions[j] |= 1 << i\n", "",
+     "tests/test_index.py::test_package_providing_its_own_name"),
+    ("the keep 'package clause dropped", COMPILE,
+     "clauses.append(_bits(index.by_name[item.name]))", "pass",
+     "tests/test_index.py::test_keep_package_group_and_upgrade_bits_from_name_index"),
+    ("the zeros of Remove dropped", COMPILE,
+     "zeros = _bits(j for atom in request.remove.items for j in index.matches(atom))",
+     "zeros = 0",
+     "tests/test_index.py::test_compiled_masks_match_scan_oracle"),
+    ("the budget admits exactly 2**k candidates no longer", "src/cudfkit/solver/__init__.py",
+     "(1 << k) > budget", "(1 << k) >= budget",
+     "tests/test_solver.py::test_budget_exceeded"),
+    ("a node at the bound's edge is kept", KERNEL,
+     "if slack <= 0:", "if slack < 0:",
+     "tests/test_solver.py::test_search_bound_counts_negative_costs"),
+    ("phase 2 takes the exclude branch first", KERNEL,
+     "                stack += [exclude, include]\n        return best_mask",
+     "                stack += [include, exclude]\n        return best_mask",
+     "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
+    ("phase 2 without its rest clause", KERNEL,
+     "clauses + [rest], cost,", "clauses, cost,",
+     "tests/test_solver.py::test_phase_two_skips_the_leaf_it_tried_first"),
+    ("main runs with the collector on", "src/cudfkit/cli.py",
+     "with textio.collector_paused():", "if True:",
+     "tests/test_cli.py::test_commands_run_with_the_collector_off"),
+    # The DUDF reader's one child check.
+    ("a leaf read without its child check", DUDF,
+     '    _children(elem, path)\n    return elem.text or ""', '    return elem.text or ""',
+     "tests/test_dudf.py::test_markup_inside_a_leaf_or_hole_is_refused"),
+    ("a repeated single element accepted", DUDF,
+     "elif found.get(name) is not None:", "elif False:",
+     "tests/test_dudf.py::test_a_second_copy_of_a_single_element_is_refused"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench", ".benchmarks", "*.egg-info")
 
 
-def tier1(tree, first=None):
-    """pytest's exit code for tier-1 in `tree`, stopping at the first
-    failure; the test file `first` runs alone before it.  (Named beside
-    "tests", the file would be collected as part of the directory, in
-    the directory's order.)"""
+def pytest_code(tree, target):
+    """pytest's exit code for `target` (a test file, a node id or
+    "tests") in `tree`, stopping at the first failure.  (Named beside
+    "tests", a file would be collected as part of the directory, in the
+    directory's order, so each target runs in a call of its own.)"""
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors"]
+            "--continue-on-collection-errors", target]
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    for paths in ([first], ["tests"]) if first else (["tests"],):
-        code = subprocess.run(argv + paths, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=900).returncode
-        if code != 0:
-            return code
-    return 0
+    return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, timeout=900).returncode
+
+
+def outcome(tree, target):
+    """How the mutated tree fares against the test `target` named for it."""
+    code = pytest_code(tree, target)
+    verdicts = {1: "killed"}
+    if code == 0:
+        code = pytest_code(tree, "tests")
+        verdicts = {0: "SURVIVED", 1: f"killed, not by {target}"}
+    return verdicts.get(code, f"error (pytest exit {code})")
 
 
 def mutate(tree, path, old, new):
@@ -175,22 +242,21 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="cudfkit-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
-        if tier1(tree) != 0:
+        if pytest_code(tree, "tests") != 0:
             raise SystemExit("tier-1 fails on the unmutated tree")
-        survivors = []
-        for label, path, old, new, first in chosen:
+        failures = []
+        for label, path, old, new, target in chosen:
             original = mutate(tree, path, old, new)
             start = time.perf_counter()
             try:
-                code = tier1(tree, first)
+                result = outcome(tree, target)
             finally:
                 (tree / path).write_text(original)
-            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
-            print(f"{outcome:10s} {time.perf_counter() - start:6.1f} s  {label}", flush=True)
-            if code != 1:
-                survivors.append(label)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
-    return 1 if survivors else 0
+            print(f"{result:10s} {time.perf_counter() - start:6.1f} s  {label}", flush=True)
+            if result != "killed":
+                failures.append(label)
+    print(f"{len(chosen) - len(failures)} of {len(chosen)} mutants killed by the test they name")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

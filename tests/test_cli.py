@@ -550,6 +550,22 @@ def test_dudf_convert_rejects_non_dudf_xml(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid: ")
 
 
+@pytest.mark.parametrize("action", ["validate", "show", "convert"])
+@pytest.mark.parametrize("old, new, message", [
+    ("<uid>mta-switch</uid>", "<uid>mta<b/>-switch</uid>", "dudf/uid/b: unexpected element"),
+    ("<uid>mta-switch</uid>", "<uid>mta-switch</uid><uid>mta</uid>",
+     "dudf/uid: repeated element"),
+    ("</problem>", "junk</problem>", "dudf/problem: stray text"),
+    ("<action>", '<action dudf:reference="sha1:0f0f">',
+     "dudf/problem/action: text in an intensional hole"),
+])
+def test_dudf_refuses_what_the_reader_would_drop(tmp_path, capsys, action, old, new, message):
+    path = tmp_path / "dropped.xml"
+    path.write_text((GOLDEN / "submission.xml").read_text().replace(old, new))
+    assert cli.main(["dudf", action, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"invalid: {message}\n")
+
+
 def test_dudf_convert_roundtrips_through_check(tmp_path, capsysbinary):
     path = dudf_fixture(tmp_path)
     assert cli.main(["dudf", "convert", path]) == 0
@@ -621,6 +637,32 @@ def test_main_restores_the_collector_state_after_a_traceback(
         with pytest.raises(RuntimeError):
             cli.main(["check", mta_path])
         assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_run_with_the_collector_off(tmp_path, mta_path, monkeypatch, capsys, enabled):
+    # Recorded around the parse, not inside it: the parse's own pause
+    # would hide main's.
+    seen = []
+    parse = textio.parse_cudf
+
+    def recording(data, registry=None):
+        seen.append(gc.isenabled())
+        return parse(data, registry=registry)
+
+    monkeypatch.setattr(textio, "parse_cudf", recording)
+    solution = str(tmp_path / "solution.cudf")
+    was = gc.isenabled()
+    try:
+        for argv in (["check", mta_path],
+                     ["solve", mta_path, "--criterion", "min-new", "--out", solution],
+                     ["verify", "--problem", mta_path, "--solution", solution]):
+            gc.enable() if enabled else gc.disable()
+            seen.clear()
+            assert cli.main(argv) == 0, argv
+            assert seen and not any(seen), argv
     finally:
         gc.enable() if was else gc.disable()
 

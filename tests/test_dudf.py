@@ -1,5 +1,7 @@
+import copy
 import random
 import string
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -316,3 +318,101 @@ def test_toy_convert_holes():
     with pytest.raises(ConversionError,
                        match="^action hole did not parse as a problem stanza$"):
         toy_convert(convertible(action="Install: addon\n\njunk"))
+
+
+# -- nothing in the XML is dropped ----------------------------------------------
+
+FULL = sample(
+    problem=replace(sample().problem, package_status=PackageStatus(
+        Extensional("status payload"), Extensional("front-end status"))),
+    outcome=DudfOutcome("success", package_status=PackageStatus(
+        Extensional("after"), Intensional("ref:42"))),
+)
+FAILED = sample(outcome=DudfOutcome("failure", error=Extensional("boom")))
+
+LEAVES = ["dudf/timestamp", "dudf/uid", "dudf/distribution",
+          "dudf/installer/name", "dudf/installer/version",
+          "dudf/meta-installer/name", "dudf/meta-installer/version"]
+HOLES = ["dudf/problem/package-status/installer",
+         "dudf/problem/package-status/meta-installer",
+         "dudf/problem/package-universe/package-list[0]",
+         "dudf/problem/package-universe/package-list[1]",
+         "dudf/problem/action", "dudf/problem/desiderata",
+         "dudf/outcome/error",
+         "dudf/outcome/package-status/installer",
+         "dudf/outcome/package-status/meta-installer"]
+CONTAINERS = ["dudf", "dudf/installer", "dudf/meta-installer", "dudf/problem",
+              "dudf/problem/package-status", "dudf/problem/package-universe",
+              "dudf/outcome", "dudf/outcome/package-status"]
+SINGLES = [path for path in LEAVES + HOLES + CONTAINERS
+           if path != "dudf" and "package-list" not in path]
+
+
+def _q(tag):
+    return f"{{{dudf.DUDF_NS}}}{tag}"
+
+
+def _edited(path, edit, doc=None):
+    """The XML of doc (by default FAILED for the error hole, FULL
+    otherwise) with edit applied to the element at a violation path such
+    as .../package-list[1]."""
+    doc = doc or (FAILED if path.endswith("/error") else FULL)
+    root = ET.fromstring(dudf_to_xml(doc))
+    elem = root
+    for step in path.split("/")[1:]:
+        name, _, index = step.partition("[")
+        elem = elem.findall(_q(name))[int(index[:-1] or 0)]
+    edit(elem)
+    return ET.tostring(root)
+
+
+def _refused(data):
+    with pytest.raises(SchemaViolation) as info:
+        xml_to_dudf(data)
+    return info.value.path, info.value.reason
+
+
+@pytest.mark.parametrize("path", LEAVES + HOLES)
+def test_markup_inside_a_leaf_or_hole_is_refused(path):
+    def markup(elem):
+        ET.SubElement(elem, _q("b")).tail = "tail"
+    assert _refused(_edited(path, markup)) == (f"{path}/b", "unexpected element")
+
+
+@pytest.mark.parametrize("path", SINGLES)
+def test_a_second_copy_of_a_single_element_is_refused(path):
+    parent, _, name = path.rpartition("/")
+    data = _edited(parent, lambda elem: elem.append(copy.deepcopy(elem.find(_q(name)))),
+                   FAILED if name == "error" else FULL)
+    assert _refused(data) == (path, "repeated element")
+
+
+@pytest.mark.parametrize("path", CONTAINERS)
+@pytest.mark.parametrize("where", ["text", "tail"])
+def test_stray_text_in_a_container_is_refused(path, where):
+    def stray(elem):
+        if where == "text":
+            elem.text = "junk"
+        else:
+            elem[0].tail = "\n junk \n"
+    assert _refused(_edited(path, stray)) == (path, "stray text")
+
+
+@pytest.mark.parametrize("path", HOLES)
+def test_text_in_an_intensional_hole_is_refused(path):
+    def text(elem):
+        elem.set(_q("reference"), "sha256:abcd")
+        elem.text = "payload"
+    assert _refused(_edited(path, text)) == (path, "text in an intensional hole")
+
+
+def test_whitespace_around_elements_and_in_an_intensional_hole_is_accepted():
+    def spaced(elem):
+        elem.text = "\n  "
+        for child in elem:
+            child.tail = "\n  "
+    data = _edited("dudf/problem", spaced)
+    assert xml_to_dudf(data) == FULL
+    data = _edited("dudf/problem/package-universe/package-list[1]",
+                   lambda elem: setattr(elem, "text", " \n"))
+    assert xml_to_dudf(data) == FULL

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from _gen import _op, enumerate_solutions, naive_consistent, rand_document
 from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.semantics import (
@@ -202,9 +204,15 @@ def test_successor_reflexive_and_domain_fixed():
     assert not is_successor(d, shrunk).ok
 
 
-def test_successor_metadata_frozen():
+@pytest.mark.parametrize("change", [
+    {"keep": "package"},
+    {"depends": VpkgFormula(((VPkg("bb"),),))},
+    {"conflicts": [VPkg("bb")]},
+    {"provides": [VPkg("ff")]},
+], ids=["keep", "depends", "conflicts", "provides"])
+def test_successor_metadata_frozen(change):
     before = doc(pkg("aa", 1, installed=True))
-    after = doc(pkg("aa", 1, installed=True, conflicts=[VPkg("bb")]))
+    after = doc(pkg("aa", 1, installed=True, **change))
     verdict = is_successor(before, after)
     assert [v.kind for v in verdict.violations] == ["metadata"]
 

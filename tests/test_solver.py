@@ -436,6 +436,16 @@ def test_search_bound_counts_negative_costs():
     assert (result.cost, installed) == (-1, {("aa", 1), ("bb", 1)})
 
 
+def test_phase_two_skips_the_leaf_it_tried_first():
+    # Phase 2 tries the leaf clearing every undecided bit before both
+    # branches, so its exclude branch must keep only candidates that set
+    # a bit above: without that clause it walks this leaf twice.
+    d = doc(pkg("bb", 1, depends=VpkgFormula(((VPkg("zz"),),))), pkg("cc", 1, installed=True))
+    costs = preset_costs(d, req(), "min-removed")
+    found, best_mask, best_cost, explored = _kernel_py.search(compile_problem(d, req(), costs))
+    assert (found, best_mask, best_cost, explored) == (True, 0b10, -1, 9)
+
+
 def test_mask_less_reference():
     def ref_less(a, b, n=8):
         sa = sorted(i for i in range(n) if (a >> i) & 1)
