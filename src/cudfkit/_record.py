@@ -26,7 +26,8 @@ state that is not a field, so equality, hashing, repr, pickling and
 ``replace`` never read it.  Code of the record's own module sets it
 through its member descriptor, ``__post_init__`` included.  The
 dependency records keep their canonical text in one (see
-``types.VpkgFormula``).
+``types.VpkgFormula``), and ``model.PackageItem`` its (name, version)
+key, set by its ``__post_init__`` and by the reader's slot-wise builder.
 """
 
 from __future__ import annotations

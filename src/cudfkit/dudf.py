@@ -248,13 +248,19 @@ def _q(tag):
     return _NS + tag
 
 
-def _children(elem, path, required=(), optional=(), repeated=()):
-    """elem's children by name, all checked before any is read: each is in
-    the DUDF namespace and listed, a name outside `repeated` occurs once
-    at most, and every `required` name occurs.  A `repeated` name maps to
-    the list of its elements, an absent optional one to None.  Only
-    whitespace may stand around listed children; with none listed (a leaf
-    or a hole) no child may stand at all."""
+def _children(elem, path, required=(), optional=(), repeated=(), attributes=()):
+    """elem's children by name, all checked before any is read: elem has
+    no attribute but the dudf: ones named in `attributes`, each child is
+    in the DUDF namespace and listed, a name outside `repeated` occurs
+    once at most, and every `required` name occurs.  A `repeated` name
+    maps to the list of its elements, an absent optional one to None.
+    Only whitespace may stand around listed children; with none listed (a
+    leaf or a hole) no child may stand at all."""
+    for attribute in elem.attrib:
+        name = attribute.removeprefix(_NS)
+        if name == attribute or name not in attributes:
+            shown = attribute if name == attribute else f"dudf:{name}"
+            raise SchemaViolation(path, f"unexpected attribute {shown}")
     names = (*required, *optional, *repeated)
     texts = [elem.text, *(child.tail for child in elem)] if names else ()
     if any(text and not text.isspace() for text in texts):
@@ -278,16 +284,17 @@ def _children(elem, path, required=(), optional=(), repeated=()):
     return found
 
 
-def _text(elem, path):
-    _children(elem, path)
+def _text(elem, path, attributes=()):
+    _children(elem, path, attributes=attributes)
     return elem.text or ""
 
 
-def _hole(elem, path):
-    """The hole elem holds, None for no element."""
+def _hole(elem, path, attributes=("reference",)):
+    """The hole elem holds, None for no element; `attributes` are the
+    dudf: attributes elem may carry."""
     if elem is None:
         return None
-    text = _text(elem, path)
+    text = _text(elem, path, attributes)
     ref = elem.get(_q("reference"))
     if ref is None:
         return Extensional(text)
@@ -307,7 +314,9 @@ def xml_to_dudf(data):
     naming its path: an element missing, repeated, unexpected or in a
     foreign namespace, markup inside a leaf or a hole, text around the
     elements of any other element, and text in a hole with a
-    dudf:reference.  Unknown attributes are ignored."""
+    dudf:reference.  So does any attribute but dudf:version on the root,
+    dudf:format, dudf:filename and dudf:reference on a package list,
+    dudf:reference on a hole and dudf:result on the outcome."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -318,7 +327,8 @@ def xml_to_dudf(data):
     if version is None:
         raise SchemaViolation("dudf", "missing dudf:version attribute")
     top = _children(root, "dudf", required=("timestamp", "uid", "distribution", "installer",
-                                            "meta-installer", "problem"), optional=("outcome",))
+                                            "meta-installer", "problem"), optional=("outcome",),
+                    attributes=("version",))
     tools = []
     for tag in ("installer", "meta-installer"):
         leaves = _children(top[tag], f"dudf/{tag}", required=("name", "version"))
@@ -334,12 +344,13 @@ def xml_to_dudf(data):
         fmt = elem.get(_q("format"))
         if not fmt:
             raise SchemaViolation(f"{path}/package-list[{i}]", "missing dudf:format annotation")
-        package_lists.append(PackageList(fmt, _hole(elem, f"{path}/package-list[{i}]"),
-                                         elem.get(_q("filename"))))
+        hole = _hole(elem, f"{path}/package-list[{i}]", ("format", "filename", "reference"))
+        package_lists.append(PackageList(fmt, hole, elem.get(_q("filename"))))
 
     outcome = None
     if top["outcome"] is not None:
-        parts = _children(top["outcome"], "dudf/outcome", optional=("error", "package-status"))
+        parts = _children(top["outcome"], "dudf/outcome", optional=("error", "package-status"),
+                          attributes=("result",))
         result = top["outcome"].get(_q("result"))
         error, status = parts["error"], parts["package-status"]
         violations = _outcome_violations(result, error, status)

@@ -134,6 +134,8 @@ class SchemaRegistry:
 
 @record
 class PackageItem:
+    __slots__ = ("key",)  # (name, version), stored once where the record is built
+
     name: str
     version: int
     depends: VpkgFormula = TRUE
@@ -143,9 +145,9 @@ class PackageItem:
     keep: EnumValue | None = None
     extra: tuple = ()  # sorted tuple of (name, value) pairs
 
-    @property
-    def key(self):
-        return (self.name, self.version)
+    def __post_init__(self):
+        # The constructor, replace, pickling and copies all come here.
+        _set_key(self, (self.name, self.version))
 
     def extra_value(self, name, default=None):
         for prop, value in self.extra:
@@ -158,10 +160,11 @@ class PackageItem:
                              self.provides, flag, self.keep, self.extra)
 
 
-# PackageItem has no __post_init__, so a record built through its slots,
-# one member-descriptor call per field, equals the constructor's; the
-# reader and with_installed build every item this way, which skips the
-# generic argument handling of Record.__init__ and replace.
+# PackageItem's __post_init__ only stores the key, so a record built
+# through its slots, one member-descriptor call per field and one for the
+# key, equals the constructor's; the reader and with_installed build every
+# item this way, which skips the generic argument handling of
+# Record.__init__ and replace.
 _set_name = PackageItem.__dict__["name"].__set__
 _set_version = PackageItem.__dict__["version"].__set__
 _set_depends = PackageItem.__dict__["depends"].__set__
@@ -170,6 +173,7 @@ _set_provides = PackageItem.__dict__["provides"].__set__
 _set_installed = PackageItem.__dict__["installed"].__set__
 _set_keep = PackageItem.__dict__["keep"].__set__
 _set_extra = PackageItem.__dict__["extra"].__set__
+_set_key = PackageItem.__dict__["key"].__set__
 
 
 def _package_item(name, version, depends, conflicts, provides, installed, keep, extra):
@@ -182,6 +186,7 @@ def _package_item(name, version, depends, conflicts, provides, installed, keep, 
     _set_installed(item, installed)
     _set_keep(item, keep)
     _set_extra(item, extra)
+    _set_key(item, (name, version))
     return item
 
 
@@ -234,7 +239,7 @@ def validate_document(doc, registry=None):
     good_provides = set()  # ids of the Provides values that passed
     for item in doc.packages:
         name, version = item.name, item.version
-        key = (name, version)
+        key = item.key
         if key in seen:
             append(Violation("DuplicateKey", f"duplicate stanza for {name} {version}",
                              name, version))

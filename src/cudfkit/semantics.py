@@ -2,18 +2,22 @@
 
 Consistency, the successor relation and the request each return a
 verdict that lists one model.Violation per failed clause, named by its
-kind.  The successor relation compares the two documents through one
-map per document from each (name, version) key to the metadata of its
-first stanza.
+kind.  The successor relation maps each (name, version) key of either
+document to its first stanza, and compares the metadata of the two
+first stanzas of a key only when they are different objects: a solution
+shares every stanza whose Installed flag it keeps with its problem.
 
 A FeatureIndex maps each package name and feature to the stanzas that
 contribute a version of it: each stanza under its own name and version,
 and under each of its provides, where an unversioned provide contributes
 the symbolic set of every positive version (ALL) rather than an
-enumeration.  Consistency, the keep obligations of the successor
-relation and the request clauses each read one index over a document's
-installed stanzas; problem compilation (``solver._compile``) reads one
-over all stanzas.  Each is built in one pass over the stanzas.
+enumeration.  ``satisfies_request`` builds one index over the solution's
+installed stanzas and hands it to ``is_consistent`` and ``is_successor``
+(for the keep obligations), which build their own when called alone; an
+Upgrade adds one over the original installation.  Problem compilation
+(``solver._compile``) reads one over all stanzas.  Each is built in one
+pass over the stanzas, and the checks and the compiler answer every atom
+through ``FeatureIndex.matches``.
 """
 
 from __future__ import annotations
@@ -83,16 +87,22 @@ class FeatureIndex:
                 )
 
     def matches(self, atom):
-        """Positions of the stanzas contributing a version of atom.name
-        that satisfies atom.constraint, once per contribution."""
+        """List of the positions of the stanzas contributing a version of
+        atom.name that satisfies atom.constraint, once per contribution."""
         c = atom.constraint
-        for i, v in self.providers.get(atom.name, ()):
-            if constraint_satisfiable(c) if v is ALL else satisfies_constraint(v, c):
-                yield i
+        contributions = self.providers.get(atom.name, ())
+        if c.is_top:
+            return [i for i, _ in contributions]
+        test, bound, any_version = _RELOPS[c.relop], c.version, constraint_satisfiable(c)
+        return [i for i, v in contributions if (any_version if v is ALL else test(v, bound))]
 
     def provided(self, atom, exclude_key=None):
         """Whether a stanza not keyed exclude_key contributes to atom."""
-        return any(self.stanzas[i].key != exclude_key for i in self.matches(atom))
+        matches = self.matches(atom)
+        if exclude_key is None:
+            return bool(matches)
+        stanzas = self.stanzas
+        return any(stanzas[i].key != exclude_key for i in matches)
 
     def versions(self, name):
         """Versions of the stanzas named name."""
@@ -124,11 +134,13 @@ class Verdict:
 # Consistency
 
 
-def is_consistent(doc):
+def is_consistent(doc, index=None):
     """Every installed package has its dependencies satisfied and its
     conflicts disjoint from everything else installed (self-conflicts
-    are ignored by excluding the contributions of the package's own key)."""
-    index = _installed_index(doc)
+    are ignored by excluding the contributions of the package's own key).
+    index, when given, is the FeatureIndex over doc's installed stanzas."""
+    if index is None:
+        index = _installed_index(doc)
     verdict = Verdict()
     for item in index.stanzas:
         if not all(
@@ -152,31 +164,36 @@ def is_consistent(doc):
 # Successor relation
 
 
-def _metadata_by_key(doc):
-    """(name, version) -> (keep, depends, conflicts, provides) of doc's
-    stanzas; the first stanza of a key wins."""
-    out = {}
-    for p in doc.packages:
-        out.setdefault(p.key, (p.keep, p.depends, p.conflicts, p.provides))
-    return out
+def _first_stanzas(doc):
+    """(name, version) -> the first of doc's stanzas with that key."""
+    return {p.key: p for p in reversed(doc.packages)}  # the first one is stored last
 
 
-def is_successor(before, after):
+def _metadata(p):
+    return (p.keep, p.depends, p.conflicts, p.provides)
+
+
+def is_successor(before, after, index=None):
+    """The domain is kept, each key's non-Installed properties are kept,
+    and the keep obligations of before's installed stanzas hold in after.
+    index, when given, is the FeatureIndex over after's installed stanzas."""
     verdict = Verdict()
-    meta_before, meta_after = _metadata_by_key(before), _metadata_by_key(after)
-    for key in sorted(meta_before.keys() ^ meta_after.keys()):
-        side = "missing from" if key in meta_before else "added by"
+    first_before, first_after = _first_stanzas(before), _first_stanzas(after)
+    for key in sorted(first_before.keys() ^ first_after.keys()):
+        side = "missing from" if key in first_before else "added by"
         verdict.violations.append(
             Violation("domain", f"{key} {side} the successor", *key)
         )
     if verdict.violations:
         return verdict
 
-    changed = [key for key, meta in meta_before.items() if meta != meta_after[key]]
+    changed = [key for key, p in first_before.items() if p is not first_after[key]
+               and _metadata(p) != _metadata(first_after[key])]
     for key in sorted(changed):
         verdict.violations.append(Violation("metadata", "non-Installed property changed", *key))
 
-    index = _installed_index(after)
+    if index is None:
+        index = _installed_index(after)
     kept = [p for p in before.packages if p.installed and p.keep is not None]
     for item in sorted(kept, key=lambda p: p.key):
         keep = item.keep.chosen
@@ -226,12 +243,13 @@ class RequestVerdict:
 
 
 def satisfies_request(before, request, after):
-    """The five request-semantics clauses between two documents."""
-    verdict = RequestVerdict(
-        successor=is_successor(before, after),
-        consistency=is_consistent(after),
-    )
+    """The five request-semantics clauses between two documents, all read
+    off one FeatureIndex over after's installed stanzas."""
     index = _installed_index(after)
+    verdict = RequestVerdict(
+        successor=is_successor(before, after, index),
+        consistency=is_consistent(after, index),
+    )
     for atom in request.install.items:
         if not index.provided(atom):
             verdict.violations.append(

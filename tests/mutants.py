@@ -10,7 +10,8 @@ occur exactly once) and runs, with `-x -q`, the test file or test (a
 pytest node id) named for it.  A mutant is killed when that test fails.
 When it passes, tier-1 runs: a mutant that tier-1 kills is reported as
 `killed, not by <test>` (the name is stale), and one that passes tier-1
-too is a survivor.  Either fails the run.
+too is a survivor.  A pytest call that runs past TIMEOUT_S is stopped and
+its mutant reported as `timed out`.  Each of these fails the run.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ SEMANTICS = "src/cudfkit/semantics.py"
 COMPILE = "src/cudfkit/solver/_compile.py"
 KERNEL = "src/cudfkit/solver/_kernel_py.py"
 DUDF = "src/cudfkit/dudf.py"
+TIMEOUT_S = 900  # per pytest call
 
 # (label, file, old text, new text, test file or node id that kills it)
 MUTANTS = (
@@ -132,6 +134,13 @@ MUTANTS = (
     ("a stanza's conflict with itself counts", SEMANTICS,
      "index.provided(atom, exclude_key=item.key)", "index.provided(atom)",
      "tests/test_semantics.py::test_self_conflict_is_ignored"),
+    ("the key stored as (version, name)", MODEL,
+     "_set_key(item, (name, version))", "_set_key(item, (version, name))",
+     "tests/test_model.py::test_every_package_item_stores_its_key"),
+    ("consistency handed the index over the original installation", SEMANTICS,
+     "consistency=is_consistent(after, index),",
+     "consistency=is_consistent(after, _installed_index(before)),",
+     "tests/test_semantics.py::test_request_embeds_consistency"),
     ("the installed version counts as below the upgrade floor", COMPILE,
      "stanzas[j].version < floor", "stanzas[j].version <= floor",
      "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
@@ -140,19 +149,24 @@ MUTANTS = (
      "if clause & (clause - 1) & (clause & (clause - 1)) - 1:",
      "tests/test_solver.py::test_search_matches_exhaustive_oracle"),
     ("the successor's metadata ignores Provides", SEMANTICS,
-     "(p.keep, p.depends, p.conflicts, p.provides)", "(p.keep, p.depends, p.conflicts)",
+     "return (p.keep, p.depends, p.conflicts, p.provides)",
+     "return (p.keep, p.depends, p.conflicts)",
      "tests/test_semantics.py::test_successor_metadata_frozen[provides]"),
     ("the successor's metadata ignores Keep", SEMANTICS,
-     "(p.keep, p.depends, p.conflicts, p.provides)", "(p.depends, p.conflicts, p.provides)",
+     "return (p.keep, p.depends, p.conflicts, p.provides)",
+     "return (p.depends, p.conflicts, p.provides)",
      "tests/test_semantics.py::test_successor_metadata_frozen[keep]"),
+    ("the successor's identity shortcut skips every metadata comparison", SEMANTICS,
+     "if p is not first_after[key]", "if False",
+     "tests/test_index.py::test_successor_reads_the_first_stanza_of_each_key_in_any_order"),
     ("the successor's domain check skipped", SEMANTICS,
-     "for key in sorted(meta_before.keys() ^ meta_after.keys()):", "for key in ():",
+     "for key in sorted(first_before.keys() ^ first_after.keys()):", "for key in ():",
      "tests/test_semantics.py::test_successor_reflexive_and_domain_fixed"),
     ("FeatureIndex.provided ignores exclude_key", SEMANTICS,
-     "any(self.stanzas[i].key != exclude_key for i in", "any(True for i in",
+     "any(stanzas[i].key != exclude_key for i in matches)", "any(True for i in matches)",
      "tests/test_index.py::test_self_conflict_through_own_provide"),
     ("an unversioned provide matches any constraint", SEMANTICS,
-     "constraint_satisfiable(c) if v is ALL", "True if v is ALL",
+     "any_version if v is ALL", "True if v is ALL",
      "tests/test_semantics.py::test_constraint_satisfaction"),
     ("keep 'feature checked with any", SEMANTICS,
      'keep == "feature" and not all(', 'keep == "feature" and not any(',
@@ -191,8 +205,12 @@ MUTANTS = (
      "tests/test_cli.py::test_commands_run_with_the_collector_off"),
     # The DUDF reader's one child check.
     ("a leaf read without its child check", DUDF,
-     '    _children(elem, path)\n    return elem.text or ""', '    return elem.text or ""',
+     '    _children(elem, path, attributes=attributes)\n    return elem.text or ""',
+     '    return elem.text or ""',
      "tests/test_dudf.py::test_markup_inside_a_leaf_or_hole_is_refused"),
+    ("a misspelt dudf: attribute accepted", DUDF,
+     "if name == attribute or name not in attributes:", "if name == attribute:",
+     "tests/test_dudf.py::test_an_unexpected_attribute_of_the_golden_submission_is_refused"),
     ("a repeated single element accepted", DUDF,
      "elif found.get(name) is not None:", "elif False:",
      "tests/test_dudf.py::test_a_second_copy_of_a_single_element_is_refused"),
@@ -204,14 +222,18 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypoth
 
 def pytest_code(tree, target):
     """pytest's exit code for `target` (a test file, a node id or
-    "tests") in `tree`, stopping at the first failure.  (Named beside
-    "tests", a file would be collected as part of the directory, in the
-    directory's order, so each target runs in a call of its own.)"""
+    "tests") in `tree`, stopping at the first failure, or None when the
+    call ran past TIMEOUT_S and was stopped.  (Named beside "tests", a
+    file would be collected as part of the directory, in the directory's
+    order, so each target runs in a call of its own.)"""
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             "--continue-on-collection-errors", target]
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=900).returncode
+    try:
+        return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def outcome(tree, target):
@@ -221,6 +243,8 @@ def outcome(tree, target):
     if code == 0:
         code = pytest_code(tree, "tests")
         verdicts = {0: "SURVIVED", 1: f"killed, not by {target}"}
+    if code is None:
+        return "timed out"
     return verdicts.get(code, f"error (pytest exit {code})")
 
 
@@ -243,7 +267,7 @@ def main(argv=None):
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         if pytest_code(tree, "tests") != 0:
-            raise SystemExit("tier-1 fails on the unmutated tree")
+            raise SystemExit("tier-1 fails or times out on the unmutated tree")
         failures = []
         for label, path, old, new, target in chosen:
             original = mutate(tree, path, old, new)

@@ -2,6 +2,7 @@ import copy
 import random
 import string
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +417,50 @@ def test_whitespace_around_elements_and_in_an_intensional_hole_is_accepted():
     data = _edited("dudf/problem/package-universe/package-list[1]",
                    lambda elem: setattr(elem, "text", " \n"))
     assert xml_to_dudf(data) == FULL
+
+
+# -- no attribute is dropped ---------------------------------------------------
+
+SUBMISSION = (Path(__file__).parent / "golden" / "submission.xml").read_bytes()
+
+
+def _once(data, old, new):
+    assert data.count(old.encode()) == 1, old
+    return _broken(data, old, new)
+
+
+def test_the_golden_submission_reads_with_its_attributes():
+    doc = xml_to_dudf(SUBMISSION)
+    assert doc.version == "1.0"
+    assert [(p.format, p.filename) for p in doc.problem.package_universe] == [
+        ("cudf-stanzas", "universe.cudf")]
+
+
+@pytest.mark.parametrize("old, new, path, shown", [
+    ('dudf:filename="', 'dudf:filenam="',
+     "dudf/problem/package-universe/package-list[0]", "dudf:filenam"),
+    ("<uid>", '<uid dudf:reference="sha1:0">', "dudf/uid", "dudf:reference"),
+    ('dudf:version="1.0"', 'dudf:version="1.0" dudf:result="success"', "dudf",
+     "dudf:result"),
+    ("<action>", '<action dudf:format="cudf-stanzas">', "dudf/problem/action",
+     "dudf:format"),
+    ("<package-status>", '<package-status dudf:reference="sha1:0">',
+     "dudf/problem/package-status", "dudf:reference"),
+    ("<problem>", '<problem lang="en">', "dudf/problem", "lang"),
+], ids=["filename", "uid", "root", "action", "package-status", "problem"])
+def test_an_unexpected_attribute_of_the_golden_submission_is_refused(old, new, path, shown):
+    assert _refused(_once(SUBMISSION, old, new)) == (path, f"unexpected attribute {shown}")
+
+
+@pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
+def test_an_attribute_in_another_namespace_is_refused(path):
+    data = _edited(path, lambda elem: elem.set("{urn:example}note", "1"))
+    assert _refused(data) == (path, "unexpected attribute {urn:example}note")
+
+
+@pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
+def test_a_dudf_attribute_outside_its_elements_is_refused(path):
+    # dudf:result belongs to the outcome alone, dudf:reference to holes.
+    name = "reference" if path in LEAVES + CONTAINERS else "result"
+    data = _edited(path, lambda elem: elem.set(_q(name), "x"))
+    assert _refused(data) == (path, f"unexpected attribute dudf:{name}")

@@ -107,6 +107,28 @@ def test_successor_violations_match_naive_oracle():
         assert got == naive_successor_violations(before, after)
 
 
+def test_successor_violations_on_shared_repeated_and_reordered_stanzas_match_oracle():
+    # The solution shares unchanged stanzas with the problem, as
+    # apply_solution does, and lists them in another order; a repeated
+    # key's later stanza differs, so which stanza comes first decides.
+    kinds = set()
+    for rng, before in random_documents(408, 600):
+        packages = list(before.packages)
+        twin = rng.choice(packages)
+        packages.insert(rng.randrange(len(packages) + 1),
+                        replace(twin, conflicts=VpkgList((VPkg("zz"),))))
+        before = CudfDocument(packages=tuple(packages), request=before.request)
+        packages = [p if rng.random() < 0.5 else p.with_installed(not p.installed)
+                    for p in packages]
+        rng.shuffle(packages)
+        after = CudfDocument(packages=tuple(packages), request=before.request)
+        got = [(v.kind, v.package, v.version)
+               for v in is_successor(before, after).violations]
+        assert got == naive_successor_violations(before, after)
+        kinds.update(kind for kind, _, _ in got)
+    assert kinds == {"metadata", "keep"}
+
+
 def test_request_violations_match_naive_oracle():
     clauses = set()
     for rng, before in random_documents(407, 800):
@@ -139,6 +161,21 @@ def test_duplicate_keys_successor_reads_first_stanza():
     assert is_successor(before, doc(first, pkg("pp", 1, conflicts=[VPkg("rr")]))).ok
     verdict = is_successor(before, doc(pkg("pp", 1), first))
     assert [v.kind for v in verdict.violations] == ["metadata"]
+
+
+def test_successor_reads_the_first_stanza_of_each_key_in_any_order():
+    first = pkg("pp", 1, conflicts=[VPkg("qq")], installed=True)
+    later = pkg("pp", 1, conflicts=[VPkg("rr")])
+    other = pkg("oo", 2, installed=True)
+    before = doc(first, other, later)
+    for after in (doc(other, first, later),  # shared and reordered
+                  doc(other, first.with_installed(False), pkg("pp", 1)),  # rebuilt
+                  doc(pkg("pp", 1, conflicts=[VPkg("qq")]), later, other)):
+        assert is_successor(before, after).ok
+    for after in (doc(other, later, first), doc(later.with_installed(True), first, other)):
+        verdict = is_successor(before, after)
+        assert [(v.kind, v.package, v.version) for v in verdict.violations] == [
+            ("metadata", "pp", 1)]
 
 
 def test_package_providing_its_own_name():

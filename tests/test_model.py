@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from _gen import make_extra, naive_validate, rand_document, subtype_item_violations
-from cudfkit._record import replace
+from cudfkit._record import fields, replace
 from cudfkit.textio import parse_cudf
 from cudfkit.model import (
     CORE_PACKAGE_SCHEMATA,
@@ -188,6 +191,21 @@ def test_registered_extra_default_is_filled():
 def test_stanza_records_are_slotted():
     for record in (PackageItem("aa", 1), RawValue("x"), RequestItem("pb")):
         assert not hasattr(record, "__dict__"), type(record)
+
+
+def test_every_package_item_stores_its_key():
+    parsed = parse_cudf((Path(__file__).parent / "golden" / "kitchen.cudf").read_bytes())
+    built = PackageItem("aa", 2, installed=True)
+    items = [*parsed.document.packages, built, built.with_installed(False),
+             replace(built, name="bb"), replace(built, version=3),
+             pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)]
+    assert len(items) > 8
+    for item in items:
+        assert item.key == (item.name, item.version)
+    assert [item.key for item in items[-7:]] == [
+        ("aa", 2), ("aa", 2), ("bb", 2), ("aa", 3), ("aa", 2), ("aa", 2), ("aa", 2)]
+    assert "key" not in fields(built)  # equality, hashing and repr ignore it
+    assert "key" not in repr(built)
 
 
 def test_request_defaults():

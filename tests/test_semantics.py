@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from _gen import _op, enumerate_solutions, naive_consistent, rand_document
+from cudfkit import cli, semantics
 from cudfkit.model import CudfDocument, PackageItem, RequestItem
 from cudfkit.semantics import (
     ALL,
@@ -319,3 +321,32 @@ def test_enumeration_agrees_with_request_checker():
     for installed, candidate in solutions.items():
         assert {p.key for p in candidate.packages if p.installed} == set(installed)
         assert satisfies_request(d, d.request, candidate).ok
+
+
+# -- work counts ------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("problem, solution, indexed", [
+    ("mta.cudf", "postfix", [[("postfix", 2)]]),
+    # An Upgrade adds one index over the original installation.
+    ("upgrade.cudf", "editor", [[("editor", 2)], [("editor", 1)]]),
+])
+def test_one_verify_builds_one_index_over_the_solutions_installed_stanzas(
+        monkeypatch, tmp_path, problem, solution, indexed):
+    built = []
+
+    class CountingIndex(FeatureIndex):
+        __slots__ = ()
+
+        def __init__(self, stanzas):
+            built.append([p.key for p in stanzas])
+            super().__init__(stanzas)
+
+    monkeypatch.setattr(semantics, "FeatureIndex", CountingIndex)
+    path = tmp_path / "solution"
+    path.write_text(f"Package: {solution}\nVersion: 2\nInstalled: true\n")
+    argv = ["verify", "--problem", str(GOLDEN / problem), "--solution", str(path)]
+    assert cli.main(argv) == 0
+    assert built == indexed
