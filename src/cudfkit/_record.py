@@ -15,8 +15,8 @@ The decorator reads the annotations and defaults once and builds the
 class again as a subclass of Record with ``__slots__`` for its fields.
 Every record shares Record's methods: one ``__init__`` (positional or
 keyword arguments, then ``__post_init__``), equality and hashing by
-field values within one class, a ``Name(field=value, ...)`` repr, and a
-``__setattr__``/``__delattr__`` that refuse every attribute.  Pickling
+the tuple of field values within one class, a ``Name(field=value, ...)``
+repr, and a ``__setattr__``/``__delattr__`` that refuse every attribute.  Pickling
 and copying go back through the constructor.  The class body names no
 base class, and its methods do not use zero-argument ``super()``, which
 would find the class the decorator replaced.
@@ -73,8 +73,8 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        key = self._key
-        return key(self) == key(other)
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self):
         return hash(self._values(self))
@@ -116,12 +116,11 @@ def record(cls):
         (field, new.__dict__[field].__set__, default)
         for field, default in zip(names, defaults)
     )
-    # _key reads what equality compares in one C call: the field values
-    # as a tuple, or the value of a record's only field.  _values is
-    # always the tuple, which hashing, repr, pickling and replace read.
-    key = attrgetter(*names)
-    new._key = staticmethod(key)
-    new._values = staticmethod(key if len(names) > 1 else lambda record: (key(record),))
+    # _values reads the field values as a tuple, in one C call when there
+    # are several; equality (no hot path compares one-field records),
+    # hashing, repr, pickling and replace read it.
+    values = attrgetter(*names)
+    new._values = staticmethod(values if len(names) > 1 else lambda record: (values(record),))
     return new
 
 

@@ -255,7 +255,10 @@ def _children(elem, path, required=(), optional=(), repeated=(), attributes=()):
     once at most, and every `required` name occurs.  A `repeated` name
     maps to the list of its elements, an absent optional one to None.
     Only whitespace may stand around listed children; with none listed (a
-    leaf or a hole) no child may stand at all."""
+    leaf or a hole) no child may stand at all.  A processing instruction
+    is refused wherever it stands, before any name is read."""
+    if any(not isinstance(child.tag, str) for child in elem):
+        raise SchemaViolation(path, "processing instruction")
     for attribute in elem.attrib:
         name = attribute.removeprefix(_NS)
         if name == attribute or name not in attributes:
@@ -316,9 +319,11 @@ def xml_to_dudf(data):
     elements of any other element, and text in a hole with a
     dudf:reference.  So does any attribute but dudf:version on the root,
     dudf:format, dudf:filename and dudf:reference on a package list,
-    dudf:reference on a hole and dudf:result on the outcome."""
+    dudf:reference on a hole and dudf:result on the outcome.  A processing
+    instruction inside the root element is refused too; one outside it is
+    ignored."""
     try:
-        root = ET.fromstring(data)
+        root = ET.fromstring(data, ET.XMLParser(target=ET.TreeBuilder(insert_pis=True)))
     except ET.ParseError as exc:
         raise SchemaViolation("/", f"not well-formed XML: {exc}") from exc
     if root.tag != _q("dudf"):
@@ -401,7 +406,7 @@ def _parse_stanzas(text, where, installed=None):
         raise ConversionError(f"{where}: {reasons}")
     packages = report.document.packages
     if installed is not None:
-        packages = tuple(p.with_installed(installed) for p in packages)
+        return [p.with_installed(installed) for p in packages]
     return list(packages)
 
 

@@ -2,7 +2,8 @@
 
 A document is an ordered list of package items plus exactly one request
 item.  Core property schemata are fixed; extra properties are open-ended
-and handled through an explicit SchemaRegistry.
+and handled through an explicit SchemaRegistry.  A schema without a
+default holds None, which no value space holds.
 """
 
 from __future__ import annotations
@@ -11,15 +12,6 @@ from . import types
 from ._record import record
 from .types import EMPTY_LIST, TRUE, EnumValue, VpkgFormula, VpkgList
 
-
-class _Missing:
-    """The default of a property schema that has none."""
-
-    def __reduce__(self):
-        return "_MISSING"  # pickled and copied as this one object
-
-
-_MISSING = _Missing()
 
 KEEP_SYMBOLS = ("version", "package", "feature")
 KEEP_ENUM = f"enum({', '.join(KEEP_SYMBOLS)})"
@@ -41,7 +33,7 @@ class PropertySchema:
     value_type: str
     item_kind: str  # "package" | "problem"
     optionality: str  # "required" | "optional"
-    default: object = _MISSING
+    default: object = None  # None for no default: no value space holds None
 
     def __post_init__(self):
         # The reader honours no other value type, item kind or optionality.
@@ -51,16 +43,16 @@ class PropertySchema:
             raise ValueError(f"unknown item kind {self.item_kind!r}")
         if self.optionality not in ("required", "optional"):
             raise ValueError(f"unknown optionality {self.optionality!r}")
-        if self.optionality == "required" and self.default is not _MISSING:
+        if self.optionality == "required" and self.default is not None:
             raise ValueError("required properties carry no default")
-        if self.default is not _MISSING and not types.is_subtype_value(
+        if self.default is not None and not types.is_subtype_value(
             self.default, self.value_type
         ):
             raise ValueError("default outside the property's value space")
 
     @property
     def has_default(self):
-        return self.default is not _MISSING
+        return self.default is not None
 
 
 CORE_PACKAGE_SCHEMATA = {
@@ -156,6 +148,10 @@ class PackageItem:
         return default
 
     def with_installed(self, flag):
+        """This stanza with Installed set to flag; itself when its flag is
+        flag already, so a rebuilt document shares every stanza it keeps."""
+        if self.installed is flag:
+            return self
         return _package_item(self.name, self.version, self.depends, self.conflicts,
                              self.provides, flag, self.keep, self.extra)
 
@@ -272,7 +268,7 @@ def validate_document(doc, registry=None):
                                      and keep.symbols == KEEP_SYMBOLS):
             append(_type_error("Keep", KEEP_ENUM, name, version))
         for prop in required:
-            if item.extra_value(prop, _MISSING) is _MISSING:
+            if all(extra != prop for extra, _ in item.extra):
                 append(Violation("MissingProperty", f"missing required property {prop!r}",
                                  name, version))
         for prop, value in item.extra:

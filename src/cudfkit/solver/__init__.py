@@ -84,7 +84,8 @@ def solve(doc, request, costs, budget=DEFAULT_BUDGET):
     everything else is free.  The budget bounds the 2**k candidate
     space of the k free stanzas and is checked, after the keys, before
     the problem is compiled.  Any returned solution is re-checked
-    against the semantics engine, never trusted from the search.  Ties
+    against the semantics engine and priced again, never trusted from
+    the search.  Its stanzas are the compiled ones, in key order.  Ties
     break toward the lexicographically smallest sorted installed set;
     explored counts search nodes.
     """
@@ -100,19 +101,18 @@ def solve(doc, request, costs, budget=DEFAULT_BUDGET):
     if not found:
         return SolveResult(status="no_solution", explored=explored)
 
-    installed = {problem.keys[i] for i in range(problem.n) if (best_mask >> i) & 1}
-    packages = []
-    for p in doc.packages:
-        flag = p.key in installed
-        # A stanza whose flag does not change is shared with the input.
-        packages.append(p if p.installed is flag else p.with_installed(flag))
-    packages.sort(key=lambda p: p.key)
-    solution = CudfDocument(packages=tuple(packages), request=request)
+    # bit i is stanzas[i]; with_installed shares each stanza it keeps
+    solution = CudfDocument(packages=tuple(
+        p.with_installed(bool((best_mask >> i) & 1)) for i, p in enumerate(problem.stanzas)
+    ), request=request)
     verdict = semantics.satisfies_request(doc, request, solution)
     if not verdict.ok:
         raise AssertionError(
             f"search produced an invalid candidate: {verdict.failed_clauses()}"
         )
+    cost = installation_cost(solution, costs)
+    if cost != best_cost:
+        raise AssertionError(f"search reported cost {best_cost} for a candidate of cost {cost}")
     return SolveResult(
         status="solution", document=solution, cost=best_cost, explored=explored
     )

@@ -2,12 +2,12 @@
 search reads as it is.
 
 Stanzas are sorted by (name, version) and numbered; an installation
-candidate is the bitmask of installed stanzas.  Conflicts become
-symmetric exclusions; keep, install and upgrade obligations become
-clauses; removes become zeros.  An upgrade also makes the versions of
-its name exclude each other and zeros those below the highest installed
-one.  Masks are read off one semantics.FeatureIndex, so compilation is
-linear in the stanza count.
+candidate is the bitmask of installed stanzas, bit i standing for the
+problem's stanzas[i].  Conflicts become symmetric exclusions; keep,
+install and upgrade obligations become clauses; removes become zeros.
+An upgrade also makes the versions of its name exclude each other and
+zeros those below the highest installed one.  Masks are read off one
+semantics.FeatureIndex, so compilation is linear in the stanza count.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from ..semantics import FeatureIndex
 
 
 class CompiledProblem:
-    __slots__ = ("n", "keys", "costs", "pinned", "free_bits", "dep_clauses",
+    __slots__ = ("n", "stanzas", "costs", "pinned", "free_bits", "dep_clauses",
                  "exclusions", "clauses", "zeros")
 
-    def __init__(self, n, keys, costs, pinned, free_bits, dep_clauses, exclusions,
+    def __init__(self, n, stanzas, costs, pinned, free_bits, dep_clauses, exclusions,
                  clauses, zeros):
         self.n = n
-        self.keys = keys  # bit -> (name, version)
+        self.stanzas = stanzas  # bit -> PackageItem, in (name, version) order
         self.costs = costs  # bit -> int
         self.pinned = pinned  # bits forced installed (keep 'version)
         self.free_bits = free_bits
@@ -49,8 +49,7 @@ def compile_problem(doc, request, costs):
     stanzas = sorted(doc.packages, key=lambda p: p.key)
     index = FeatureIndex(stanzas)
     n = len(stanzas)
-    keys = [item.key for item in stanzas]
-    cost_vec = [costs.get(key, 0) for key in keys]
+    cost_vec = [costs.get(item.key, 0) for item in stanzas]
 
     dep_clauses = []
     exclusions = [0] * n
@@ -99,7 +98,7 @@ def compile_problem(doc, request, costs):
 
     return CompiledProblem(
         n=n,
-        keys=keys,
+        stanzas=stanzas,
         costs=cost_vec,
         pinned=pinned,
         free_bits=free_bits,

@@ -378,8 +378,8 @@ def apply_solution(problem_doc, entries):
     """Rebuild the outcome document from the problem plus solution flags.
 
     Unlisted packages end up not installed; a key outside the problem
-    domain raises MalformedSolution.  A stanza whose flag does not change
-    is shared with the problem document.
+    domain raises MalformedSolution.  Through PackageItem.with_installed, a
+    stanza whose flag does not change is shared with the problem document.
     """
     domain = problem_doc.domain()
     flags = {}
@@ -387,8 +387,5 @@ def apply_solution(problem_doc, entries):
         if key not in domain:
             raise MalformedSolution(f"{key[0]} {key[1]} not in the problem domain")
         flags[key] = installed
-    packages = []
-    for p in problem_doc.packages:
-        flag = flags.get(p.key, False)
-        packages.append(p if p.installed is flag else p.with_installed(flag))
-    return CudfDocument(packages=tuple(packages), request=problem_doc.request)
+    packages = tuple(p.with_installed(flags.get(p.key, False)) for p in problem_doc.packages)
+    return CudfDocument(packages=packages, request=problem_doc.request)

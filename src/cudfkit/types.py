@@ -46,7 +46,6 @@ RELOPS = ("=", "!=", ">=", ">", "<=", "<")
 _PKGNAME_RE = re.compile(r"[a-z][a-z0-9.-]+")
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-_ENUM_TAG_RE = re.compile(r"enum\(([^)]*)\)")
 
 
 @record
@@ -179,8 +178,11 @@ def is_type_tag(tag):
         return False
     if tag in _TYPE_TAGS:
         return True
-    return _ENUM_TAG_RE.fullmatch(tag) is not None and all(
-        _IDENT_RE.fullmatch(s) for s in _enum_symbols(tag))
+    try:
+        symbols = _enum_symbols(tag)
+    except UnknownType:
+        return False
+    return all(_IDENT_RE.fullmatch(s) for s in symbols)
 
 
 def is_pkgname(s):
@@ -320,10 +322,12 @@ def _canonical_text(lexical, type_tag):
 
 
 def _enum_symbols(type_tag):
-    m = _ENUM_TAG_RE.fullmatch(type_tag)
-    if not m:
+    """The symbols of an enum type tag: "enum(", then text with no ")",
+    split at its commas, then a final ")"."""
+    inner = type_tag[5:-1]
+    if not (type_tag.startswith("enum(") and type_tag.endswith(")")) or ")" in inner:
         raise UnknownType(type_tag)
-    return tuple(s.strip() for s in m.group(1).split(",") if s.strip())
+    return tuple(s.strip() for s in inner.split(",") if s.strip())
 
 
 def parse_value(type_tag, lexical):

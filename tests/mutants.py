@@ -32,6 +32,7 @@ SEMANTICS = "src/cudfkit/semantics.py"
 COMPILE = "src/cudfkit/solver/_compile.py"
 KERNEL = "src/cudfkit/solver/_kernel_py.py"
 DUDF = "src/cudfkit/dudf.py"
+SOLVER = "src/cudfkit/solver/__init__.py"
 TIMEOUT_S = 900  # per pytest call
 
 # (label, file, old text, new text, test file or node id that kills it)
@@ -123,7 +124,7 @@ MUTANTS = (
      'if value._lexical:\n            out += f"{name}:',
      'if value != EMPTY_LIST:\n            out += f"{name}:',
      "tests/test_textio.py::test_check_fmt_and_an_over_budget_solve_build_no_atoms"),
-    ('preset_costs("min-new") ignores Upgrade', "src/cudfkit/solver/__init__.py",
+    ('preset_costs("min-new") ignores Upgrade', SOLVER,
      "list(request.install.items) + list(request.upgrade.items)",
      "list(request.install.items)",
      "tests/test_solver.py"),
@@ -187,7 +188,7 @@ MUTANTS = (
      "zeros = _bits(j for atom in request.remove.items for j in index.matches(atom))",
      "zeros = 0",
      "tests/test_index.py::test_compiled_masks_match_scan_oracle"),
-    ("the budget admits exactly 2**k candidates no longer", "src/cudfkit/solver/__init__.py",
+    ("the budget admits exactly 2**k candidates no longer", SOLVER,
      "(1 << k) > budget", "(1 << k) >= budget",
      "tests/test_solver.py::test_budget_exceeded"),
     ("a node at the bound's edge is kept", KERNEL,
@@ -214,6 +215,55 @@ MUTANTS = (
     ("a repeated single element accepted", DUDF,
      "elif found.get(name) is not None:", "elif False:",
      "tests/test_dudf.py::test_a_second_copy_of_a_single_element_is_refused"),
+    ("processing instructions dropped by the XML parser", DUDF,
+     "ET.fromstring(data, ET.XMLParser(target=ET.TreeBuilder(insert_pis=True)))",
+     "ET.fromstring(data)",
+     "tests/test_dudf.py::test_a_processing_instruction_in_any_element_is_refused"),
+    ("a processing instruction read as an element", DUDF,
+     "if any(not isinstance(child.tag, str) for child in elem):", "if False:",
+     "tests/test_dudf.py::test_a_processing_instruction_in_any_element_is_refused"),
+    # The DUDF writer.
+    ("dudf:filename dropped", DUDF,
+     'elem.set("dudf:filename", plist.filename)', "pass",
+     "tests/test_dudf.py::test_xml_roundtrip_examples"),
+    ("an intensional hole's reference written as text", DUDF,
+     'elem.set("dudf:reference", payload.reference)', "elem.text = payload.reference",
+     "tests/test_dudf.py::test_xml_roundtrip_examples"),
+    # The validator's rules.
+    ("a duplicate key passes", MODEL,
+     "        if key in seen:\n", "        if False:\n",
+     "tests/test_model.py::test_validate_reports_duplicates_and_type_errors"),
+    ("a CR in a raw extra passes", MODEL,
+     'or "\\n" in text or "\\r" in text:', 'or "\\n" in text:',
+     "tests/test_model.py::test_validate_matches_naive_validator_on_injected_faults"),
+    ("an extra may be named Problem", MODEL,
+     'not (name in core or name == "Problem")', "not (name in core)",
+     "tests/test_model.py::test_validate_refuses_an_extra_named_problem"),
+    ("Keep's enum symbols not checked", MODEL,
+     "and keep.symbols == KEEP_SYMBOLS)", ")",
+     "tests/test_model.py::test_keep_symbols_must_be_the_core_three"),
+    ("an enum tag with a ')' inside recognised", TYPES,
+     'or ")" in inner:', ":",
+     "tests/test_types.py::test_enum_tags_read_as_the_old_pattern_read_them"),
+    # Costs and the solver's answer.
+    ("download-size left non-zero for installed stanzas", SOLVER,
+     "size = 0  # already on disk", "pass  # already on disk",
+     "tests/test_solver.py::test_size_presets"),
+    ("the search's cost trusted", SOLVER,
+     "if cost != best_cost:", "if False:",
+     "tests/test_solver.py::test_solve_refuses_a_search_cost_that_its_candidate_does_not_have"),
+    ("with_installed always rebuilds", MODEL,
+     "        if self.installed is flag:\n            return self\n", "",
+     "tests/test_solver.py::test_solve_shares_the_stanzas_whose_flag_does_not_change"),
+    ("solve answers in document order", SOLVER,
+     "for i, p in enumerate(problem.stanzas)\n    ), request=request)",
+     "for i, p in enumerate(problem.stanzas)\n    ), request=request)\n"
+     "    solution = CudfDocument(packages=tuple(sorted(solution.packages, key=lambda p: [\n"
+     "        q.key for q in doc.packages].index(p.key))), request=request)",
+     "tests/test_solver.py::test_solve_shares_the_stanzas_whose_flag_does_not_change"),
+    ("has_default true on None", MODEL,
+     "return self.default is not None", "return True",
+     "tests/test_model.py::test_core_package_schema_table"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -558,6 +558,10 @@ def test_dudf_convert_rejects_non_dudf_xml(tmp_path, capsys):
     ("</problem>", "junk</problem>", "dudf/problem: stray text"),
     ("<action>", '<action dudf:reference="sha1:0f0f">',
      "dudf/problem/action: text in an intensional hole"),
+    ("<problem>", "<problem><?foo bar?>", "dudf/problem: processing instruction"),
+    ("<uid>mta-switch</uid>", "<uid>mta<?x?>-switch</uid>", "dudf/uid: processing instruction"),
+    ("<action>Install: ", "<action>Install: <?foo bar?>",
+     "dudf/problem/action: processing instruction"),
 ])
 def test_dudf_refuses_what_the_reader_would_drop(tmp_path, capsys, action, old, new, message):
     path = tmp_path / "dropped.xml"

@@ -453,6 +453,18 @@ def test_an_unexpected_attribute_of_the_golden_submission_is_refused(old, new, p
 
 
 @pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
+def test_a_processing_instruction_in_any_element_is_refused(path):
+    data = _edited(path, lambda elem: elem.append(ET.ProcessingInstruction("foo", "bar")))
+    assert _refused(data) == (path, "processing instruction")
+
+
+def test_a_processing_instruction_outside_the_root_is_ignored():
+    declaration, _, rest = SUBMISSION.partition(b"?>")
+    data = declaration + b"?>\n<?before x?>" + rest + b"<?after y?>\n"
+    assert xml_to_dudf(data) == xml_to_dudf(SUBMISSION)
+
+
+@pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
 def test_an_attribute_in_another_namespace_is_refused(path):
     data = _edited(path, lambda elem: elem.set("{urn:example}note", "1"))
     assert _refused(data) == (path, "unexpected attribute {urn:example}note")

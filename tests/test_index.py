@@ -231,7 +231,7 @@ def test_keep_package_group_and_upgrade_bits_from_name_index():
         request=RequestItem("pb", upgrade=VpkgList((VPkg("aa"),))),
     )
     problem = compile_problem(d, d.request, {})
-    assert problem.keys == [("aa", 1), ("aa", 2), ("aa", 3), ("bb", 1)]
+    assert [p.key for p in problem.stanzas] == [("aa", 1), ("aa", 2), ("aa", 3), ("bb", 1)]
     # keep 'package, then the upgrade's clause and its name group; the
     # provider of feature aa is in neither group, only in the clause
     assert problem.clauses == [0b0111, 0b1111, 0b0111]

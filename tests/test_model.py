@@ -128,6 +128,14 @@ def test_validate_judges_a_kept_provides_list_by_its_text():
         VpkgList.__dict__["items"].__get__(kept)  # its atoms are not built
 
 
+def test_validate_refuses_an_extra_named_problem():
+    # A "Problem: " line would open a problem stanza when read back.
+    doc = CudfDocument(packages=(
+        PackageItem("aa", 1, extra=make_extra({"Problem": RawValue("x")})),))
+    assert [v.detail for v in validate_document(doc)] == [
+        "'Problem' cannot name an extra property"]
+
+
 def test_validate_rejects_a_name_with_a_trailing_newline():
     doc = CudfDocument(packages=(PackageItem("aa\n", 1),))
     assert [v.kind for v in validate_document(doc)] == ["TypeError"]
@@ -206,6 +214,14 @@ def test_every_package_item_stores_its_key():
         ("aa", 2), ("aa", 2), ("bb", 2), ("aa", 3), ("aa", 2), ("aa", 2), ("aa", 2)]
     assert "key" not in fields(built)  # equality, hashing and repr ignore it
     assert "key" not in repr(built)
+
+
+def test_with_installed_returns_the_stanza_itself_when_its_flag_stays():
+    for item in (PackageItem("aa", 1), PackageItem("aa", 1, installed=True)):
+        assert item.with_installed(item.installed) is item
+        flipped = item.with_installed(not item.installed)
+        assert flipped == replace(item, installed=not item.installed)
+        assert flipped.key == item.key
 
 
 def test_request_defaults():

@@ -414,6 +414,16 @@ def test_solve_refuses_a_candidate_that_breaks_the_request(monkeypatch):
         solve(d, d.request, {})
 
 
+def test_solve_refuses_a_search_cost_that_its_candidate_does_not_have(monkeypatch):
+    d = doc(pkg("aa", 1), request=req(install=[VPkg("aa")]))
+    costs = {("aa", 1): 7}
+    assert solve(d, d.request, costs).cost == 7
+    monkeypatch.setattr(_kernel_py, "search", lambda problem: (True, 1, 6, 1))
+    with pytest.raises(AssertionError,
+                       match="^search reported cost 6 for a candidate of cost 7$"):
+        solve(d, d.request, costs)
+
+
 def test_search_deep_problem_has_no_recursion_limit():
     d = doc(*(pkg(f"p{i:04d}", 1) for i in range(1500)))
     result = solve(d, d.request, {}, budget=2 ** 2000)

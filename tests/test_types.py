@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from cudfkit.types import (
     VPkg,
     VpkgFormula,
     VpkgList,
+    _enum_symbols,
     is_subtype_value,
     is_type_tag,
     parse_value,
@@ -287,6 +289,26 @@ def test_type_tags():
         assert not is_type_tag(tag), tag
     with pytest.raises(UnknownType):
         is_subtype_value("aa", "bogus")
+
+
+# The pattern that recognised an enum tag before the prefix and suffix test.
+_OLD_ENUM_TAG_RE = re.compile(r"enum\(([^)]*)\)")
+
+
+@pytest.mark.parametrize("tag", [
+    "enum()", "enum(a))", "enum(a", "xenum(a)", "enum(a,\nb)", "enum(a\n)", "enum(\n)",
+    "enum(a)b)", "enum(", "enum)", "enum(a, b)", " enum(a)", "enum(a) ",
+])
+def test_enum_tags_read_as_the_old_pattern_read_them(tag):
+    match = _OLD_ENUM_TAG_RE.fullmatch(tag)
+    if match is None:
+        with pytest.raises(UnknownType):
+            _enum_symbols(tag)
+        assert not is_type_tag(tag)
+        return
+    symbols = tuple(s.strip() for s in match.group(1).split(",") if s.strip())
+    assert _enum_symbols(tag) == symbols
+    assert is_type_tag(tag) == all(re.fullmatch(r"[a-zA-Z][a-zA-Z0-9-]*", s) for s in symbols)
 
 
 # -- property tests -----------------------------------------------------------
