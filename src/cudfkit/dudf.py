@@ -189,8 +189,8 @@ def _status_into(parent, status):
 
 
 def dudf_to_xml(doc):
-    """Serialize a valid DUDF document to XML bytes; raise
-    InvalidDocument with its error-level violations otherwise.
+    """Serialize a valid DUDF document to XML bytes, a carriage return as
+    &#13;; raise InvalidDocument with its error-level violations otherwise.
 
     Sole-problem submissions have no outcome element.
     """
@@ -234,7 +234,7 @@ def dudf_to_xml(doc):
         if doc.outcome.package_status is not None:
             _status_into(outcome, doc.outcome.package_status)
 
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True).replace(b"\r", b"&#13;")
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +255,11 @@ def _children(elem, path, required=(), optional=(), repeated=(), attributes=()):
     once at most, and every `required` name occurs.  A `repeated` name
     maps to the list of its elements, an absent optional one to None.
     Only whitespace may stand around listed children; with none listed (a
-    leaf or a hole) no child may stand at all.  A processing instruction
-    is refused wherever it stands, before any name is read."""
-    if any(not isinstance(child.tag, str) for child in elem):
-        raise SchemaViolation(path, "processing instruction")
+    leaf or a hole) no child may stand at all.  A comment or processing
+    instruction is refused wherever it stands, before any name is read."""
+    markup = next((child.tag for child in elem if not isinstance(child.tag, str)), None)
+    if markup is not None:
+        raise SchemaViolation(path, "comment" if markup is ET.Comment else "processing instruction")
     for attribute in elem.attrib:
         name = attribute.removeprefix(_NS)
         if name == attribute or name not in attributes:
@@ -319,12 +320,13 @@ def xml_to_dudf(data):
     elements of any other element, and text in a hole with a
     dudf:reference.  So does any attribute but dudf:version on the root,
     dudf:format, dudf:filename and dudf:reference on a package list,
-    dudf:reference on a hole and dudf:result on the outcome.  A processing
-    instruction inside the root element is refused too; one outside it is
-    ignored."""
+    dudf:reference on a hole and dudf:result on the outcome.  A comment or
+    processing instruction inside the root element is refused too; one
+    outside it is ignored."""
     try:
-        root = ET.fromstring(data, ET.XMLParser(target=ET.TreeBuilder(insert_pis=True)))
-    except ET.ParseError as exc:
+        builder = ET.TreeBuilder(insert_comments=True, insert_pis=True)
+        root = ET.fromstring(data, ET.XMLParser(target=builder))
+    except (ET.ParseError, LookupError) as exc:  # LookupError: an unknown encoding
         raise SchemaViolation("/", f"not well-formed XML: {exc}") from exc
     if root.tag != _q("dudf"):
         raise SchemaViolation("/", f"root must be dudf in {DUDF_NS}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from itertools import accumulate
 
 from . import types
 from ._record import record
@@ -140,9 +139,9 @@ class _Reader:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FatalEncoding(str(exc)) from exc
-        lines = text.split("\n")
+        raw = lines = text.split("\n")
         if "\r" in text:
-            lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+            lines = [line[:-1] if line.endswith("\r") else line for line in raw]
         lines.append("")  # closes the last stanza, one line past the data
         package_props, problem_props = self.props["package"], self.props["problem"]
         template = self.template
@@ -170,7 +169,7 @@ class _Reader:
                     elif error is None:
                         requests.append(RequestItem(problem_id, *slots))
                     if error is not None:
-                        dropped.append((len(bounds) - 1, error))
+                        dropped.append((len(bounds) - 1, first, number, error))
                 if not sep:
                     slots = None
                     continue
@@ -221,20 +220,18 @@ class _Reader:
                 extras.append((name, parsed))
             else:
                 slots[slot] = parsed
-        del text, lines  # before the byte ranges split the data again
         if junk or dropped:
-            # Bytes before each line; 0x0A never occurs inside a multi-byte
-            # UTF-8 sequence, so the text and byte splits have the same lines.
-            before = list(accumulate(map(len, data.split(b"\n")), initial=0))
-
-            def byte_range(first, end):
-                """Bytes of lines first..end-1, cut at the end of the data."""
-                return before[first - 1] + first - 1, min(before[end - 1] + end - 1, len(data))
-
-            junk = [RecoveredError(-1, byte_range(number, number + 1),
+            # Bytes before each line a range starts or ends at, cut at the end of
+            # the data: the UTF-8 length of the raw lines and newlines before it.
+            ends = {n for _, first, end, _ in dropped for n in (first, end)}
+            before, offset, at = {}, 0, 1
+            for number in sorted(ends.union(junk, [n + 1 for n in junk])):
+                offset += len("".join(raw[at - 1:number - 1]).encode("utf-8")) + number - at
+                before[number], at = min(offset, len(data)), number
+            junk = [RecoveredError(-1, (before[number], before[number + 1]),
                                    "content outside any stanza", number) for number in junk]
-            dropped = [RecoveredError(index, byte_range(*bounds[index]), reason,
-                                      bounds[index][0]) for index, reason in dropped]
+            dropped = [RecoveredError(index, (before[first], before[end]), reason, first)
+                       for index, first, end, reason in dropped]
         return packages, requests, junk, dropped
 
 

@@ -18,6 +18,7 @@ read none.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from ._record import record
 
@@ -167,16 +168,12 @@ class EnumValue:
             raise ValueError(f"{self.chosen!r} not among {self.symbols}")
 
 
-_TYPE_TAGS = frozenset(("bool", "int", "nat", "posint", "string", "oneliner", "pkgname",
-                        "vpkg", "veqpkg", "vpkgformula", "vpkglist", "veqpkglist"))
-
-
 def is_type_tag(tag):
-    """Whether tag names a type of this library: one of _TYPE_TAGS, or
+    """Whether tag names a type of this library: a key of _PARSERS, or
     enum(...) over identifiers."""
     if not isinstance(tag, str):
         return False
-    if tag in _TYPE_TAGS:
+    if tag in _PARSERS:
         return True
     try:
         symbols = _enum_symbols(tag)
@@ -242,27 +239,6 @@ _set_formula_lexical = VpkgFormula.__dict__["_lexical"].__set__
 _set_list_lexical = VpkgList.__dict__["_lexical"].__set__
 
 
-def _constraint(relop, version):
-    constraint = _new(VersionConstraint)
-    _set_relop(constraint, relop)
-    _set_version(constraint, version)
-    return constraint
-
-
-def _kept_formula(text):
-    """The VpkgFormula of canonical text, its clauses not yet built."""
-    formula = _new(VpkgFormula)
-    _set_formula_lexical(formula, text)
-    return formula
-
-
-def _kept_list(text):
-    """The VpkgList of canonical text, its items not yet built."""
-    lst = _new(VpkgList)
-    _set_list_lexical(lst, text)
-    return lst
-
-
 def _canonical_atoms(texts):
     """The VPkg atoms of canonical atom texts."""
     atoms = []
@@ -272,7 +248,10 @@ def _canonical_atoms(texts):
         _set_vpkg_name(atom, name)
         if constrained:
             relop, _, digits = constrained.partition(" ")
-            _set_vpkg_constraint(atom, _constraint(relop, int(digits)))
+            constraint = _new(VersionConstraint)
+            _set_relop(constraint, relop)
+            _set_version(constraint, int(digits))
+            _set_vpkg_constraint(atom, constraint)
         else:
             _set_vpkg_constraint(atom, TOP)
         atoms.append(atom)
@@ -295,7 +274,7 @@ def _parse_atom(text, type_tag, position):
     return f"{name} {relop} {version}"
 
 
-def _parse_int(lexical, type_tag, lower):
+def _parse_int(type_tag, lower, lexical):
     s = lexical.strip(" ")
     if not _INT_RE.fullmatch(s):
         raise LexicalError(type_tag, 0, f"not an integer: {lexical!r}")
@@ -330,6 +309,71 @@ def _enum_symbols(type_tag):
     return tuple(s.strip() for s in inner.split(",") if s.strip())
 
 
+def _parse_bool(lexical):
+    s = lexical.strip(" ")
+    if s == "true" or s == "false":
+        return s == "true"
+    raise LexicalError("bool", 0, f"not a boolean: {lexical!r}")
+
+
+def _parse_oneliner(lexical):
+    if "\n" in lexical or "\r" in lexical:
+        raise LexicalError("oneliner", 0, "embedded newline")
+    return lexical
+
+
+def _parse_pkgname(lexical):
+    if not _PKGNAME_RE.fullmatch(lexical):
+        raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
+    return lexical
+
+
+def _parse_vpkg(type_tag, lexical):
+    (atom,) = _canonical_atoms([_parse_atom(lexical, type_tag, 0)])
+    if type_tag == "veqpkg" and not is_subtype_value(atom, "veqpkg"):
+        raise LexicalError("veqpkg", 0, "version constraint other than '='")
+    return atom
+
+
+def _parse_vpkglist(type_tag, lexical):
+    if "|" in lexical or not _CANONICAL_RE.fullmatch(lexical):
+        if not lexical.strip(" "):
+            return EMPTY_LIST
+        lexical = _canonical_text(lexical, type_tag)
+    lst = _new(VpkgList)  # its items not yet built
+    _set_list_lexical(lst, lexical)
+    if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):
+        raise LexicalError("veqpkglist", 0, "version constraint other than '='")
+    return lst
+
+
+def _parse_vpkgformula(lexical):
+    if not _CANONICAL_RE.fullmatch(lexical):
+        if not lexical.strip(" "):
+            raise LexicalError("vpkgformula", 0, "empty formula (True has no lexical form)")
+        lexical = _canonical_text(lexical, "vpkgformula")
+    formula = _new(VpkgFormula)  # its clauses not yet built
+    _set_formula_lexical(formula, lexical)
+    return formula
+
+
+# The parse function of each type but enum(...), found by one lookup.
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": partial(_parse_int, "int", None),
+    "nat": partial(_parse_int, "nat", 0),
+    "posint": partial(_parse_int, "posint", 1),
+    "string": str,  # a str argument comes back itself
+    "oneliner": _parse_oneliner,
+    "pkgname": _parse_pkgname,
+    "vpkg": partial(_parse_vpkg, "vpkg"),
+    "veqpkg": partial(_parse_vpkg, "veqpkg"),
+    "vpkglist": partial(_parse_vpkglist, "vpkglist"),
+    "veqpkglist": partial(_parse_vpkglist, "veqpkglist"),
+    "vpkgformula": _parse_vpkgformula,
+}
+
+
 def parse_value(type_tag, lexical):
     """Parse a lexical string into a value of the named type.
 
@@ -338,57 +382,14 @@ def parse_value(type_tag, lexical):
     vpkgformula, vpkglist or veqpkglist comes back as its canonical
     text, its atoms built on first read.
     """
-    if type_tag == "bool":
-        s = lexical.strip(" ")
-        if s == "true":
-            return True
-        if s == "false":
-            return False
-        raise LexicalError("bool", 0, f"not a boolean: {lexical!r}")
-    if type_tag == "int":
-        return _parse_int(lexical, "int", None)
-    if type_tag == "nat":
-        return _parse_int(lexical, "nat", 0)
-    if type_tag == "posint":
-        return _parse_int(lexical, "posint", 1)
-    if type_tag == "string":
-        return lexical
-    if type_tag == "oneliner":
-        if "\n" in lexical or "\r" in lexical:
-            raise LexicalError("oneliner", 0, "embedded newline")
-        return lexical
-    if type_tag == "pkgname":
-        if not _PKGNAME_RE.fullmatch(lexical):
-            raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
-        return lexical
-    if type_tag == "vpkg" or type_tag == "veqpkg":
-        (atom,) = _canonical_atoms([_parse_atom(lexical, type_tag, 0)])
-        if type_tag == "veqpkg" and not is_subtype_value(atom, "veqpkg"):
-            raise LexicalError("veqpkg", 0, "version constraint other than '='")
-        return atom
-    if type_tag == "vpkglist" or type_tag == "veqpkglist":
-        if "|" in lexical or not _CANONICAL_RE.fullmatch(lexical):
-            if not lexical.strip(" "):
-                return EMPTY_LIST
-            lexical = _canonical_text(lexical, type_tag)
-        lst = _kept_list(lexical)
-        if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):
-            raise LexicalError("veqpkglist", 0, "version constraint other than '='")
-        return lst
-    if type_tag == "vpkgformula":
-        if not _CANONICAL_RE.fullmatch(lexical):
-            if not lexical.strip(" "):
-                raise LexicalError("vpkgformula", 0,
-                                   "empty formula (True has no lexical form)")
-            lexical = _canonical_text(lexical, "vpkgformula")
-        return _kept_formula(lexical)
-    if type_tag.startswith("enum("):
-        symbols = _enum_symbols(type_tag)
-        s = lexical.strip(" ")
-        if s not in symbols:
-            raise LexicalError(type_tag, 0, f"{s!r} not in {symbols}")
-        return EnumValue(symbols, s)
-    raise UnknownType(type_tag)
+    parse = _PARSERS.get(type_tag)
+    if parse is not None:
+        return parse(lexical)
+    symbols = _enum_symbols(type_tag)
+    s = lexical.strip(" ")
+    if s not in symbols:
+        raise LexicalError(type_tag, 0, f"{s!r} not in {symbols}")
+    return EnumValue(symbols, s)
 
 
 # ---------------------------------------------------------------------------

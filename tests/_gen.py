@@ -775,6 +775,75 @@ def oracle_serialize_cudf(doc):
 
 
 # ---------------------------------------------------------------------------
+# Dispatch oracle for parse_value: the chain of type-tag tests it walked
+# before it found each type's parse function in one table.  It shares the
+# library's helpers for each type, so it checks the dispatch alone.
+
+
+def oracle_parse_value(type_tag, lexical):
+    """The value parse_value returns, or the error it raises."""
+    from cudfkit import types
+    from cudfkit.types import LexicalError, UnknownType
+
+    def kept(cls, set_lexical, text):
+        value = types._new(cls)
+        set_lexical(value, text)
+        return value
+
+    if type_tag == "bool":
+        s = lexical.strip(" ")
+        if s == "true":
+            return True
+        if s == "false":
+            return False
+        raise LexicalError("bool", 0, f"not a boolean: {lexical!r}")
+    if type_tag == "int":
+        return types._parse_int("int", None, lexical)
+    if type_tag == "nat":
+        return types._parse_int("nat", 0, lexical)
+    if type_tag == "posint":
+        return types._parse_int("posint", 1, lexical)
+    if type_tag == "string":
+        return lexical
+    if type_tag == "oneliner":
+        if "\n" in lexical or "\r" in lexical:
+            raise LexicalError("oneliner", 0, "embedded newline")
+        return lexical
+    if type_tag == "pkgname":
+        if not types._PKGNAME_RE.fullmatch(lexical):
+            raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
+        return lexical
+    if type_tag == "vpkg" or type_tag == "veqpkg":
+        (atom,) = types._canonical_atoms([types._parse_atom(lexical, type_tag, 0)])
+        if type_tag == "veqpkg" and not types.is_subtype_value(atom, "veqpkg"):
+            raise LexicalError("veqpkg", 0, "version constraint other than '='")
+        return atom
+    if type_tag == "vpkglist" or type_tag == "veqpkglist":
+        if "|" in lexical or not types._CANONICAL_RE.fullmatch(lexical):
+            if not lexical.strip(" "):
+                return types.EMPTY_LIST
+            lexical = types._canonical_text(lexical, type_tag)
+        lst = kept(VpkgList, types._set_list_lexical, lexical)
+        if type_tag == "veqpkglist" and not types.is_subtype_value(lst, "veqpkglist"):
+            raise LexicalError("veqpkglist", 0, "version constraint other than '='")
+        return lst
+    if type_tag == "vpkgformula":
+        if not types._CANONICAL_RE.fullmatch(lexical):
+            if not lexical.strip(" "):
+                raise LexicalError("vpkgformula", 0,
+                                   "empty formula (True has no lexical form)")
+            lexical = types._canonical_text(lexical, "vpkgformula")
+        return kept(VpkgFormula, types._set_formula_lexical, lexical)
+    if type_tag.startswith("enum("):
+        symbols = types._enum_symbols(type_tag)
+        s = lexical.strip(" ")
+        if s not in symbols:
+            raise LexicalError(type_tag, 0, f"{s!r} not in {symbols}")
+        return EnumValue(symbols, s)
+    raise UnknownType(type_tag)
+
+
+# ---------------------------------------------------------------------------
 # Whole-reader oracle: split_oracle's stanzas, scan_parse_value's atoms and
 # its own scalar grammar, property-name rule and defaults.  It shares no
 # parsing code with the library, only the value classes it builds.

@@ -46,7 +46,8 @@ MUTANTS = (
      'sep or line.strip(" \\t")', "sep or line.strip()",
      "tests/test_textio.py::test_only_spaces_and_tabs_make_a_blank_line"),
     ("a dropped stanza's bytes end at its last line", TEXTIO,
-     "byte_range(*bounds[index])", "byte_range(bounds[index][0], bounds[index][1] - 1)",
+     "dropped.append((len(bounds) - 1, first, number, error))",
+     "dropped.append((len(bounds) - 1, first, number - 1, error))",
      "tests/test_textio.py::test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges"),
     ("a later error replaces a stanza's first", TEXTIO,
      "            elif error is not None:\n                continue\n", "",
@@ -64,11 +65,18 @@ MUTANTS = (
      '[_PACKAGE_SLOTS["Installed"]] = solution', '[_PACKAGE_SLOTS["Installed"]] = False',
      "tests/test_textio.py::test_solution_stanza_without_installed_reads_as_installed"),
     ("CR stripped only before a newline", TEXTIO,
-     '        lines = text.split("\\n")\n'
+     '        raw = lines = text.split("\\n")\n'
      '        if "\\r" in text:\n'
-     '            lines = [line[:-1] if line.endswith("\\r") else line for line in lines]\n',
+     '            lines = [line[:-1] if line.endswith("\\r") else line for line in raw]\n',
+     '        raw = text.split("\\n")\n'
      '        lines = text.replace("\\r\\n", "\\n").split("\\n")\n',
      "tests/test_textio.py::test_a_carriage_return_is_stripped_at_the_end_of_the_data_too"),
+    ("byte offsets read from the CR-stripped lines", TEXTIO,
+     '"".join(raw[at - 1:number - 1])', '"".join(lines[at - 1:number - 1])',
+     "tests/test_textio.py::test_overlong_numbers_and_crlf_keep_their_lines_and_byte_ranges"),
+    ("the end-of-data cut dropped", TEXTIO,
+     "before[number], at = min(offset, len(data)), number", "before[number], at = offset, number",
+     "tests/test_textio.py::test_splitter_matches_line_oracle"),
     ("Package: without its space opens a stanza", TEXTIO,
      'if sep and (name == "Package" or name == "Problem") or',
      'if line.startswith(("Package:", "Problem:")) or',
@@ -109,6 +117,10 @@ MUTANTS = (
      'if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):',
      "if False:",
      "tests/test_types.py"),
+    ("the table mapping vpkglist to the veqpkglist parser", TYPES,
+     '"vpkglist": partial(_parse_vpkglist, "vpkglist"),',
+     '"vpkglist": partial(_parse_vpkglist, "veqpkglist"),',
+     "tests/test_types.py::test_parse_value_dispatches_as_the_chain_of_tag_tests"),
     ("is_subtype_value's kept veqpkglist text always passes", TYPES,
      'return "<" not in text and ">" not in text and "!" not in text', "return True",
      "tests/test_types.py"),
@@ -216,16 +228,29 @@ MUTANTS = (
      "elif found.get(name) is not None:", "elif False:",
      "tests/test_dudf.py::test_a_second_copy_of_a_single_element_is_refused"),
     ("processing instructions dropped by the XML parser", DUDF,
-     "ET.fromstring(data, ET.XMLParser(target=ET.TreeBuilder(insert_pis=True)))",
-     "ET.fromstring(data)",
+     "ET.TreeBuilder(insert_comments=True, insert_pis=True)",
+     "ET.TreeBuilder(insert_comments=True)",
      "tests/test_dudf.py::test_a_processing_instruction_in_any_element_is_refused"),
+    ("comments dropped by the XML parser", DUDF,
+     "ET.TreeBuilder(insert_comments=True, insert_pis=True)", "ET.TreeBuilder(insert_pis=True)",
+     "tests/test_dudf.py::test_a_comment_in_any_element_is_refused"),
     ("a processing instruction read as an element", DUDF,
-     "if any(not isinstance(child.tag, str) for child in elem):", "if False:",
+     "if markup is not None:", "if False:",
      "tests/test_dudf.py::test_a_processing_instruction_in_any_element_is_refused"),
+    ("a comment reported as a processing instruction", DUDF,
+     '"comment" if markup is ET.Comment else "processing instruction"',
+     '"processing instruction"',
+     "tests/test_dudf.py::test_a_comment_in_any_element_is_refused"),
+    ("an unknown encoding escapes the reader", DUDF,
+     "except (ET.ParseError, LookupError) as exc:", "except ET.ParseError as exc:",
+     "tests/test_dudf.py::test_an_unknown_encoding_is_refused"),
     # The DUDF writer.
     ("dudf:filename dropped", DUDF,
      'elem.set("dudf:filename", plist.filename)', "pass",
      "tests/test_dudf.py::test_xml_roundtrip_examples"),
+    ("a carriage return written as it is", DUDF,
+     '.replace(b"\\r", b"&#13;")', "",
+     "tests/test_dudf.py::test_a_carriage_return_in_text_is_written_as_a_character_reference"),
     ("an intensional hole's reference written as text", DUDF,
      'elem.set("dudf:reference", payload.reference)', "elem.text = payload.reference",
      "tests/test_dudf.py::test_xml_roundtrip_examples"),

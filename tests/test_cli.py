@@ -562,6 +562,11 @@ def test_dudf_convert_rejects_non_dudf_xml(tmp_path, capsys):
     ("<uid>mta-switch</uid>", "<uid>mta<?x?>-switch</uid>", "dudf/uid: processing instruction"),
     ("<action>Install: ", "<action>Install: <?foo bar?>",
      "dudf/problem/action: processing instruction"),
+    ("<problem>", "<problem><!-- c -->", "dudf/problem: comment"),
+    ("<uid>mta-switch</uid>", "<uid>mta<!-- c -->-switch</uid>", "dudf/uid: comment"),
+    ("<action>Install: ", "<action>Install: <!-- c -->", "dudf/problem/action: comment"),
+    ("encoding='utf-8'", "encoding='tf-8'",
+     "/: not well-formed XML: unknown encoding: tf-8"),
 ])
 def test_dudf_refuses_what_the_reader_would_drop(tmp_path, capsys, action, old, new, message):
     path = tmp_path / "dropped.xml"

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from cudfkit import dudf, replace, textio
 from cudfkit.dudf import (
@@ -25,6 +26,7 @@ from cudfkit.dudf import (
     xml_to_dudf,
 )
 from cudfkit.model import InvalidDocument
+from test_fuzz import DUDF_XML, mutated
 
 TS = "Tue, 18 Aug 2026 09:30:00 +0200"
 
@@ -353,17 +355,20 @@ def _q(tag):
     return f"{{{dudf.DUDF_NS}}}{tag}"
 
 
-def _edited(path, edit, doc=None):
-    """The XML of doc (by default FAILED for the error hole, FULL
-    otherwise) with edit applied to the element at a violation path such
-    as .../package-list[1]."""
-    doc = doc or (FAILED if path.endswith("/error") else FULL)
-    root = ET.fromstring(dudf_to_xml(doc))
-    elem = root
+def _element(root, path):
+    """The element of root at a violation path such as .../package-list[1]."""
     for step in path.split("/")[1:]:
         name, _, index = step.partition("[")
-        elem = elem.findall(_q(name))[int(index[:-1] or 0)]
-    edit(elem)
+        root = root.findall(_q(name))[int(index[:-1] or 0)]
+    return root
+
+
+def _edited(path, edit, doc=None):
+    """The XML of doc (by default FAILED for the error hole, FULL
+    otherwise) with edit applied to the element at a violation path."""
+    doc = doc or (FAILED if path.endswith("/error") else FULL)
+    root = ET.fromstring(dudf_to_xml(doc))
+    edit(_element(root, path))
     return ET.tostring(root)
 
 
@@ -373,50 +378,86 @@ def _refused(data):
     return info.value.path, info.value.reason
 
 
-@pytest.mark.parametrize("path", LEAVES + HOLES)
-def test_markup_inside_a_leaf_or_hole_is_refused(path):
-    def markup(elem):
-        ET.SubElement(elem, _q("b")).tail = "tail"
-    assert _refused(_edited(path, markup)) == (f"{path}/b", "unexpected element")
+def _markup(elem):
+    ET.SubElement(elem, _q("b")).tail = "tail"
 
 
-@pytest.mark.parametrize("path", SINGLES)
-def test_a_second_copy_of_a_single_element_is_refused(path):
+def _second_copy(path):
+    """The XML with a second copy of the element at path."""
     parent, _, name = path.rpartition("/")
-    data = _edited(parent, lambda elem: elem.append(copy.deepcopy(elem.find(_q(name)))),
+    return _edited(parent, lambda elem: elem.append(copy.deepcopy(elem.find(_q(name)))),
                    FAILED if name == "error" else FULL)
-    assert _refused(data) == (path, "repeated element")
 
 
-@pytest.mark.parametrize("path", CONTAINERS)
-@pytest.mark.parametrize("where", ["text", "tail"])
-def test_stray_text_in_a_container_is_refused(path, where):
+def _stray(where):
     def stray(elem):
         if where == "text":
             elem.text = "junk"
         else:
             elem[0].tail = "\n junk \n"
-    assert _refused(_edited(path, stray)) == (path, "stray text")
+    return stray
+
+
+def _intensional_text(elem):
+    elem.set(_q("reference"), "sha256:abcd")
+    elem.text = "payload"
+
+
+def _processing_instruction(elem):
+    elem.append(ET.ProcessingInstruction("foo", "bar"))
+
+
+def _comment(elem):
+    elem.append(ET.Comment(" c "))
+
+
+def _foreign_attribute(elem):
+    elem.set("{urn:example}note", "1")
+
+
+def _misplaced_dudf_attribute(path):
+    # dudf:result belongs to the outcome alone, dudf:reference to holes.
+    name = "reference" if path in LEAVES + CONTAINERS else "result"
+    return name, lambda elem: elem.set(_q(name), "x")
+
+
+@pytest.mark.parametrize("path", LEAVES + HOLES)
+def test_markup_inside_a_leaf_or_hole_is_refused(path):
+    assert _refused(_edited(path, _markup)) == (f"{path}/b", "unexpected element")
+
+
+@pytest.mark.parametrize("path", SINGLES)
+def test_a_second_copy_of_a_single_element_is_refused(path):
+    assert _refused(_second_copy(path)) == (path, "repeated element")
+
+
+@pytest.mark.parametrize("path", CONTAINERS)
+@pytest.mark.parametrize("where", ["text", "tail"])
+def test_stray_text_in_a_container_is_refused(path, where):
+    assert _refused(_edited(path, _stray(where))) == (path, "stray text")
 
 
 @pytest.mark.parametrize("path", HOLES)
 def test_text_in_an_intensional_hole_is_refused(path):
-    def text(elem):
-        elem.set(_q("reference"), "sha256:abcd")
-        elem.text = "payload"
-    assert _refused(_edited(path, text)) == (path, "text in an intensional hole")
+    assert _refused(_edited(path, _intensional_text)) == (path, "text in an intensional hole")
 
 
 def test_whitespace_around_elements_and_in_an_intensional_hole_is_accepted():
+    assert xml_to_dudf(_spaced_problem()) == FULL
+    assert xml_to_dudf(_spaced_reference()) == FULL
+
+
+def _spaced_problem():
     def spaced(elem):
         elem.text = "\n  "
         for child in elem:
             child.tail = "\n  "
-    data = _edited("dudf/problem", spaced)
-    assert xml_to_dudf(data) == FULL
-    data = _edited("dudf/problem/package-universe/package-list[1]",
+    return _edited("dudf/problem", spaced)
+
+
+def _spaced_reference():
+    return _edited("dudf/problem/package-universe/package-list[1]",
                    lambda elem: setattr(elem, "text", " \n"))
-    assert xml_to_dudf(data) == FULL
 
 
 # -- no attribute is dropped ---------------------------------------------------
@@ -436,7 +477,7 @@ def test_the_golden_submission_reads_with_its_attributes():
         ("cudf-stanzas", "universe.cudf")]
 
 
-@pytest.mark.parametrize("old, new, path, shown", [
+UNEXPECTED_ATTRIBUTES = [
     ('dudf:filename="', 'dudf:filenam="',
      "dudf/problem/package-universe/package-list[0]", "dudf:filenam"),
     ("<uid>", '<uid dudf:reference="sha1:0">', "dudf/uid", "dudf:reference"),
@@ -447,32 +488,150 @@ def test_the_golden_submission_reads_with_its_attributes():
     ("<package-status>", '<package-status dudf:reference="sha1:0">',
      "dudf/problem/package-status", "dudf:reference"),
     ("<problem>", '<problem lang="en">', "dudf/problem", "lang"),
-], ids=["filename", "uid", "root", "action", "package-status", "problem"])
+]
+
+
+@pytest.mark.parametrize("old, new, path, shown", UNEXPECTED_ATTRIBUTES,
+                         ids=["filename", "uid", "root", "action", "package-status", "problem"])
 def test_an_unexpected_attribute_of_the_golden_submission_is_refused(old, new, path, shown):
     assert _refused(_once(SUBMISSION, old, new)) == (path, f"unexpected attribute {shown}")
 
 
 @pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
 def test_a_processing_instruction_in_any_element_is_refused(path):
-    data = _edited(path, lambda elem: elem.append(ET.ProcessingInstruction("foo", "bar")))
+    data = _edited(path, _processing_instruction)
     assert _refused(data) == (path, "processing instruction")
 
 
 def test_a_processing_instruction_outside_the_root_is_ignored():
-    declaration, _, rest = SUBMISSION.partition(b"?>")
-    data = declaration + b"?>\n<?before x?>" + rest + b"<?after y?>\n"
+    assert xml_to_dudf(_outside_the_root(b"<?before x?>", b"<?after y?>")) == xml_to_dudf(
+        SUBMISSION)
+
+
+@pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
+def test_a_comment_in_any_element_is_refused(path):
+    assert _refused(_edited(path, _comment)) == (path, "comment")
+
+
+def test_a_comment_outside_the_root_is_ignored():
+    data = _outside_the_root(b"<!-- before -->", b"<!-- after -->")
     assert xml_to_dudf(data) == xml_to_dudf(SUBMISSION)
+
+
+def _outside_the_root(before, after):
+    """SUBMISSION with markup after its declaration and after its root."""
+    declaration, _, rest = SUBMISSION.partition(b"?>")
+    return declaration + b"?>\n" + before + rest + after + b"\n"
 
 
 @pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
 def test_an_attribute_in_another_namespace_is_refused(path):
-    data = _edited(path, lambda elem: elem.set("{urn:example}note", "1"))
+    data = _edited(path, _foreign_attribute)
     assert _refused(data) == (path, "unexpected attribute {urn:example}note")
 
 
 @pytest.mark.parametrize("path", LEAVES + HOLES + CONTAINERS)
 def test_a_dudf_attribute_outside_its_elements_is_refused(path):
-    # dudf:result belongs to the outcome alone, dudf:reference to holes.
-    name = "reference" if path in LEAVES + CONTAINERS else "result"
-    data = _edited(path, lambda elem: elem.set(_q(name), "x"))
-    assert _refused(data) == (path, f"unexpected attribute dudf:{name}")
+    name, edit = _misplaced_dudf_attribute(path)
+    assert _refused(_edited(path, edit)) == (path, f"unexpected attribute dudf:{name}")
+
+
+# -- what the reader accepts, it reads without loss ------------------------------
+
+def _refusal_inputs():
+    """The XML that each refusal test above reads, and the accepted
+    variants beside them."""
+    everywhere = LEAVES + HOLES + CONTAINERS
+    edits = [(path, _markup) for path in LEAVES + HOLES]
+    edits += [(path, _stray(where)) for path in CONTAINERS for where in ("text", "tail")]
+    edits += [(path, _intensional_text) for path in HOLES]
+    edits += [(path, edit) for path in everywhere
+              for edit in (_processing_instruction, _comment, _foreign_attribute)]
+    edits += [(path, _misplaced_dudf_attribute(path)[1]) for path in everywhere]
+    return ([_edited(path, edit) for path, edit in edits]
+            + [_second_copy(path) for path in SINGLES]
+            + [_once(SUBMISSION, old, new) for old, new, _, _ in UNEXPECTED_ATTRIBUTES]
+            + [_spaced_problem(), _spaced_reference(),
+               _outside_the_root(b"<?before x?>", b"<?after y?>"),
+               _outside_the_root(b"<!-- before -->", b"<!-- after -->")])
+
+
+
+def _holes(doc):
+    """(violation path, payload) of every hole doc holds."""
+    def status(path, status):
+        return [(f"{path}/installer", status.installer),
+                (f"{path}/meta-installer", status.meta_installer)]
+    problem, outcome = doc.problem, doc.outcome
+    holes = status("dudf/problem/package-status", problem.package_status)
+    holes += [(f"dudf/problem/package-universe/package-list[{i}]", plist.payload)
+              for i, plist in enumerate(problem.package_universe)]
+    holes += [("dudf/problem/action", problem.action),
+              ("dudf/problem/desiderata", problem.desiderata)]
+    if outcome is not None:
+        holes.append(("dudf/outcome/error", outcome.error))
+        if outcome.package_status is not None:
+            holes += status("dudf/outcome/package-status", outcome.package_status)
+    return [(path, hole) for path, hole in holes if hole is not None]
+
+
+def _root_c14n(data):
+    """ET.canonicalize(data, strip_text=True) of the root element alone,
+    each namespace prefix rewritten (a prefix only spells its namespace).
+    C14N writes a processing instruction outside the root (which
+    xml_to_dudf ignores) on a line of its own, and escapes every "<"
+    inside the root's text, so "<?" opens a line only there."""
+    text = ET.canonicalize(data, strip_text=True, rewrite_prefixes=True)
+    start = 0
+    while text.startswith("<?", start):
+        start = text.index("?>\n", start) + 3
+    end = text.find("\n<?", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def assert_read_without_loss(data):
+    """When xml_to_dudf accepts data and dudf_to_xml can write the record
+    (validate_dudf finds no error in it), the written XML is data in C14N
+    with its text stripped, each hole's payload is the element's text or
+    reference exactly, and the written XML reads back as the same record."""
+    try:
+        doc = xml_to_dudf(data)
+    except SchemaViolation:
+        return
+    if any(v.level == "error" for v in validate_dudf(doc)):
+        return
+    written = dudf_to_xml(doc)
+    assert _root_c14n(written) == _root_c14n(data)
+    root = ET.fromstring(data)
+    for path, hole in _holes(doc):
+        elem = _element(root, path)
+        if isinstance(hole, Intensional):
+            assert hole.reference == elem.get(_q("reference")), path
+        else:
+            assert hole.text == (elem.text or ""), path
+    assert xml_to_dudf(written) == doc
+
+
+def test_every_refusal_input_is_refused_or_read_without_loss():
+    for data in _refusal_inputs():
+        assert_read_without_loss(data)
+
+
+def test_a_carriage_return_in_text_is_written_as_a_character_reference():
+    data = _once(SUBMISSION, "<action>Install: ", "<action>Install:&#13; ")
+    assert xml_to_dudf(data).problem.action == Extensional("Install:\r postfix")
+    assert b"Install:&#13; postfix" in dudf_to_xml(xml_to_dudf(data))
+    assert_read_without_loss(data)
+
+
+def test_an_unknown_encoding_is_refused():
+    data = _once(SUBMISSION, "encoding='utf-8'", "encoding='tf-8'")
+    assert _refused(data) == ("/", "not well-formed XML: unknown encoding: tf-8")
+
+
+# Most byte edits break the XML: about 3 in 100 examples are accepted and checked.
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated((SUBMISSION, DUDF_XML)))
+def test_an_accepted_byte_edit_reads_without_loss(data):
+    assert_read_without_loss(data)

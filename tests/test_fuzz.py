@@ -57,8 +57,9 @@ COMMANDS = (
 
 
 @st.composite
-def mutated(draw):
-    data = bytearray(draw(st.sampled_from(SEEDS)))
+def mutated(draw, seeds=tuple(SEEDS)):
+    """One of seeds after up to four byte edits."""
+    data = bytearray(draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(0, 4))):
         pos = draw(st.integers(0, len(data)))
         op = draw(st.sampled_from(("insert", "delete", "replace", "repeat")))

@@ -5,7 +5,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _gen import FEATURES, NAMES, ScanReject, rand_formula, rand_list, scan_parse_value
+from _gen import (
+    FEATURES,
+    NAMES,
+    ScanReject,
+    oracle_parse_value,
+    rand_formula,
+    rand_list,
+    scan_parse_value,
+)
 from cudfkit._record import FrozenInstanceError, fields, replace
 from cudfkit.types import (
     EMPTY_LIST,
@@ -500,3 +508,40 @@ def test_every_one_character_edit_of_canonical_text_parses_as_the_scanner(text):
         for char in " ,|0\t":
             assert_parses_as_the_scanner(text[:i] + char + text[i:])
             assert_parses_as_the_scanner(text[:i] + char + text[i + 1:])
+
+
+# -- the dispatch table against the chain of tag tests it replaced ---------------
+
+DISPATCH_TAGS = ("bool", "int", "nat", "posint", "string", "oneliner", "pkgname", *VPKG_TAGS,
+                 "enum(low, high)", KEEP, "frobnicate", "enum(a", "Bool", "")
+EDGE_INPUTS = ("+1", "-0", "007", "\u0663", "1_000", " 1 ", "0", "9" * 4400, "aa >= 1 |",
+               "feat-x > 2", "", " ", "true", " false ", "low", "high ", "version")
+
+
+def parse_outcome(parse, tag, text):
+    """What parse(tag, text) gives: the value with its type and kept text,
+    or the error with its type tag, position and reason."""
+    try:
+        value = parse(tag, text)
+    except LexicalError as exc:
+        return "LexicalError", exc.type_tag, exc.position, exc.reason
+    except UnknownType as exc:
+        return "UnknownType", exc.args
+    return type(value), getattr(value, "_lexical", None), value
+
+
+def assert_dispatches_as_the_chain(text):
+    for tag in DISPATCH_TAGS:
+        expected = parse_outcome(oracle_parse_value, tag, text)
+        assert parse_outcome(parse_value, tag, text) == expected, (tag, text)
+
+
+@settings(max_examples=600, derandomize=True)
+@given(st.text(max_size=30) | grammar_strings | st.sampled_from(EDGE_INPUTS))
+def test_parse_value_dispatches_as_the_chain_of_tag_tests(text):
+    assert_dispatches_as_the_chain(text)
+
+
+@pytest.mark.parametrize("text", EDGE_INPUTS)
+def test_edge_inputs_dispatch_as_the_chain_of_tag_tests(text):
+    assert_dispatches_as_the_chain(text)
