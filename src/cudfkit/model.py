@@ -245,9 +245,7 @@ def validate_document(doc, registry=None):
                 good_names.add(name)
             else:
                 append(_type_error("Package", "pkgname", name, version))
-        # the exact type first: a bool is an int, and other int subclasses are rare
-        if type(version) is not int and (
-                not isinstance(version, int) or isinstance(version, bool)) or version < 1:
+        if not types.is_posint(version):
             append(_type_error("Version", "posint", name, version))
         if not isinstance(item.depends, VpkgFormula):
             append(_type_error("Depends", "vpkgformula", name, version))
@@ -284,7 +282,7 @@ def validate_document(doc, registry=None):
                 text = value.text
                 if schema:  # the name reads back typed, never raw
                     append(_type_error(prop, schema.value_type, name, version))
-                elif not isinstance(text, str) or "\n" in text or "\r" in text:
+                elif not types.is_oneliner(text):
                     append(_type_error(prop, "oneliner", name, version))
                 continue
             if schema and not types.is_subtype_value(value, schema.value_type):
@@ -292,7 +290,7 @@ def validate_document(doc, registry=None):
             elif not _has_one_line_form(value):
                 append(Violation("TypeError", f"{prop} value has no one-line lexical form",
                                  name, version))
-    if not types.is_subtype_value(doc.request.problem_id, "oneliner"):
+    if not types.is_oneliner(doc.request.problem_id):
         append(Violation("TypeError", "Problem value outside oneliner"))
     return violations
 
@@ -304,7 +302,7 @@ def _type_error(prop, value_type, name, version):
 def _has_one_line_form(value):
     """Whether a typed value's canonical text fits on its property line."""
     try:
-        return types.is_subtype_value(types.serialize_value(value), "oneliner")
+        return types.is_oneliner(types.serialize_value(value))
     except types.SerializeError:
         return False
 

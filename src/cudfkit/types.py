@@ -5,8 +5,10 @@ Every property value lives in one of these domains:
     bool, int, nat, posint, string, oneliner, pkgname, enum(...),
     vpkg, veqpkg, vpkgformula, vpkglist, veqpkglist
 
-Each type has a parse function (lexical -> value) and a canonical
-serialization (value -> lexical) such that parse(serialize(v)) == v.
+Each named type has a parse function (lexical -> value) and a member
+test (value -> whether the value space holds it), kept side by side in
+one table, and every value has a canonical serialization
+(value -> lexical) such that parse(serialize(v)) == v.
 
 Every vpkgformula, vpkglist and veqpkglist value carries its canonical
 text, whether parsed or built by the constructor.  A parsed one keeps
@@ -63,7 +65,7 @@ class VersionConstraint:
         else:
             if self.relop not in RELOPS:
                 raise ValueError(f"bad relop {self.relop!r}")
-            if not isinstance(self.version, int) or self.version < 1:
+            if not is_posint(self.version):
                 raise ValueError("constraint version must be a posint")
 
     @property
@@ -169,11 +171,11 @@ class EnumValue:
 
 
 def is_type_tag(tag):
-    """Whether tag names a type of this library: a key of _PARSERS, or
+    """Whether tag names a type of this library: a key of _TYPES, or
     enum(...) over identifiers."""
     if not isinstance(tag, str):
         return False
-    if tag in _PARSERS:
+    if tag in _TYPES:
         return True
     try:
         symbols = _enum_symbols(tag)
@@ -184,6 +186,19 @@ def is_type_tag(tag):
 
 def is_pkgname(s):
     return isinstance(s, str) and _PKGNAME_RE.fullmatch(s) is not None
+
+
+def is_oneliner(s):
+    return isinstance(s, str) and "\n" not in s and "\r" not in s
+
+
+def is_posint(n):
+    # the exact type first: a bool is an int, and other int subclasses are rare
+    return (type(n) is int or _is_int(n)) and n >= 1
+
+
+def _is_int(n):
+    return isinstance(n, int) and not isinstance(n, bool)
 
 
 def is_identifier(s):
@@ -269,17 +284,17 @@ def _parse_atom(text, type_tag, position):
     if relop is None:
         return name
     version = _to_int(digits, type_tag, position)
-    if version < 1:
+    if not is_posint(version):
         raise LexicalError(type_tag, position, "version must be positive")
     return f"{name} {relop} {version}"
 
 
-def _parse_int(type_tag, lower, lexical):
+def _parse_int(type_tag, member, lexical):
     s = lexical.strip(" ")
     if not _INT_RE.fullmatch(s):
         raise LexicalError(type_tag, 0, f"not an integer: {lexical!r}")
     value = _to_int(s, type_tag, 0)
-    if lower is not None and value < lower:
+    if not member(value):
         raise LexicalError(type_tag, 0, f"{value} below the {type_tag} domain")
     return value
 
@@ -317,33 +332,33 @@ def _parse_bool(lexical):
 
 
 def _parse_oneliner(lexical):
-    if "\n" in lexical or "\r" in lexical:
+    if not is_oneliner(lexical):
         raise LexicalError("oneliner", 0, "embedded newline")
     return lexical
 
 
 def _parse_pkgname(lexical):
-    if not _PKGNAME_RE.fullmatch(lexical):
+    if not is_pkgname(lexical):
         raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
     return lexical
 
 
-def _parse_vpkg(type_tag, lexical):
+def _parse_vpkg(type_tag, member, lexical):
     (atom,) = _canonical_atoms([_parse_atom(lexical, type_tag, 0)])
-    if type_tag == "veqpkg" and not is_subtype_value(atom, "veqpkg"):
-        raise LexicalError("veqpkg", 0, "version constraint other than '='")
+    if not member(atom):
+        raise LexicalError(type_tag, 0, "version constraint other than '='")
     return atom
 
 
-def _parse_vpkglist(type_tag, lexical):
+def _parse_vpkglist(type_tag, member, lexical):
     if "|" in lexical or not _CANONICAL_RE.fullmatch(lexical):
         if not lexical.strip(" "):
             return EMPTY_LIST
         lexical = _canonical_text(lexical, type_tag)
     lst = _new(VpkgList)  # its items not yet built
     _set_list_lexical(lst, lexical)
-    if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):
-        raise LexicalError("veqpkglist", 0, "version constraint other than '='")
+    if not member(lst):
+        raise LexicalError(type_tag, 0, "version constraint other than '='")
     return lst
 
 
@@ -357,23 +372,6 @@ def _parse_vpkgformula(lexical):
     return formula
 
 
-# The parse function of each type but enum(...), found by one lookup.
-_PARSERS = {
-    "bool": _parse_bool,
-    "int": partial(_parse_int, "int", None),
-    "nat": partial(_parse_int, "nat", 0),
-    "posint": partial(_parse_int, "posint", 1),
-    "string": str,  # a str argument comes back itself
-    "oneliner": _parse_oneliner,
-    "pkgname": _parse_pkgname,
-    "vpkg": partial(_parse_vpkg, "vpkg"),
-    "veqpkg": partial(_parse_vpkg, "veqpkg"),
-    "vpkglist": partial(_parse_vpkglist, "vpkglist"),
-    "veqpkglist": partial(_parse_vpkglist, "veqpkglist"),
-    "vpkgformula": _parse_vpkgformula,
-}
-
-
 def parse_value(type_tag, lexical):
     """Parse a lexical string into a value of the named type.
 
@@ -382,9 +380,9 @@ def parse_value(type_tag, lexical):
     vpkgformula, vpkglist or veqpkglist comes back as its canonical
     text, its atoms built on first read.
     """
-    parse = _PARSERS.get(type_tag)
-    if parse is not None:
-        return parse(lexical)
+    entry = _TYPES.get(type_tag)
+    if entry is not None:
+        return entry[0](lexical)
     symbols = _enum_symbols(type_tag)
     s = lexical.strip(" ")
     if s not in symbols:
@@ -437,50 +435,49 @@ def serialize_value(value):
 
 
 # ---------------------------------------------------------------------------
-# Subtyping
+# Value spaces, along the subtype lattice posint <: nat <: int,
+# pkgname <: oneliner <: string, veqpkg <: vpkg and veqpkglist <: vpkglist.
+# Each rule is stated once, in its type's member test, which the type's
+# parse function applies to the value it read.
+
+
+def _checked(type_tag, parse, member):
+    """The (parse, member) pair of a type whose parse function applies
+    member to the value it builds."""
+    return partial(parse, type_tag, member), member
+
+
+def _is_veqpkglist(value):
+    if not isinstance(value, VpkgList):
+        return False
+    text = value._lexical  # canonical: "<", ">" and "!" occur only in relops
+    return "<" not in text and ">" not in text and "!" not in text
+
+
+# Each named type's (parse, member) pair, found by one lookup; an enum(...)
+# tag misses it and is read at each call.
+_TYPES = {
+    "bool": (_parse_bool, lambda value: isinstance(value, bool)),
+    "int": _checked("int", _parse_int, _is_int),
+    "nat": _checked("nat", _parse_int, lambda value: _is_int(value) and value >= 0),
+    "posint": _checked("posint", _parse_int, is_posint),
+    "string": (str, lambda value: isinstance(value, str)),  # a str argument comes back itself
+    "oneliner": (_parse_oneliner, is_oneliner),
+    "pkgname": (_parse_pkgname, is_pkgname),
+    "vpkg": _checked("vpkg", _parse_vpkg, lambda value: isinstance(value, VPkg)),
+    "veqpkg": _checked("veqpkg", _parse_vpkg, lambda value: isinstance(value, VPkg) and (
+        value.constraint.is_top or value.constraint.relop == "=")),
+    "vpkglist": _checked("vpkglist", _parse_vpkglist, lambda value: isinstance(value, VpkgList)),
+    "veqpkglist": _checked("veqpkglist", _parse_vpkglist, _is_veqpkglist),
+    "vpkgformula": (_parse_vpkgformula, lambda value: isinstance(value, VpkgFormula)),
+}
 
 
 def is_subtype_value(value, target):
-    """Whether a value belongs to the value space of `target`.
-
-    Implements the down-cast checks along the subtype lattice:
-    posint <: nat <: int, pkgname <: oneliner <: string,
-    veqpkg <: vpkg and veqpkglist <: vpkglist.
-    """
-    if target == "bool":
-        return isinstance(value, bool)
-    if target in ("int", "nat", "posint"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            return False
-        if target == "nat":
-            return value >= 0
-        if target == "posint":
-            return value >= 1
-        return True
-    if target in ("string", "oneliner", "pkgname"):
-        if not isinstance(value, str):
-            return False
-        if target == "oneliner":
-            return "\n" not in value and "\r" not in value
-        if target == "pkgname":
-            return is_pkgname(value)
-        return True
-    if target in ("vpkg", "veqpkg"):
-        if not isinstance(value, VPkg):
-            return False
-        if target == "veqpkg":
-            return value.constraint.is_top or value.constraint.relop == "="
-        return True
-    if target in ("vpkglist", "veqpkglist"):
-        if not isinstance(value, VpkgList):
-            return False
-        if target == "veqpkglist":
-            # Canonical text: "<", ">" and "!" occur only in relops.
-            text = value._lexical
-            return "<" not in text and ">" not in text and "!" not in text
-        return True
-    if target == "vpkgformula":
-        return isinstance(value, VpkgFormula)
+    """Whether a value belongs to the value space of `target`."""
+    entry = _TYPES.get(target)
+    if entry is not None:
+        return entry[1](value)
     if target.startswith("enum("):
         # Symbols other than the type's would read back as the type's.
         return isinstance(value, EnumValue) and value.symbols == _enum_symbols(target)

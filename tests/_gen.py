@@ -614,14 +614,13 @@ def split_oracle(data):
 
 # ---------------------------------------------------------------------------
 # Field-type oracle for validate_document: each core field checked through
-# the string-dispatched subtype test, as the validator did before it read
-# the fields directly.
+# oracle_is_subtype_value, the string-dispatched subtype test, as the
+# validator did before it read the fields directly.
 
 
 def subtype_item_violations(item, registry):
     """The TypeError violations of one package item."""
     from cudfkit.model import KEEP_ENUM, RawValue, Violation
-    from cudfkit.types import is_subtype_value
 
     out = []
 
@@ -637,9 +636,9 @@ def subtype_item_violations(item, registry):
         ("Provides", item.provides, "veqpkglist"),
         ("Installed", item.installed, "bool"),
     ):
-        if not is_subtype_value(value, value_type):
+        if not oracle_is_subtype_value(value, value_type):
             bad(prop, value_type)
-    if item.keep is not None and not is_subtype_value(item.keep, KEEP_ENUM):
+    if item.keep is not None and not oracle_is_subtype_value(item.keep, KEEP_ENUM):
         bad("Keep", KEEP_ENUM)
     for prop, value in item.extra:
         schema = registry.get("package", prop) if registry else None
@@ -647,7 +646,7 @@ def subtype_item_violations(item, registry):
             if schema:
                 bad(prop, schema.value_type)
             continue
-        if schema and not is_subtype_value(value, schema.value_type):
+        if schema and not oracle_is_subtype_value(value, schema.value_type):
             bad(prop, schema.value_type)
         elif not _one_line_value(value):
             out.append(Violation("TypeError", f"{prop} value has no one-line lexical form",
@@ -693,7 +692,7 @@ def naive_validate(doc, registry=None):
                                         f"duplicate stanza for {name} {version}",
                                         name, version))
         seen.add(item.key)
-        if not types.is_pkgname(name):
+        if not oracle_is_subtype_value(name, "pkgname"):
             bad("Package", "pkgname")
         if not isinstance(version, int) or isinstance(version, bool) or version < 1:
             bad("Version", "posint")
@@ -722,16 +721,16 @@ def naive_validate(doc, registry=None):
             if isinstance(value, RawValue):
                 if schema:  # the name reads back typed, never raw
                     bad(prop, schema.value_type)
-                elif not types.is_subtype_value(value.text, "oneliner"):
+                elif not oracle_is_subtype_value(value.text, "oneliner"):
                     bad(prop, "oneliner")
                 continue
-            if schema and not types.is_subtype_value(value, schema.value_type):
+            if schema and not oracle_is_subtype_value(value, schema.value_type):
                 bad(prop, schema.value_type)
             elif not _one_line_value(value):
                 violations.append(Violation("TypeError",
                                             f"{prop} value has no one-line lexical form",
                                             name, version))
-    if not types.is_subtype_value(doc.request.problem_id, "oneliner"):
+    if not oracle_is_subtype_value(doc.request.problem_id, "oneliner"):
         violations.append(Violation("TypeError", "Problem value outside oneliner"))
     return violations
 
@@ -775,9 +774,52 @@ def oracle_serialize_cudf(doc):
 
 
 # ---------------------------------------------------------------------------
-# Dispatch oracle for parse_value: the chain of type-tag tests it walked
-# before it found each type's parse function in one table.  It shares the
-# library's helpers for each type, so it checks the dispatch alone.
+# Dispatch oracles for parse_value and is_subtype_value: the chains of
+# type-tag tests they walked before they found each type's parse function
+# and member test in one table.  The parse oracle shares the library's
+# atom and list helpers, so it checks the dispatch and the member tests.
+
+
+def oracle_is_subtype_value(value, target):
+    """Whether a value belongs to the value space of `target`, or the
+    UnknownType error is_subtype_value raises."""
+    from cudfkit.types import UnknownType, _enum_symbols
+
+    if target == "bool":
+        return isinstance(value, bool)
+    if target in ("int", "nat", "posint"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return False
+        if target == "nat":
+            return value >= 0
+        if target == "posint":
+            return value >= 1
+        return True
+    if target in ("string", "oneliner", "pkgname"):
+        if not isinstance(value, str):
+            return False
+        if target == "oneliner":
+            return "\n" not in value and "\r" not in value
+        if target == "pkgname":
+            return re.fullmatch(r"[a-z][a-z0-9.-]+", value) is not None
+        return True
+    if target in ("vpkg", "veqpkg"):
+        if not isinstance(value, VPkg):
+            return False
+        if target == "veqpkg":
+            return value.constraint.relop in (None, "=")
+        return True
+    if target in ("vpkglist", "veqpkglist"):
+        if not isinstance(value, VpkgList):
+            return False
+        if target == "veqpkglist":
+            return all(atom.constraint.relop in (None, "=") for atom in value.items)
+        return True
+    if target == "vpkgformula":
+        return isinstance(value, VpkgFormula)
+    if target.startswith("enum("):
+        return isinstance(value, EnumValue) and value.symbols == _enum_symbols(target)
+    raise UnknownType(target)
 
 
 def oracle_parse_value(type_tag, lexical):
@@ -797,12 +839,18 @@ def oracle_parse_value(type_tag, lexical):
         if s == "false":
             return False
         raise LexicalError("bool", 0, f"not a boolean: {lexical!r}")
-    if type_tag == "int":
-        return types._parse_int("int", None, lexical)
-    if type_tag == "nat":
-        return types._parse_int("nat", 0, lexical)
-    if type_tag == "posint":
-        return types._parse_int("posint", 1, lexical)
+    if type_tag in ("int", "nat", "posint"):
+        s = lexical.strip(" ")
+        if not re.fullmatch(r"[+-]?[0-9]+", s):
+            raise LexicalError(type_tag, 0, f"not an integer: {lexical!r}")
+        try:
+            value = int(s)
+        except ValueError:  # longer than the interpreter converts
+            raise LexicalError(type_tag, 0, "too many digits") from None
+        lower = {"int": None, "nat": 0, "posint": 1}[type_tag]
+        if lower is not None and value < lower:
+            raise LexicalError(type_tag, 0, f"{value} below the {type_tag} domain")
+        return value
     if type_tag == "string":
         return lexical
     if type_tag == "oneliner":
@@ -815,7 +863,7 @@ def oracle_parse_value(type_tag, lexical):
         return lexical
     if type_tag == "vpkg" or type_tag == "veqpkg":
         (atom,) = types._canonical_atoms([types._parse_atom(lexical, type_tag, 0)])
-        if type_tag == "veqpkg" and not types.is_subtype_value(atom, "veqpkg"):
+        if type_tag == "veqpkg" and not oracle_is_subtype_value(atom, "veqpkg"):
             raise LexicalError("veqpkg", 0, "version constraint other than '='")
         return atom
     if type_tag == "vpkglist" or type_tag == "veqpkglist":
@@ -824,7 +872,7 @@ def oracle_parse_value(type_tag, lexical):
                 return types.EMPTY_LIST
             lexical = types._canonical_text(lexical, type_tag)
         lst = kept(VpkgList, types._set_list_lexical, lexical)
-        if type_tag == "veqpkglist" and not types.is_subtype_value(lst, "veqpkglist"):
+        if type_tag == "veqpkglist" and not oracle_is_subtype_value(lst, "veqpkglist"):
             raise LexicalError("veqpkglist", 0, "version constraint other than '='")
         return lst
     if type_tag == "vpkgformula":
