@@ -65,6 +65,21 @@ def _indented(value, dumps, newline):
     return opening + inner + ("," + inner).join(items) + newline + closing
 
 
+def _decimal(n):
+    """str(n), however many digits n has.  Past the interpreter's digit
+    limit the limit is lifted for this one conversion and then put back,
+    so an in-process caller keeps its own."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _warn_recovered(report):
     """One warning line per stanza or junk line the parse dropped."""
     for e in report.recovered_errors:
@@ -190,10 +205,10 @@ def cmd_solve(args):
                 fh.write(data)
         except OSError as exc:
             raise _UsageError(str(exc)) from exc
-        print(f"cost: {result.cost}")
+        print(f"cost: {_decimal(result.cost)}")
     else:
         sys.stdout.buffer.write(data)
-        print(f"cost: {result.cost}", file=sys.stderr)
+        print(f"cost: {_decimal(result.cost)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -201,7 +216,7 @@ def cmd_cost(args):
     from . import solver
 
     doc, costs = _priced_problem(args)
-    print(solver.installation_cost(doc, costs))
+    print(_decimal(solver.installation_cost(doc, costs)))
     return EXIT_OK
 
 

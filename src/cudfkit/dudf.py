@@ -136,7 +136,47 @@ def validate_dudf(doc):
     if doc.outcome is not None:
         out.extend(_outcome_violations(
             doc.outcome.result, doc.outcome.error, doc.outcome.package_status))
+    for path, text in _written_texts(doc):
+        bad = isinstance(text, str) and _NOT_XML_CHAR.search(text)
+        if bad:
+            out.append(DudfViolation(path, f"{bad.group()!r} is not an XML character"))
     return out
+
+
+# Any character outside XML 1.0's Char production: no XML text carries it.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _written_texts(doc):
+    """(path, text) of every leaf, attribute value and hole that
+    dudf_to_xml writes: a hole's text, or its reference."""
+    problem, outcome = doc.problem, doc.outcome
+    texts = [("dudf/version", doc.version), ("dudf/timestamp", doc.timestamp),
+             ("dudf/uid", doc.uid), ("dudf/distribution", doc.distribution)]
+    for label, (name, version) in (("installer", doc.installer),
+                                   ("meta-installer", doc.meta_installer)):
+        texts += [(f"dudf/{label}/name", name), (f"dudf/{label}/version", version)]
+    holes = _status_holes("dudf/problem/package-status", problem.package_status)
+    for i, plist in enumerate(problem.package_universe):
+        path = f"dudf/problem/package-universe/package-list[{i}]"
+        texts += [(f"{path}/format", plist.format), (f"{path}/filename", plist.filename)]
+        holes.append((path, plist.payload))
+    holes += [("dudf/problem/action", problem.action),
+              ("dudf/problem/desiderata", problem.desiderata)]
+    if outcome is not None:
+        texts.append(("dudf/outcome/result", outcome.result))
+        holes.append(("dudf/outcome/error", outcome.error))
+        if outcome.package_status is not None:
+            holes += _status_holes("dudf/outcome/package-status", outcome.package_status)
+    for path, hole in holes:
+        if hole is not None:
+            texts.append((path, hole.reference if isinstance(hole, Intensional) else hole.text))
+    return texts
+
+
+def _status_holes(path, status):
+    return [(f"{path}/installer", status.installer),
+            (f"{path}/meta-installer", status.meta_installer)]
 
 
 def _outcome_violations(result, error, package_status):

@@ -8,6 +8,8 @@ default holds None, which no value space holds.
 
 from __future__ import annotations
 
+import sys
+
 from . import types
 from ._record import record
 from .types import EMPTY_LIST, TRUE, EnumValue, VpkgFormula, VpkgList
@@ -229,6 +231,7 @@ def validate_document(doc, registry=None):
     violations = []
     append = violations.append
     required = required_package_extras(registry)
+    unwritable = _least_unwritable_int()
     seen = set()
     good_names = set()  # package names that passed is_pkgname
     good_extras = set()  # extra-property names that passed the name rules
@@ -237,8 +240,7 @@ def validate_document(doc, registry=None):
         name, version = item.name, item.version
         key = item.key
         if key in seen:
-            append(Violation("DuplicateKey", f"duplicate stanza for {name} {version}",
-                             name, version))
+            append(_duplicate_key(name, version))
         seen.add(key)
         if name not in good_names:
             if types.is_pkgname(name):
@@ -247,6 +249,9 @@ def validate_document(doc, registry=None):
                 append(_type_error("Package", "pkgname", name, version))
         if not types.is_posint(version):
             append(_type_error("Version", "posint", name, version))
+        elif version >= unwritable:
+            append(Violation("TypeError", "Version value has too many digits to write",
+                             name, version))
         if not isinstance(item.depends, VpkgFormula):
             append(_type_error("Depends", "vpkgformula", name, version))
         if not isinstance(item.conflicts, VpkgList):
@@ -295,8 +300,23 @@ def validate_document(doc, registry=None):
     return violations
 
 
+def _duplicate_key(name, version):
+    try:
+        detail = f"duplicate stanza for {name} {version}"
+    except ValueError:  # more digits than the interpreter writes
+        detail = f"duplicate stanza for {name} at a version with too many digits to write"
+    return Violation("DuplicateKey", detail, name, version)
+
+
 def _type_error(prop, value_type, name, version):
     return Violation("TypeError", f"{prop} value outside {value_type}", name, version)
+
+
+def _least_unwritable_int():
+    """The least positive int with more digits than the interpreter
+    writes, or infinity when it writes any int."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return 10 ** digits if digits else float("inf")
 
 
 def _has_one_line_form(value):

@@ -159,7 +159,10 @@ def search(problem):
         return best_mask, bound, explored
 
     # Phase 1: the optimum cost.  Phase 2: the first candidate at it.
-    best_mask, best_cost, explored = descend(float("inf"), False)
+    # Phase 1's bound is an int above every candidate's cost, so that no
+    # cost is turned into a float, and until the first leaf it neither
+    # cuts a node nor fixes a bit.
+    best_mask, best_cost, explored = descend(sum(c for c in costs if c > 0) + 1, False)
     if best_mask is None:
         return False, 0, 0, explored
     best_mask, best_cost, more = descend(best_cost + 1, True)

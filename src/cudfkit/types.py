@@ -409,7 +409,8 @@ def serialize_value(value):
     """Canonical lexical form of a typed value.
 
     parse_value(tag, serialize_value(v)) == v for every value with a
-    lexical form; the True formula has none and raises SerializeError.
+    lexical form; the True formula has none and raises SerializeError, as
+    does an int or atom with more digits than the interpreter writes.
     A formula or list returns the canonical text it keeps.
     """
     lexical = getattr(value, "_lexical", None)
@@ -419,14 +420,17 @@ def serialize_value(value):
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, EnumValue):
         return value.chosen
-    if isinstance(value, VPkg):
-        return serialize_vpkg(value)
+    try:
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, VPkg):
+            return serialize_vpkg(value)
+    except ValueError:  # more digits than the interpreter writes
+        raise SerializeError(f"{type(value).__name__} with too many digits to write") from None
     if isinstance(value, VpkgList):
         return ""
     if isinstance(value, VpkgFormula):

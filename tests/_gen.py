@@ -656,13 +656,25 @@ def subtype_item_violations(item, registry):
 
 def _one_line_value(value):
     """Whether a typed value has a lexical form with no line break: the
-    True formula has none, a string is its own text, and atoms, lists,
-    enum symbols and numbers cannot hold a line break."""
+    True formula has none, nor has an int or atom version with more
+    digits than str() writes; a string is its own text, and atoms,
+    lists, enum symbols and numbers cannot hold a line break."""
     if isinstance(value, str):
         return "\n" not in value and "\r" not in value
     if isinstance(value, VpkgFormula):
         return bool(value.clauses)
+    if not _writable(value.constraint.version if isinstance(value, VPkg) else value):
+        return False
     return isinstance(value, (bool, int, EnumValue, VPkg, VpkgList))
+
+
+def _writable(number):
+    """Whether str() writes number, a non-int always."""
+    try:
+        str(number)
+    except ValueError:  # more digits than the interpreter converts
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +700,17 @@ def naive_validate(doc, registry=None):
                                         name, version))
 
         if item.key in seen:
-            violations.append(Violation("DuplicateKey",
-                                        f"duplicate stanza for {name} {version}",
+            shown = version if _writable(version) else "at a version with too many digits to write"
+            violations.append(Violation("DuplicateKey", f"duplicate stanza for {name} {shown}",
                                         name, version))
         seen.add(item.key)
         if not oracle_is_subtype_value(name, "pkgname"):
             bad("Package", "pkgname")
         if not isinstance(version, int) or isinstance(version, bool) or version < 1:
             bad("Version", "posint")
+        elif not _writable(version):
+            violations.append(Violation("TypeError", "Version value has too many digits to write",
+                                        name, version))
         if not isinstance(item.depends, VpkgFormula):
             bad("Depends", "vpkgformula")
         if not isinstance(item.conflicts, VpkgList):

@@ -33,6 +33,7 @@ COMPILE = "src/cudfkit/solver/_compile.py"
 KERNEL = "src/cudfkit/solver/_kernel_py.py"
 DUDF = "src/cudfkit/dudf.py"
 SOLVER = "src/cudfkit/solver/__init__.py"
+CLI = "src/cudfkit/cli.py"
 TIMEOUT_S = 900  # per pytest call
 
 # (label, file, old text, new text, test file or node id that kills it)
@@ -114,16 +115,74 @@ MUTANTS = (
      "lexical = _canonical_text(lexical, type_tag)", "_canonical_text(lexical, type_tag)",
      "tests/test_types.py"),
     ("the veqpkglist '='-only test skipped for kept text", TYPES,
-     'if type_tag == "veqpkglist" and not is_subtype_value(lst, "veqpkglist"):',
-     "if False:",
+     "    if not member(lst):", "    if False:",
      "tests/test_types.py"),
     ("the table mapping vpkglist to the veqpkglist parser", TYPES,
-     '"vpkglist": partial(_parse_vpkglist, "vpkglist"),',
-     '"vpkglist": partial(_parse_vpkglist, "veqpkglist"),',
+     '"vpkglist": _checked("vpkglist", _parse_vpkglist,',
+     '"vpkglist": _checked("veqpkglist", _parse_vpkglist,',
      "tests/test_types.py::test_parse_value_dispatches_as_the_chain_of_tag_tests"),
     ("is_subtype_value's kept veqpkglist text always passes", TYPES,
      'return "<" not in text and ">" not in text and "!" not in text', "return True",
      "tests/test_types.py"),
+    # The member test of each named type, stated once in the type table.
+    ("bool admits an int", TYPES,
+     '"bool": (_parse_bool, lambda value: isinstance(value, bool)),',
+     '"bool": (_parse_bool, lambda value: isinstance(value, int)),',
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("int admits a bool", TYPES,
+     "return isinstance(n, int) and not isinstance(n, bool)", "return isinstance(n, int)",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("nat admits -1", TYPES,
+     "_is_int(value) and value >= 0", "_is_int(value) and value >= -1",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("posint admits 0", TYPES,
+     "(type(n) is int or _is_int(n)) and n >= 1", "(type(n) is int or _is_int(n)) and n >= 0",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("posint's exact-type shortcut admits a bool", TYPES,
+     "(type(n) is int or _is_int(n)) and n >= 1", "isinstance(n, int) and n >= 1",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("string admits bytes", TYPES,
+     '(str, lambda value: isinstance(value, str))', '(str, lambda value: isinstance(value, (str, bytes)))',
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("oneliner admits a carriage return", TYPES,
+     'and "\\n" not in s and "\\r" not in s', 'and "\\n" not in s',
+     "tests/test_model.py::test_validate_matches_naive_validator_on_injected_faults"),
+    ("vpkg admits a list", TYPES,
+     "_parse_vpkg, lambda value: isinstance(value, VPkg)),",
+     "_parse_vpkg, lambda value: isinstance(value, (VPkg, VpkgList))),",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("veqpkg admits every relop", TYPES,
+     'value.constraint.is_top or value.constraint.relop == "="', "True",
+     "tests/test_types.py::test_parse_veqpkg_restricts_relops"),
+    ("vpkglist admits a formula", TYPES,
+     "_parse_vpkglist, lambda value: isinstance(value, VpkgList)),",
+     "_parse_vpkglist, lambda value: isinstance(value, (VpkgList, VpkgFormula))),",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    ("vpkgformula admits a list", TYPES,
+     "lambda value: isinstance(value, VpkgFormula)),",
+     "lambda value: isinstance(value, (VpkgFormula, VpkgList))),",
+     "tests/test_types.py::test_is_subtype_value_answers_as_the_chain_of_tag_tests"),
+    # Numbers with more digits than the interpreter writes.
+    ("serialize_value lets the digit limit's ValueError escape", TYPES,
+     "    except ValueError:  # more digits than the interpreter writes\n        raise SerializeError",
+     "    except TypeError:\n        raise SerializeError",
+     "tests/test_types.py::test_serialize_value_refuses_numbers_it_cannot_write"),
+    ("a Version with too many digits to write passes", MODEL,
+     "elif version >= unwritable:", "elif False:",
+     "tests/test_model.py::test_validate_reports_numbers_with_more_digits_than_the_interpreter_writes"),
+    ("a duplicate at an unwritable Version raises", MODEL,
+     '        detail = f"duplicate stanza for {name} at a version', '        raise\n        f"',
+     "tests/test_model.py::test_validate_reports_numbers_with_more_digits_than_the_interpreter_writes"),
+    ("cost printed through str", CLI,
+     "print(_decimal(solver.installation_cost(doc, costs)))",
+     "print(solver.installation_cost(doc, costs))",
+     "tests/test_cli.py::test_cost_and_solve_print_a_cost_past_the_digit_limit"),
+    ("the digit limit left lifted", CLI,
+     "            sys.set_int_max_str_digits(limit)", "            pass",
+     "tests/test_cli.py::test_cost_and_solve_print_a_cost_past_the_digit_limit"),
+    ("phase 1 starts at a float bound", KERNEL,
+     "descend(sum(c for c in costs if c > 0) + 1, False)", 'descend(float("inf"), False)',
+     "tests/test_solver.py::test_solve_prices_an_installed_size_past_float_range"),
     # The validator.
     ("a bad Provides value cached as good", MODEL,
      "            if types.is_subtype_value(provides, \"veqpkglist\"):\n"
@@ -213,7 +272,7 @@ MUTANTS = (
     ("phase 2 without its rest clause", KERNEL,
      "clauses + [rest], cost,", "clauses, cost,",
      "tests/test_solver.py::test_phase_two_skips_the_leaf_it_tried_first"),
-    ("main runs with the collector on", "src/cudfkit/cli.py",
+    ("main runs with the collector on", CLI,
      "with textio.collector_paused():", "if True:",
      "tests/test_cli.py::test_commands_run_with_the_collector_off"),
     # The DUDF reader's one child check.
@@ -254,13 +313,20 @@ MUTANTS = (
     ("an intensional hole's reference written as text", DUDF,
      'elem.set("dudf:reference", payload.reference)', "elem.text = payload.reference",
      "tests/test_dudf.py::test_xml_roundtrip_examples"),
+    ("a character outside XML written", DUDF,
+     "bad = isinstance(text, str) and _NOT_XML_CHAR.search(text)", "bad = None",
+     "tests/test_dudf.py::test_text_that_xml_cannot_carry_is_refused_before_it_is_written"),
+    ("a lone surrogate taken for an XML character", DUDF,
+     "\\x20-\\ud7ff\\ue000", "\\x20-\\udfff\\ue000",
+     "tests/test_dudf.py::test_text_that_xml_cannot_carry_is_refused_before_it_is_written"),
+    ("a package list's attributes not checked for XML characters", DUDF,
+     'texts += [(f"{path}/format", plist.format), (f"{path}/filename", plist.filename)]',
+     "pass",
+     "tests/test_dudf.py::test_a_character_xml_cannot_carry_is_reported_at_its_path"),
     # The validator's rules.
     ("a duplicate key passes", MODEL,
      "        if key in seen:\n", "        if False:\n",
      "tests/test_model.py::test_validate_reports_duplicates_and_type_errors"),
-    ("a CR in a raw extra passes", MODEL,
-     'or "\\n" in text or "\\r" in text:', 'or "\\n" in text:',
-     "tests/test_model.py::test_validate_matches_naive_validator_on_injected_faults"),
     ("an extra may be named Problem", MODEL,
      'not (name in core or name == "Problem")', "not (name in core)",
      "tests/test_model.py::test_validate_refuses_an_extra_named_problem"),

@@ -315,6 +315,27 @@ def test_cost_missing_size_property(tmp_path):
     assert cli.main(["cost", path, "--criterion", "installed-size"]) == 2
 
 
+# Twenty pinned stanzas, each with a Cost of as many digits as the reader
+# converts by default: the sum has more than the interpreter writes.
+COSTLY = "\n".join(f"Package: p{i:02d}\nVersion: 1\nInstalled: true\nKeep: version\n"
+                   f"Cost: {'9' * 4300}\n" for i in range(20)) + "\nProblem: pb\n"
+COSTLY_SUM = "1" + "9" * 4299 + "80"  # 20 * (10**4300 - 1)
+
+
+def test_cost_and_solve_print_a_cost_past_the_digit_limit(tmp_path, capsys):
+    path = write(tmp_path, "costly.cudf", COSTLY)
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["cost", path, "--cost-property", "Cost"]) == 0
+    assert capsys.readouterr() == (COSTLY_SUM + "\n", "")
+    out = str(tmp_path / "solution.cudf")
+    assert cli.main(["solve", path, "--cost-property", "Cost", "--out", out]) == 0
+    assert capsys.readouterr() == (f"cost: {COSTLY_SUM}\n", "")
+    assert cli.main(["solve", path, "--cost-property", "Cost"]) == 0
+    assert capsys.readouterr().err == f"cost: {COSTLY_SUM}\n"
+    # The limit is lifted for the one conversion only.
+    assert sys.get_int_max_str_digits() == limit
+
+
 # A stanza dropped while reading leaves the universe; every subcommand that
 # reads a problem says so, as check does, and keeps its exit code.
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cudfkit import dudf, replace, textio
 from cudfkit.dudf import (
@@ -622,6 +623,79 @@ def test_a_carriage_return_in_text_is_written_as_a_character_reference():
     assert xml_to_dudf(data).problem.action == Extensional("Install:\r postfix")
     assert b"Install:&#13; postfix" in dudf_to_xml(xml_to_dudf(data))
     assert_read_without_loss(data)
+
+
+def _xml_char(c):
+    """Whether XML 1.0's Char production admits c."""
+    n = ord(c)
+    return c in "\t\n\r" or 0x20 <= n <= 0xD7FF or 0xE000 <= n <= 0xFFFD or n >= 0x10000
+
+
+ATTRIBUTES = ["dudf/version", "dudf/outcome/result"] + [
+    f"dudf/problem/package-universe/package-list[{i}]/{name}"
+    for i in (0, 1) for name in ("format", "filename")]
+# Text with characters that no XML text carries, not even as a reference.
+NOT_XML = ("\x00", "\x08", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff")
+xml_unsafe_texts = st.lists(st.text(max_size=4) | st.sampled_from(NOT_XML), max_size=4).map("".join)
+
+
+def _document_with(path, text):
+    """FULL (FAILED for the error hole) with text at the leaf, attribute
+    or hole that path names: a hole's text, or its reference."""
+    def at(p, default):
+        return text if p == path else default
+
+    def hole(p, default):
+        if isinstance(default, Intensional):
+            return Intensional(at(p, default.reference))
+        return None if default is None else Extensional(at(p, default.text))
+
+    def status(p, default):
+        return default and PackageStatus(hole(f"{p}/installer", default.installer),
+                                         hole(f"{p}/meta-installer", default.meta_installer))
+
+    doc = FAILED if path.endswith("/error") else FULL
+    problem, outcome = doc.problem, doc.outcome
+    universe = "dudf/problem/package-universe/package-list"
+    lists = tuple(PackageList(at(f"{universe}[{i}]/format", plist.format),
+                              hole(f"{universe}[{i}]", plist.payload),
+                              at(f"{universe}[{i}]/filename", plist.filename))
+                  for i, plist in enumerate(problem.package_universe))
+    return DudfDocument(
+        at("dudf/timestamp", doc.timestamp), at("dudf/uid", doc.uid),
+        at("dudf/distribution", doc.distribution),
+        (at("dudf/installer/name", doc.installer[0]),
+         at("dudf/installer/version", doc.installer[1])),
+        (at("dudf/meta-installer/name", doc.meta_installer[0]),
+         at("dudf/meta-installer/version", doc.meta_installer[1])),
+        DudfProblem(status("dudf/problem/package-status", problem.package_status), lists,
+                    hole("dudf/problem/action", problem.action),
+                    hole("dudf/problem/desiderata", problem.desiderata)),
+        DudfOutcome(at("dudf/outcome/result", outcome.result),
+                    hole("dudf/outcome/error", outcome.error),
+                    status("dudf/outcome/package-status", outcome.package_status)),
+        at("dudf/version", doc.version))
+
+
+def test_a_character_xml_cannot_carry_is_reported_at_its_path():
+    for path in LEAVES + HOLES + ATTRIBUTES:
+        violations = validate_dudf(_document_with(path, "a\x0bb"))
+        assert [(v.path, v.detail, v.level) for v in violations if "XML" in v.detail] == [
+            (path, "'\\x0b' is not an XML character", "error")]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(LEAVES + HOLES + ATTRIBUTES), xml_unsafe_texts)
+def test_text_that_xml_cannot_carry_is_refused_before_it_is_written(path, text):
+    doc = _document_with(path, text)
+    try:
+        data = dudf_to_xml(doc)
+    except InvalidDocument as exc:
+        if not all(map(_xml_char, text)):
+            assert [v.path for v in exc.violations if "XML character" in v.detail] == [path]
+        return
+    assert all(map(_xml_char, text))
+    assert xml_to_dudf(data) == doc
 
 
 def test_an_unknown_encoding_is_refused():

@@ -7,12 +7,13 @@ import pytest
 
 from _gen import make_extra, naive_validate, rand_document, subtype_item_violations
 from cudfkit._record import fields, replace
-from cudfkit.textio import parse_cudf
+from cudfkit.textio import parse_cudf, serialize_cudf
 from cudfkit.model import (
     CORE_PACKAGE_SCHEMATA,
     CORE_PROBLEM_SCHEMATA,
     KEEP_ENUM,
     CudfDocument,
+    InvalidDocument,
     NameCollision,
     PackageItem,
     PropertySchema,
@@ -126,6 +127,24 @@ def test_validate_judges_a_kept_provides_list_by_its_text():
         "Provides value outside veqpkglist"]
     with pytest.raises(AttributeError):
         VpkgList.__dict__["items"].__get__(kept)  # its atoms are not built
+
+
+def test_validate_reports_numbers_with_more_digits_than_the_interpreter_writes():
+    huge = 10 ** 5000
+    registry = SchemaRegistry([PropertySchema("Big", "int", "package", "optional")])
+    typed = CudfDocument(packages=(PackageItem("aa", 1, extra=(("Big", huge),)),))
+    for reg in (None, registry):
+        assert [v.detail for v in validate_document(typed, reg)] == [
+            "Big value has no one-line lexical form"]
+    unwritable = CudfDocument(packages=(PackageItem("aa", huge),))
+    assert [v.detail for v in validate_document(unwritable)] == [
+        "Version value has too many digits to write"]
+    with pytest.raises(InvalidDocument, match="^Version value has too many digits to write$"):
+        serialize_cudf(unwritable)
+    twice = CudfDocument(packages=(PackageItem("aa", huge),) * 2)
+    assert [v.detail for v in validate_document(twice)][1:3] == [
+        "duplicate stanza for aa at a version with too many digits to write",
+        "Version value has too many digits to write"]
 
 
 def test_validate_refuses_an_extra_named_problem():
@@ -324,6 +343,15 @@ def _foreign_keep_symbols(rng, packages):
     packages[i] = replace(packages[i], keep=EnumValue(("version",), "version"))
 
 
+HUGE = 10 ** 5000  # more digits than the interpreter writes by default
+
+
+def _unwritable_numbers(rng, packages):
+    i = rng.randrange(len(packages))
+    packages[i] = _with_extra(replace(packages[i], version=HUGE), ("Big", HUGE),
+                              ("Pin", VPkg("aa", VersionConstraint("=", HUGE))))
+
+
 # One Provides value per text, shared by the stanzas that carry it, as
 # the reader builds them.
 _BAD_PROVIDES = VpkgList((VPkg("feat-x", VersionConstraint(">=", 2)),))
@@ -339,7 +367,7 @@ def _shared_provides(rng, packages):
 
 FAULTS = (_bad_name_twice, _bad_extra_name_twice, _raw_carriage_return, _no_one_line_form,
           _raw_under_registered_name, _duplicate_key, _non_bool_installed,
-          _foreign_keep_symbols, _shared_provides)
+          _foreign_keep_symbols, _shared_provides, _unwritable_numbers)
 
 
 def test_validate_matches_naive_validator_on_injected_faults():

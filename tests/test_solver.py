@@ -11,11 +11,13 @@ from _gen import (
     scan_compile,
     scan_problem,
 )
-from cudfkit import solver
+from cudfkit import cli, replace, solver, textio
 from cudfkit.model import (
     CudfDocument,
     PackageItem,
+    PropertySchema,
     RequestItem,
+    SchemaRegistry,
 )
 from cudfkit.semantics import satisfies_request
 from cudfkit.solver import (
@@ -466,3 +468,50 @@ def test_mask_less_reference():
     for _ in range(2000):
         a, b = rng.randrange(256), rng.randrange(256)
         assert mask_less(a, b) == ref_less(a, b)
+
+
+# -- costs past float range -------------------------------------------------------
+
+def solve_against_the_oracle(tmp_path, capsys, text, registry, flags):
+    """Solve the problem `text` through the command line, check the
+    solution and its cost line, or the refusal, against exhaustive_search
+    and return whether a solution exists."""
+    path = tmp_path / "problem.cudf"
+    path.write_text(text)
+    code = cli.main(["solve", str(path), *flags])
+    out, err = capsys.readouterr()
+    d = textio.parse_cudf(text.encode(), registry).document
+    if flags[0] == "--criterion":
+        costs = preset_costs(d, d.request, flags[1])
+    else:
+        costs = {p.key: p.extra_value(flags[1], 0) for p in d.packages}
+    found, mask, cost, _ = exhaustive_search(scan_problem(d, d.request, costs))
+    if not found:
+        assert (code, out, err) == (1, "", "no solution\n")
+        return False
+    assert (code, err) == (0, f"cost: {cost}\n")
+    stanzas = sorted(p.key for p in d.packages)
+    assert [key for key, _ in textio.parse_solution(out.encode())] == [
+        key for i, key in enumerate(stanzas) if mask >> i & 1]
+    return True
+
+
+def test_solve_prices_an_installed_size_past_float_range(tmp_path, capsys):
+    text = f"Package: aa\nVersion: 1\nInstalled-Size: {'9' * 401}\n\nProblem: pb\nInstall: aa\n"
+    registry = SchemaRegistry([PropertySchema("Installed-Size", "posint", "package", "optional")])
+    assert solve_against_the_oracle(tmp_path, capsys, text, registry,
+                                    ["--criterion", "installed-size"])
+
+
+def test_solve_prices_400_digit_cost_properties(tmp_path, capsys):
+    rng = random.Random(4000)
+    registry = SchemaRegistry([PropertySchema("Cost", "int", "package", "optional", 0)])
+    found = 0
+    for _ in range(40):
+        d = rand_document(rng)
+        priced = tuple(replace(p, extra=make_extra({"Cost": rng.choice((-1, 1)) * rng.randrange(
+            10 ** 399, 10 ** 400)})) for p in d.packages)
+        text = textio.serialize_cudf(replace(d, packages=priced)).decode()
+        found += solve_against_the_oracle(tmp_path, capsys, text, registry,
+                                          ["--cost-property", "Cost"])
+    assert 0 < found < 40

@@ -9,6 +9,7 @@ from _gen import (
     FEATURES,
     NAMES,
     ScanReject,
+    oracle_is_subtype_value,
     oracle_parse_value,
     rand_formula,
     rand_list,
@@ -172,6 +173,13 @@ def test_serialize_canonical_forms():
         serialize_value(TRUE)
 
 
+def test_serialize_value_refuses_numbers_it_cannot_write():
+    huge = 10 ** 5000  # more digits than the interpreter writes by default
+    for value in (huge, -huge, VPkg("aa", VersionConstraint("=", huge))):
+        with pytest.raises(SerializeError, match="with too many digits to write$"):
+            serialize_value(value)
+
+
 # -- value constructors enforce their invariants -----------------------------
 
 def test_constructor_invariants():
@@ -181,6 +189,8 @@ def test_constructor_invariants():
         VersionConstraint(">>", 1)
     with pytest.raises(ValueError):
         VersionConstraint("=", 0)
+    with pytest.raises(ValueError):
+        VersionConstraint("=", True)  # a bool is not a posint
     with pytest.raises(ValueError):
         VersionConstraint(None, 3)
     with pytest.raises(ValueError):
@@ -545,3 +555,42 @@ def test_parse_value_dispatches_as_the_chain_of_tag_tests(text):
 @pytest.mark.parametrize("text", EDGE_INPUTS)
 def test_edge_inputs_dispatch_as_the_chain_of_tag_tests(text):
     assert_dispatches_as_the_chain(text)
+
+
+# -- the member tests against the chain of tag tests they replaced -----------------
+
+SUBTYPE_TAGS = DISPATCH_TAGS + ("enum()", "enum(a)b)", "enum(1a, bb)", "vpkgs", "Int")
+subtype_values = st.one_of(
+    st.booleans(),
+    st.integers(-2, 2),
+    st.integers(),
+    st.text(alphabet="ab\r\n -.", max_size=6),
+    pkgnames,
+    vpkgs,
+    eq_vpkgs,
+    vpkglists,
+    st.sampled_from(["aa", "aa = 1, bb", "aa >= 2", "bb, aa != 3", "aa < 1, bb > 2"]).map(
+        lambda text: parse_value("vpkglist", text)),
+    formulas,
+    st.just(TRUE),
+    st.sampled_from([EnumValue(("low", "high"), "high"), EnumValue(("high", "low"), "low"),
+                     EnumValue(("version", "package", "feature"), "package"),
+                     EnumValue(("a",), "a")]),
+    st.sampled_from([None, 1.0, b"aa", ("aa",)]),
+)
+
+
+def subtype_outcome(is_subtype, value, tag):
+    """What is_subtype(value, tag) gives: the answer, or the error's type."""
+    try:
+        return is_subtype(value, tag)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(subtype_values)
+def test_is_subtype_value_answers_as_the_chain_of_tag_tests(value):
+    for tag in SUBTYPE_TAGS:
+        expected = subtype_outcome(oracle_is_subtype_value, value, tag)
+        assert subtype_outcome(is_subtype_value, value, tag) == expected, (tag, value)
