@@ -338,7 +338,7 @@ def _parse_oneliner(lexical):
 
 
 def _parse_pkgname(lexical):
-    if not is_pkgname(lexical):
+    if not _PKGNAME_RE.fullmatch(lexical):
         raise LexicalError("pkgname", 0, f"not a package name: {lexical!r}")
     return lexical
 
