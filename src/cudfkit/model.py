@@ -8,8 +8,6 @@ default holds None, which no value space holds.
 
 from __future__ import annotations
 
-import sys
-
 from . import types
 from ._record import record
 from .types import EMPTY_LIST, TRUE, EnumValue, VpkgFormula, VpkgList
@@ -231,7 +229,7 @@ def validate_document(doc, registry=None):
     violations = []
     append = violations.append
     required = required_package_extras(registry)
-    unwritable = _least_unwritable_int()
+    is_posint, is_oneliner = types.is_posint, types.is_oneliner
     seen = set()
     good_names = set()  # package names that passed is_pkgname
     good_extras = set()  # extra-property names that passed the name rules
@@ -247,9 +245,9 @@ def validate_document(doc, registry=None):
                 good_names.add(name)
             else:
                 append(_type_error("Package", "pkgname", name, version))
-        if not types.is_posint(version):
+        if not is_posint(version):
             append(_type_error("Version", "posint", name, version))
-        elif version >= unwritable:
+        elif version >= _ALWAYS_WRITABLE and not _has_one_line_form(version):
             append(Violation("TypeError", "Version value has too many digits to write",
                              name, version))
         if not isinstance(item.depends, VpkgFormula):
@@ -287,7 +285,7 @@ def validate_document(doc, registry=None):
                 text = value.text
                 if schema:  # the name reads back typed, never raw
                     append(_type_error(prop, schema.value_type, name, version))
-                elif not types.is_oneliner(text):
+                elif not is_oneliner(text):
                     append(_type_error(prop, "oneliner", name, version))
                 continue
             if schema and not types.is_subtype_value(value, schema.value_type):
@@ -312,11 +310,9 @@ def _type_error(prop, value_type, name, version):
     return Violation("TypeError", f"{prop} value outside {value_type}", name, version)
 
 
-def _least_unwritable_int():
-    """The least positive int with more digits than the interpreter
-    writes, or infinity when it writes any int."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return 10 ** digits if digits else float("inf")
+# The interpreter's digit limit is 0 (none) or at least 640, so it
+# writes every int below this bound.
+_ALWAYS_WRITABLE = 10 ** 640
 
 
 def _has_one_line_form(value):

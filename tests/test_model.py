@@ -136,6 +136,8 @@ def test_validate_reports_numbers_with_more_digits_than_the_interpreter_writes()
     for reg in (None, registry):
         assert [v.detail for v in validate_document(typed, reg)] == [
             "Big value has no one-line lexical form"]
+    # 1,001 digits: past the bound where the check starts, within the limit.
+    assert validate_document(CudfDocument(packages=(PackageItem("aa", 10 ** 1000),))) == []
     unwritable = CudfDocument(packages=(PackageItem("aa", huge),))
     assert [v.detail for v in validate_document(unwritable)] == [
         "Version value has too many digits to write"]
