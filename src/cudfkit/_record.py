@@ -15,19 +15,26 @@ The decorator reads the annotations and defaults once and builds the
 class again as a subclass of Record with ``__slots__`` for its fields.
 Every record shares Record's methods: one ``__init__`` (positional or
 keyword arguments, then ``__post_init__``), equality and hashing by
-the tuple of field values within one class, a ``Name(field=value, ...)``
-repr, and a ``__setattr__``/``__delattr__`` that refuse every attribute.  Pickling
-and copying go back through the constructor.  The class body names no
-base class, and its methods do not use zero-argument ``super()``, which
-would find the class the decorator replaced.
+the tuple of field values within one class, and a ``Name(field=value,
+...)`` repr.  Pickling and copying go back through the constructor.
+The class body names no base class, and its methods do not use
+zero-argument ``super()``, which would find the class the decorator
+replaced.
+
+Each record class refuses every attribute in its own ``__setattr__``
+and ``__delattr__``; Record has neither, since CPython does not
+specialize attribute stores on a class that has one.  Its private twin
+``cls._draft`` has its slots and no hooks: a builder of several slots
+stores them plainly on ``object.__new__(cls._draft)``, then sets
+``obj.__class__ = cls``, which the equal layouts allow and which freezes
+the object.  A build of one slot calls its member descriptor, faster.
 
 A class body may also name non-field slots in ``__slots__``: private
 state that is not a field, so equality, hashing, repr, pickling and
-``replace`` never read it.  Code of the record's own module sets it
-through its member descriptor, ``__post_init__`` included.  The
-dependency records keep their canonical text in one (see
-``types.VpkgFormula``), and ``model.PackageItem`` its (name, version)
-key, set by its ``__post_init__`` and by the reader's slot-wise builder.
+``replace`` never read it.  Code of the record's own module sets it,
+``__post_init__`` through its member descriptor.  The dependency
+records keep their canonical text in one (see ``types.VpkgFormula``),
+and ``model.PackageItem`` its (name, version) key.
 """
 
 from __future__ import annotations
@@ -84,10 +91,10 @@ class Record:
                            for field, value in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({values})"
 
-    def __setattr__(self, name, value):
+    def _refuse_assignment(self, name, value):  # each record class's __setattr__
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
+    def _refuse_deletion(self, name):  # and its __delattr__
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
@@ -110,7 +117,10 @@ def record(cls):
     namespace["__slots__"] = names + private
     namespace["__match_args__"] = names
     namespace["__qualname__"] = cls.__qualname__
+    namespace["__setattr__"] = Record._refuse_assignment
+    namespace["__delattr__"] = Record._refuse_deletion
     new = type(cls.__name__, (Record,), namespace)
+    new._draft = type(f"{cls.__qualname__}._draft", (Record,), {"__slots__": names + private})
     new._fields = names
     new._init_spec = tuple(
         (field, new.__dict__[field].__set__, default)

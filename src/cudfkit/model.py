@@ -152,37 +152,25 @@ class PackageItem:
         flag already, so a rebuilt document shares every stanza it keeps."""
         if self.installed is flag:
             return self
-        return _package_item(self.name, self.version, self.depends, self.conflicts,
-                             self.provides, flag, self.keep, self.extra)
+        return _package_item((self.name, self.version, self.depends, self.conflicts,
+                              self.provides, flag, self.keep), self.extra)
 
 
-# PackageItem's __post_init__ only stores the key, so a record built
-# through its slots, one member-descriptor call per field and one for the
-# key, equals the constructor's; the reader and with_installed build every
-# item this way, which skips the generic argument handling of
-# Record.__init__ and replace.
-_set_name = PackageItem.__dict__["name"].__set__
-_set_version = PackageItem.__dict__["version"].__set__
-_set_depends = PackageItem.__dict__["depends"].__set__
-_set_conflicts = PackageItem.__dict__["conflicts"].__set__
-_set_provides = PackageItem.__dict__["provides"].__set__
-_set_installed = PackageItem.__dict__["installed"].__set__
-_set_keep = PackageItem.__dict__["keep"].__set__
-_set_extra = PackageItem.__dict__["extra"].__set__
+# PackageItem's __post_init__ only stores the key (through its descriptor,
+# as the class refuses plain stores), so an item built on the twin equals
+# the constructor's; the reader and with_installed build every item so.
+# `core` holds the first seven fields, in order.
+_PackageDraft = PackageItem._draft
 _set_key = PackageItem.__dict__["key"].__set__
 
 
-def _package_item(name, version, depends, conflicts, provides, installed, keep, extra):
-    item = object.__new__(PackageItem)
-    _set_name(item, name)
-    _set_version(item, version)
-    _set_depends(item, depends)
-    _set_conflicts(item, conflicts)
-    _set_provides(item, provides)
-    _set_installed(item, installed)
-    _set_keep(item, keep)
-    _set_extra(item, extra)
-    _set_key(item, (name, version))
+def _package_item(core, extra):
+    item = object.__new__(_PackageDraft)
+    (item.name, item.version, item.depends, item.conflicts, item.provides, item.installed,
+     item.keep) = core
+    item.extra = extra
+    item.key = (item.name, item.version)
+    item.__class__ = PackageItem
     return item
 
 

@@ -91,7 +91,8 @@ class _Reader:
         self.registry = registry
         self.solution = solution
         # kind -> name -> (slot or None, bit, value type or None, value
-        # memo), or _INVALID_NAME; each name of a kind has its own bit.
+        # memo), or _INVALID_NAME; each name of a kind has its own bit.  An
+        # extra's memo holds its (name, value) pair, which stanzas share.
         self.props = {"package": {}, "problem": {}}
         self.template = [
             s.default if s.has_default else None for s in CORE_PACKAGE_SCHEMATA.values()]
@@ -101,7 +102,7 @@ class _Reader:
         self.required = [(self._prop("package", name)[1], name) for name in
                          _REQUIRED_PACKAGE_PROPS + required_package_extras(registry)]
         self.required_bits = sum(bit for bit, _ in self.required)
-        self.defaults = tuple((self._prop("package", name)[1], name, default)
+        self.defaults = tuple((self._prop("package", name)[1], (name, default))
                               for name, default in package_extra_defaults(registry))
         self.bounds = []  # (first line, closing line) of each stanza read
 
@@ -157,12 +158,11 @@ class _Reader:
                     bounds.append((first, number))
                     if error is None and props is package_props:
                         if mask & required_bits == required_bits:
-                            for bit, extra_name, default in defaults:
+                            for bit, pair in defaults:
                                 if not mask & bit:
-                                    extras.append((extra_name, default))
+                                    extras.append(pair)
                             extras.sort()
-                            slots.append(tuple(extras))
-                            packages.append(_package_item(*slots))
+                            packages.append(_package_item(slots, tuple(extras)))
                         else:
                             missing = next(n for bit, n in required if not mask & bit)
                             error = f"missing required property {missing!r}"
@@ -215,9 +215,11 @@ class _Reader:
                     except types.LexicalError as exc:
                         error = f"{name}: {exc.reason}"
                         continue
+                if slot is None:
+                    parsed = (name, parsed)
                 values[value] = parsed
             if slot is None:
-                extras.append((name, parsed))
+                extras.append(parsed)
             else:
                 slots[slot] = parsed
         if junk or dropped:

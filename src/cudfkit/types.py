@@ -117,7 +117,7 @@ class VpkgFormula:
                 if not isinstance(atom, VPkg):
                     raise ValueError("formula atoms must be VPkg")
         _set_formula_lexical(self, ", ".join(
-            [" | ".join([serialize_vpkg(atom) for atom in clause]) for clause in self.clauses]))
+            [" | ".join([serialize_value(atom) for atom in clause]) for clause in self.clauses]))
 
     def __getattr__(self, name):
         # Reached only when ordinary lookup fails: for `clauses`, when the
@@ -147,7 +147,7 @@ class VpkgList:
         for item in self.items:
             if not isinstance(item, VPkg):
                 raise ValueError("list elements must be VPkg")
-        _set_list_lexical(self, ", ".join([serialize_vpkg(item) for item in self.items]))
+        _set_list_lexical(self, ", ".join([serialize_value(item) for item in self.items]))
 
     def __getattr__(self, name):
         if name != "items":
@@ -239,15 +239,13 @@ def _to_int(digits, type_tag, position):
 
 # The parser builds its records from text that _CANONICAL_RE or
 # _parse_atom has already checked, so it skips the __post_init__ checks
-# of the public constructors, which stay for every other caller.  Each
-# builder sets the slots through their member descriptors, one call per
-# field.
+# of the public constructors, which stay for every other caller.  Atoms
+# and constraints are built on twins (see _record), the rest through one
+# member descriptor each.
 
 _new = object.__new__
-_set_vpkg_name = VPkg.__dict__["name"].__set__
-_set_vpkg_constraint = VPkg.__dict__["constraint"].__set__
-_set_relop = VersionConstraint.__dict__["relop"].__set__
-_set_version = VersionConstraint.__dict__["version"].__set__
+_VPkgDraft = VPkg._draft
+_ConstraintDraft = VersionConstraint._draft
 _set_clauses = VpkgFormula.__dict__["clauses"].__set__
 _set_items = VpkgList.__dict__["items"].__set__
 _set_formula_lexical = VpkgFormula.__dict__["_lexical"].__set__
@@ -258,17 +256,19 @@ def _canonical_atoms(texts):
     """The VPkg atoms of canonical atom texts."""
     atoms = []
     for text in texts:
-        atom = _new(VPkg)
+        atom = _new(_VPkgDraft)
         name, _, constrained = text.partition(" ")
-        _set_vpkg_name(atom, name)
+        atom.name = name
         if constrained:
             relop, _, digits = constrained.partition(" ")
-            constraint = _new(VersionConstraint)
-            _set_relop(constraint, relop)
-            _set_version(constraint, int(digits))
-            _set_vpkg_constraint(atom, constraint)
+            constraint = _new(_ConstraintDraft)
+            constraint.relop = relop
+            constraint.version = int(digits)
+            constraint.__class__ = VersionConstraint
+            atom.constraint = constraint
         else:
-            _set_vpkg_constraint(atom, TOP)
+            atom.constraint = TOP
+        atom.__class__ = VPkg
         atoms.append(atom)
     return atoms
 

@@ -167,6 +167,10 @@ MUTANTS = (
      "    except ValueError:  # more digits than the interpreter writes\n        raise SerializeError",
      "    except TypeError:\n        raise SerializeError",
      "tests/test_types.py::test_serialize_value_refuses_numbers_it_cannot_write"),
+    ("a list's constructor writes its atoms past the digit check", TYPES,
+     '", ".join([serialize_value(item) for item in self.items])',
+     '", ".join([serialize_vpkg(item) for item in self.items])',
+     "tests/test_types.py::test_a_list_or_formula_of_an_atom_it_cannot_write_is_refused"),
     ("a Version with too many digits to write passes", MODEL,
      "elif version >= _ALWAYS_WRITABLE and not _has_one_line_form(version):", "elif False:",
      "tests/test_model.py::test_validate_reports_numbers_with_more_digits_than_the_interpreter_writes"),
@@ -207,8 +211,22 @@ MUTANTS = (
      "index.provided(atom, exclude_key=item.key)", "index.provided(atom)",
      "tests/test_semantics.py::test_self_conflict_is_ignored"),
     ("the key stored as (version, name)", MODEL,
-     "_set_key(item, (name, version))", "_set_key(item, (version, name))",
+     "item.key = (item.name, item.version)", "item.key = (item.version, item.name)",
      "tests/test_model.py::test_every_package_item_stores_its_key"),
+    # Records built on their twins take their own classes back.
+    ("a built stanza keeps its twin's class", MODEL,
+     "    item.__class__ = PackageItem\n", "",
+     "tests/test_record.py::test_no_record_escapes_as_its_twin"),
+    ("atoms keep their twins' class", TYPES,
+     "            constraint.__class__ = VersionConstraint\n"
+     "            atom.constraint = constraint\n"
+     "        else:\n"
+     "            atom.constraint = TOP\n"
+     "        atom.__class__ = VPkg\n",
+     "            atom.constraint = constraint\n"
+     "        else:\n"
+     "            atom.constraint = TOP\n",
+     "tests/test_record.py::test_no_record_escapes_as_its_twin"),
     ("consistency handed the index over the original installation", SEMANTICS,
      "consistency=is_consistent(after, index),",
      "consistency=is_consistent(after, _installed_index(before)),",

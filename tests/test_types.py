@@ -180,6 +180,14 @@ def test_serialize_value_refuses_numbers_it_cannot_write():
             serialize_value(value)
 
 
+def test_a_list_or_formula_of_an_atom_it_cannot_write_is_refused():
+    atom = VPkg("aa", VersionConstraint("=", 10 ** 5000))
+    for build in (lambda: VpkgList((atom,)), lambda: VpkgFormula(((atom,),)),
+                  lambda: VpkgFormula(((VPkg("bb"), atom),))):
+        with pytest.raises(SerializeError, match="^VPkg with too many digits to write$"):
+            build()
+
+
 # -- value constructors enforce their invariants -----------------------------
 
 def test_constructor_invariants():
