@@ -2,20 +2,30 @@
 holes, XML serialization, structural validation, and a toy conversion to
 CUDF for holes that already contain CUDF stanzas.
 
+The skeleton is stated once, in `_SKELETON`: each record's parts in
+document order, each with its tag, field, kind (leaf text, dudf:
+attribute, hole, (name, version) pair or nested record) and whether it
+is optional or repeated.  `_read` reads by it for `xml_to_dudf`, with
+`_children` as its one structural check; `_write` writes by it for
+`dudf_to_xml` and finds for `validate_dudf` the texts it would write and
+the parts of the wrong type.
+
 Hole payloads are preserved byte-for-byte and never interpreted;
 intensional references are stored but never dereferenced.
 """
 
 from __future__ import annotations
 
+import collections
 import email.utils
 import re
+import reprlib
 import xml.etree.ElementTree as ET
 
 from . import textio
 from ._record import record
-from .model import CudfDocument, InvalidDocument, RequestItem, validate_document
-from .types import EMPTY_LIST, is_subtype_value
+from .model import CudfDocument, InvalidDocument, validate_document
+from .types import is_subtype_value
 
 DUDF_NS = "http://www.mancoosi.org/2008/cudf/dudf"
 DUDF_VERSION = "1.0"
@@ -101,19 +111,74 @@ class DudfViolation:
     level: str = "error"  # "error" | "warning"
 
 
+# ---------------------------------------------------------------------------
+# The skeleton.  Elements live in the default namespace; annotations (format,
+# filename, result, intensional references) become dudf:-prefixed attributes
+# since XML attributes do not inherit the default namespace.
+
+_LEAF, _ATTRIBUTE, _HOLE, _PAIR = "leaf", "attribute", "hole", "pair"
+_ONE, _OPTIONAL, _REPEATED = "one", "optional", "repeated"
+# A record's part: tag (an element, a dudf: attribute, or "" for the record's element),
+# field, kind (above, or a nested record's class), occurrence (optional: None if absent;
+# repeated: tag is "outer/item"), and attribute values refused before any child, and why.
+_Part = collections.namedtuple("_Part", "tag field kind occurs refused reason",
+                               defaults=(_ONE, (), ""))
+_ROOT = "dudf"
+_NS = f"{{{DUDF_NS}}}"
+_REFERENCE = "reference"  # the attribute of a hole whose payload is a reference
+_PAIR_LEAVES = ("name", "version")
+# What a part of each kind holds: a record or a text is checked on its own.
+_TYPES = {_HOLE: (Extensional, Intensional), _PAIR: tuple}
+_SKELETON = {
+    DudfDocument: (
+        _Part("version", "version", _ATTRIBUTE, _ONE, (None,), "missing dudf:version attribute"),
+        _Part("timestamp", "timestamp", _LEAF),
+        _Part("uid", "uid", _LEAF),
+        _Part("distribution", "distribution", _LEAF),
+        _Part("installer", "installer", _PAIR),
+        _Part("meta-installer", "meta_installer", _PAIR),
+        _Part("problem", "problem", DudfProblem),
+        _Part("outcome", "outcome", DudfOutcome, _OPTIONAL),
+    ),
+    DudfProblem: (
+        _Part("package-status", "package_status", PackageStatus),
+        _Part("package-universe/package-list", "package_universe", PackageList, _REPEATED),
+        _Part("action", "action", _HOLE),
+        _Part("desiderata", "desiderata", _HOLE, _OPTIONAL),
+    ),
+    PackageStatus: (
+        _Part("installer", "installer", _HOLE),
+        _Part("meta-installer", "meta_installer", _HOLE, _OPTIONAL),
+    ),
+    PackageList: (
+        _Part("format", "format", _ATTRIBUTE, _ONE, (None, ""), "missing dudf:format annotation"),
+        _Part("filename", "filename", _ATTRIBUTE, _OPTIONAL),
+        _Part("", "payload", _HOLE),
+    ),
+    DudfOutcome: (
+        _Part("result", "result", _ATTRIBUTE),  # absent, it reads as None: see the rules
+        _Part("error", "error", _HOLE, _OPTIONAL),
+        _Part("package-status", "package_status", PackageStatus, _OPTIONAL),
+    ),
+}
+
+
 def validate_dudf(doc):
-    """Structural and side-condition violations of the DUDF skeleton."""
-    out = []
+    """Structural and side-condition violations of the DUDF skeleton.  A
+    part of the wrong type is reported alone: the other rules read it."""
+    texts, out = [], []
+    _write(DudfDocument, doc, ET.Element(_ROOT), _ROOT, texts, out)
+    out += [DudfViolation(path, f"expected a str, not {reprlib.repr(text)}")
+            for path, text in texts if not isinstance(text, str)]
+    if out:
+        return out
     if doc.version != DUDF_VERSION:
         out.append(DudfViolation("dudf/version", f"version must be {DUDF_VERSION!r}"))
-    parsed = email.utils.parsedate_tz(doc.timestamp)
-    if parsed is None:
+    if email.utils.parsedate_tz(doc.timestamp) is None:
         out.append(DudfViolation("dudf/timestamp", "not an RFC822 date"))
     elif re.search(r"\d{1,2}\s+[A-Za-z]{3}\s+\d{2}(\s|$)", doc.timestamp):
         # obsolete RFC822 two-digit year; parsedate_tz already widened it
-        out.append(
-            DudfViolation("dudf/timestamp", "obsolete two-digit year", level="warning")
-        )
+        out.append(DudfViolation("dudf/timestamp", "obsolete two-digit year", level="warning"))
     if not doc.uid:
         out.append(DudfViolation("dudf/uid", "uid must be non-empty"))
     if not doc.distribution:
@@ -121,23 +186,18 @@ def validate_dudf(doc):
     for label, pair in (("installer", doc.installer), ("meta-installer", doc.meta_installer)):
         if not pair[0]:
             out.append(DudfViolation(f"dudf/{label}/name", "tool name missing"))
+    universe = "dudf/problem/package-universe"
     if not doc.problem.package_universe:
-        out.append(
-            DudfViolation("dudf/problem/package-universe", "no package lists")
-        )
+        out.append(DudfViolation(universe, "no package lists"))
     for i, plist in enumerate(doc.problem.package_universe):
         if not plist.format:
-            out.append(
-                DudfViolation(
-                    f"dudf/problem/package-universe/package-list[{i}]",
-                    "format identifier must be non-empty",
-                )
-            )
+            out.append(DudfViolation(f"{universe}/package-list[{i}]",
+                                     "format identifier must be non-empty"))
     if doc.outcome is not None:
         out.extend(_outcome_violations(
             doc.outcome.result, doc.outcome.error, doc.outcome.package_status))
-    for path, text in _written_texts(doc):
-        bad = isinstance(text, str) and _NOT_XML_CHAR.search(text)
+    for path, text in texts:
+        bad = _NOT_XML_CHAR.search(text)
         if bad:
             out.append(DudfViolation(path, f"{bad.group()!r} is not an XML character"))
     return out
@@ -145,38 +205,6 @@ def validate_dudf(doc):
 
 # Any character outside XML 1.0's Char production: no XML text carries it.
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-
-
-def _written_texts(doc):
-    """(path, text) of every leaf, attribute value and hole that
-    dudf_to_xml writes: a hole's text, or its reference."""
-    problem, outcome = doc.problem, doc.outcome
-    texts = [("dudf/version", doc.version), ("dudf/timestamp", doc.timestamp),
-             ("dudf/uid", doc.uid), ("dudf/distribution", doc.distribution)]
-    for label, (name, version) in (("installer", doc.installer),
-                                   ("meta-installer", doc.meta_installer)):
-        texts += [(f"dudf/{label}/name", name), (f"dudf/{label}/version", version)]
-    holes = _status_holes("dudf/problem/package-status", problem.package_status)
-    for i, plist in enumerate(problem.package_universe):
-        path = f"dudf/problem/package-universe/package-list[{i}]"
-        texts += [(f"{path}/format", plist.format), (f"{path}/filename", plist.filename)]
-        holes.append((path, plist.payload))
-    holes += [("dudf/problem/action", problem.action),
-              ("dudf/problem/desiderata", problem.desiderata)]
-    if outcome is not None:
-        texts.append(("dudf/outcome/result", outcome.result))
-        holes.append(("dudf/outcome/error", outcome.error))
-        if outcome.package_status is not None:
-            holes += _status_holes("dudf/outcome/package-status", outcome.package_status)
-    for path, hole in holes:
-        if hole is not None:
-            texts.append((path, hole.reference if isinstance(hole, Intensional) else hole.text))
-    return texts
-
-
-def _status_holes(path, status):
-    return [(f"{path}/installer", status.installer),
-            (f"{path}/meta-installer", status.meta_installer)]
 
 
 def _outcome_violations(result, error, package_status):
@@ -202,78 +230,60 @@ def _outcome_violations(result, error, package_status):
 
 
 # ---------------------------------------------------------------------------
-# XML serialization.  Elements live in the default namespace; annotations
-# (format, filename, result, intensional references) become dudf:-prefixed
-# attributes since XML attributes do not inherit the default namespace.
+# XML serialization
 
 
-def _hole_into(elem, payload):
-    if isinstance(payload, Intensional):
-        elem.set("dudf:reference", payload.reference)
-    else:
-        elem.text = payload.text
-
-
-def _sub(parent, tag, text=None):
-    elem = ET.SubElement(parent, tag)
-    if text is not None:
-        elem.text = text
-    return elem
-
-
-def _status_into(parent, status):
-    elem = _sub(parent, "package-status")
-    _hole_into(_sub(elem, "installer"), status.installer)
-    if status.meta_installer is not None:
-        _hole_into(_sub(elem, "meta-installer"), status.meta_installer)
+def _write(cls, record, elem, path, texts, mistyped):
+    """Write record into elem by the table when it is a cls.  Append to texts
+    the (path, text) of each leaf, attribute value and hole payload written,
+    and to mistyped a violation for each part of the wrong type, left out."""
+    if not isinstance(record, cls):
+        mistyped.append(DudfViolation(
+            path, f"expected a {cls.__name__}, not {reprlib.repr(record)}"))
+        return
+    for part in _SKELETON[cls]:
+        kind, value = part.kind, getattr(record, part.field)
+        where = f"{path}/{part.tag}" if part.tag else path
+        if value is None and part.occurs == _OPTIONAL:
+            continue
+        wanted = tuple if part.occurs == _REPEATED else _TYPES.get(kind, object)
+        if not isinstance(value, wanted) or kind is _PAIR and len(value) != 2:
+            shown = "tuple" if part.occurs == _REPEATED else kind
+            mistyped.append(DudfViolation(where, f"expected a {shown}, not {reprlib.repr(value)}"))
+        elif kind is _ATTRIBUTE:
+            elem.set(f"dudf:{part.tag}", value)
+            texts.append((where, value))
+        elif kind is _PAIR:
+            pair = ET.SubElement(elem, part.tag)
+            for tag, leaf in zip(_PAIR_LEAVES, value):
+                ET.SubElement(pair, tag).text = leaf
+                texts.append((f"{where}/{tag}", leaf))
+        elif kind in (_LEAF, _HOLE):
+            target = ET.SubElement(elem, part.tag) if part.tag else elem
+            if isinstance(value, Intensional):
+                target.set(f"dudf:{_REFERENCE}", value.reference)
+                texts.append((where, value.reference))
+            else:
+                target.text = value if kind is _LEAF else value.text
+                texts.append((where, target.text))
+        elif part.occurs == _REPEATED:
+            outer, _, tag = part.tag.partition("/")
+            outer = ET.SubElement(elem, outer)
+            for i, item in enumerate(value):
+                _write(kind, item, ET.SubElement(outer, tag), f"{where}[{i}]", texts, mistyped)
+        else:
+            _write(kind, value, ET.SubElement(elem, part.tag), where, texts, mistyped)
 
 
 def dudf_to_xml(doc):
     """Serialize a valid DUDF document to XML bytes, a carriage return as
     &#13;; raise InvalidDocument with its error-level violations otherwise.
-
-    Sole-problem submissions have no outcome element.
-    """
+    Sole-problem submissions have no outcome element."""
     violations = [v for v in validate_dudf(doc) if v.level == "error"]
     if violations:
         raise InvalidDocument(violations)
-
-    root = ET.Element("dudf")
-    root.set("xmlns", DUDF_NS)
-    root.set("xmlns:dudf", DUDF_NS)
-    root.set("dudf:version", doc.version)
-    _sub(root, "timestamp", doc.timestamp)
-    _sub(root, "uid", doc.uid)
-    _sub(root, "distribution", doc.distribution)
-    for tag, (name, version) in (
-        ("installer", doc.installer),
-        ("meta-installer", doc.meta_installer),
-    ):
-        tool = _sub(root, tag)
-        _sub(tool, "name", name)
-        _sub(tool, "version", version)
-
-    problem = _sub(root, "problem")
-    _status_into(problem, doc.problem.package_status)
-    universe = _sub(problem, "package-universe")
-    for plist in doc.problem.package_universe:
-        elem = _sub(universe, "package-list")
-        elem.set("dudf:format", plist.format)
-        if plist.filename is not None:
-            elem.set("dudf:filename", plist.filename)
-        _hole_into(elem, plist.payload)
-    _hole_into(_sub(problem, "action"), doc.problem.action)
-    if doc.problem.desiderata is not None:
-        _hole_into(_sub(problem, "desiderata"), doc.problem.desiderata)
-
-    if doc.outcome is not None:
-        outcome = _sub(root, "outcome")
-        outcome.set("dudf:result", doc.outcome.result)
-        if doc.outcome.error is not None:
-            _hole_into(_sub(outcome, "error"), doc.outcome.error)
-        if doc.outcome.package_status is not None:
-            _status_into(outcome, doc.outcome.package_status)
-
+    root = ET.Element(_ROOT, {"xmlns": DUDF_NS, "xmlns:dudf": DUDF_NS})
+    _write(DudfDocument, doc, root, _ROOT, [], [])
     return ET.tostring(root, encoding="utf-8", xml_declaration=True).replace(b"\r", b"&#13;")
 
 
@@ -281,19 +291,13 @@ def dudf_to_xml(doc):
 # XML parsing
 
 
-_NS = f"{{{DUDF_NS}}}"
-
-
-def _q(tag):
-    return _NS + tag
-
-
-def _children(elem, path, required=(), optional=(), repeated=(), attributes=()):
+def _children(elem, path, names=(), optional=(), repeated=(), attributes=()):
     """elem's children by name, all checked before any is read: elem has
     no attribute but the dudf: ones named in `attributes`, each child is
-    in the DUDF namespace and listed, a name outside `repeated` occurs
-    once at most, and every `required` name occurs.  A `repeated` name
-    maps to the list of its elements, an absent optional one to None.
+    in the DUDF namespace and one of `names`, in their order, a name
+    outside `repeated` occurs once at most, and every name outside
+    `optional` and `repeated` occurs.  A `repeated` name maps to the
+    list of its elements, an absent optional one to None.
     Only whitespace may stand around listed children; with none listed (a
     leaf or a hole) no child may stand at all.  A comment or processing
     instruction is refused wherever it stands, before any name is read."""
@@ -305,11 +309,11 @@ def _children(elem, path, required=(), optional=(), repeated=(), attributes=()):
         if name == attribute or name not in attributes:
             shown = attribute if name == attribute else f"dudf:{name}"
             raise SchemaViolation(path, f"unexpected attribute {shown}")
-    names = (*required, *optional, *repeated)
     texts = [elem.text, *(child.tail for child in elem)] if names else ()
     if any(text and not text.isspace() for text in texts):
         raise SchemaViolation(path, "stray text")
     found = {**dict.fromkeys(optional), **{name: [] for name in repeated}}
+    last = 0
     for child in elem:
         name = child.tag.removeprefix(_NS)
         if name == child.tag:
@@ -322,106 +326,71 @@ def _children(elem, path, required=(), optional=(), repeated=(), attributes=()):
             raise SchemaViolation(f"{path}/{name}", "repeated element")
         else:
             found[name] = child
-    for name in required:
+        if names.index(name) < last:
+            raise SchemaViolation(f"{path}/{name}", "element out of order")
+        last = names.index(name)
+    for name in names:
         if name not in found:
             raise SchemaViolation(f"{path}/{name}", "missing element")
     return found
 
 
-def _text(elem, path, attributes=()):
-    _children(elem, path, attributes=attributes)
-    return elem.text or ""
+def _read(cls, elem, path):
+    """The cls record elem holds, read by the table: each attribute value it
+    refuses, its children, the outcome rules for an outcome, then each part
+    in order.  A part without a tag is a hole in elem, which may hold a reference."""
+    parts = _SKELETON[cls]
+    for part in parts:
+        if elem.get(_NS + part.tag) in part.refused:
+            raise SchemaViolation(path, part.reason)
+    attributes = [p.tag or _REFERENCE for p in parts if p.kind is _ATTRIBUTE or not p.tag]
+    inside = {p: p.tag.partition("/")[0] for p in parts if p.tag and p.kind is not _ATTRIBUTE}
+    found = _children(elem, path, list(inside.values()), attributes=attributes,
+                      optional=[tag for part, tag in inside.items() if part.occurs == _OPTIONAL])
+    nodes = {part.field: elem.get(_NS + part.tag) if part.kind is _ATTRIBUTE
+             else found[inside[part]] if part.tag else elem for part in parts}
+    for violation in _outcome_violations(**nodes) if cls is DudfOutcome else ():
+        raise SchemaViolation(violation.path, violation.detail)  # the first
+    return cls(**{part.field: _read_part(part, nodes[part.field], path) for part in parts})
 
 
-def _hole(elem, path, attributes=("reference",)):
-    """The hole elem holds, None for no element; `attributes` are the
-    dudf: attributes elem may carry."""
-    if elem is None:
-        return None
-    text = _text(elem, path, attributes)
-    ref = elem.get(_q("reference"))
-    if ref is None:
-        return Extensional(text)
-    if text.strip():
-        raise SchemaViolation(path, "text in an intensional hole")
-    return Intensional(ref)
-
-
-def _status(elem, path):
-    holes = _children(elem, path, required=("installer",), optional=("meta-installer",))
-    return PackageStatus(_hole(holes["installer"], f"{path}/installer"),
-                         _hole(holes["meta-installer"], f"{path}/meta-installer"))
+def _read_part(part, node, path):
+    """part's value from node: its attribute value, or its element (None if absent)."""
+    kind, path = part.kind, f"{path}/{part.tag}" if part.tag else path
+    if kind is _ATTRIBUTE or node is None:
+        return node
+    if kind is _PAIR:
+        leaves = _children(node, path, _PAIR_LEAVES)
+        return tuple(_read_part(_Part(tag, tag, _LEAF), leaves[tag], path) for tag in _PAIR_LEAVES)
+    if kind in (_LEAF, _HOLE):
+        if part.tag:  # a hole in the record's own element was checked in _read
+            _children(node, path, attributes=(_REFERENCE,) if kind is _HOLE else ())
+        text, ref = node.text or "", node.get(_NS + _REFERENCE)
+        if ref is None:
+            return text if kind is _LEAF else Extensional(text)
+        if text.strip():
+            raise SchemaViolation(path, "text in an intensional hole")
+        return Intensional(ref)
+    if part.occurs == _REPEATED:
+        outer, _, tag = path.rpartition("/")
+        items = _children(node, outer, (tag,), repeated=(tag,))[tag]
+        return tuple(_read(kind, item, f"{path}[{i}]") for i, item in enumerate(items))
+    return _read(kind, node, path)
 
 
 def xml_to_dudf(data):
     """Inverse of dudf_to_xml.  XML that is not DUDF raises SchemaViolation
-    naming its path: an element missing, repeated, unexpected or in a
-    foreign namespace, markup inside a leaf or a hole, text around the
-    elements of any other element, and text in a hole with a
-    dudf:reference.  So does any attribute but dudf:version on the root,
-    dudf:format, dudf:filename and dudf:reference on a package list,
-    dudf:reference on a hole and dudf:result on the outcome.  A comment or
-    processing instruction inside the root element is refused too; one
-    outside it is ignored."""
+    naming its path and the first rule it breaks (see `_children`, `_read`
+    and `_outcome_violations`).  A comment or processing instruction
+    outside the root element is ignored."""
     try:
         builder = ET.TreeBuilder(insert_comments=True, insert_pis=True)
         root = ET.fromstring(data, ET.XMLParser(target=builder))
     except (ET.ParseError, LookupError) as exc:  # LookupError: an unknown encoding
         raise SchemaViolation("/", f"not well-formed XML: {exc}") from exc
-    if root.tag != _q("dudf"):
-        raise SchemaViolation("/", f"root must be dudf in {DUDF_NS}")
-    version = root.get(_q("version"))
-    if version is None:
-        raise SchemaViolation("dudf", "missing dudf:version attribute")
-    top = _children(root, "dudf", required=("timestamp", "uid", "distribution", "installer",
-                                            "meta-installer", "problem"), optional=("outcome",),
-                    attributes=("version",))
-    tools = []
-    for tag in ("installer", "meta-installer"):
-        leaves = _children(top[tag], f"dudf/{tag}", required=("name", "version"))
-        tools.append((_text(leaves["name"], f"dudf/{tag}/name"),
-                      _text(leaves["version"], f"dudf/{tag}/version")))
-
-    problem = _children(top["problem"], "dudf/problem", optional=("desiderata",),
-                        required=("package-status", "package-universe", "action"))
-    path = "dudf/problem/package-universe"
-    package_lists = []
-    for i, elem in enumerate(_children(problem["package-universe"], path,
-                                       repeated=("package-list",))["package-list"]):
-        fmt = elem.get(_q("format"))
-        if not fmt:
-            raise SchemaViolation(f"{path}/package-list[{i}]", "missing dudf:format annotation")
-        hole = _hole(elem, f"{path}/package-list[{i}]", ("format", "filename", "reference"))
-        package_lists.append(PackageList(fmt, hole, elem.get(_q("filename"))))
-
-    outcome = None
-    if top["outcome"] is not None:
-        parts = _children(top["outcome"], "dudf/outcome", optional=("error", "package-status"),
-                          attributes=("result",))
-        result = top["outcome"].get(_q("result"))
-        error, status = parts["error"], parts["package-status"]
-        violations = _outcome_violations(result, error, status)
-        if violations:
-            raise SchemaViolation(violations[0].path, violations[0].detail)
-        outcome = DudfOutcome(
-            result, _hole(error, "dudf/outcome/error"),
-            None if status is None else _status(status, "dudf/outcome/package-status"))
-
-    return DudfDocument(
-        timestamp=_text(top["timestamp"], "dudf/timestamp"),
-        uid=_text(top["uid"], "dudf/uid"),
-        distribution=_text(top["distribution"], "dudf/distribution"),
-        installer=tools[0],
-        meta_installer=tools[1],
-        problem=DudfProblem(
-            _status(problem["package-status"], "dudf/problem/package-status"),
-            tuple(package_lists),
-            _hole(problem["action"], "dudf/problem/action"),
-            _hole(problem["desiderata"], "dudf/problem/desiderata"),
-        ),
-        outcome=outcome,
-        version=version,
-    )
+    if root.tag != _NS + _ROOT:
+        raise SchemaViolation("/", f"root must be {_ROOT} in {DUDF_NS}")
+    return _read(DudfDocument, root, _ROOT)
 
 
 # ---------------------------------------------------------------------------

@@ -293,11 +293,17 @@ MUTANTS = (
     ("main runs with the collector on", CLI,
      "with textio.collector_paused():", "if True:",
      "tests/test_cli.py::test_commands_run_with_the_collector_off"),
-    # The DUDF reader's one child check.
+    # The DUDF reader: the skeleton table read through its one child check.
     ("a leaf read without its child check", DUDF,
-     '    _children(elem, path, attributes=attributes)\n    return elem.text or ""',
-     '    return elem.text or ""',
+     "if part.tag:  # a hole", "if part.tag and kind is _HOLE:  # a hole",
      "tests/test_dudf.py::test_markup_inside_a_leaf_or_hole_is_refused"),
+    ("an optional part read as required", DUDF,
+     "optional=[tag for part, tag in inside.items() if part.occurs == _OPTIONAL]",
+     "optional=[]",
+     "tests/test_dudf.py::test_xml_roundtrip_examples"),
+    ("an element out of order accepted", DUDF,
+     "if names.index(name) < last:", "if False:",
+     "tests/test_dudf.py::test_an_element_out_of_order_is_refused"),
     ("a misspelt dudf: attribute accepted", DUDF,
      "if name == attribute or name not in attributes:", "if name == attribute:",
      "tests/test_dudf.py::test_an_unexpected_attribute_of_the_golden_submission_is_refused"),
@@ -321,26 +327,32 @@ MUTANTS = (
     ("an unknown encoding escapes the reader", DUDF,
      "except (ET.ParseError, LookupError) as exc:", "except ET.ParseError as exc:",
      "tests/test_dudf.py::test_an_unknown_encoding_is_refused"),
-    # The DUDF writer.
+    # The DUDF writer and the validator's walk over what it writes.
     ("dudf:filename dropped", DUDF,
-     'elem.set("dudf:filename", plist.filename)', "pass",
+     '        _Part("filename", "filename", _ATTRIBUTE, _OPTIONAL),\n', "",
      "tests/test_dudf.py::test_xml_roundtrip_examples"),
     ("a carriage return written as it is", DUDF,
      '.replace(b"\\r", b"&#13;")', "",
      "tests/test_dudf.py::test_a_carriage_return_in_text_is_written_as_a_character_reference"),
     ("an intensional hole's reference written as text", DUDF,
-     'elem.set("dudf:reference", payload.reference)', "elem.text = payload.reference",
+     'target.set(f"dudf:{_REFERENCE}", value.reference)', "target.text = value.reference",
      "tests/test_dudf.py::test_xml_roundtrip_examples"),
     ("a character outside XML written", DUDF,
-     "bad = isinstance(text, str) and _NOT_XML_CHAR.search(text)", "bad = None",
+     "bad = _NOT_XML_CHAR.search(text)", "bad = None",
      "tests/test_dudf.py::test_text_that_xml_cannot_carry_is_refused_before_it_is_written"),
     ("a lone surrogate taken for an XML character", DUDF,
      "\\x20-\\ud7ff\\ue000", "\\x20-\\udfff\\ue000",
      "tests/test_dudf.py::test_text_that_xml_cannot_carry_is_refused_before_it_is_written"),
-    ("a package list's attributes not checked for XML characters", DUDF,
-     'texts += [(f"{path}/format", plist.format), (f"{path}/filename", plist.filename)]',
-     "pass",
+    ("attribute values not checked for XML characters", DUDF,
+     '            elem.set(f"dudf:{part.tag}", value)\n            texts.append((where, value))\n',
+     '            elem.set(f"dudf:{part.tag}", value)\n',
      "tests/test_dudf.py::test_a_character_xml_cannot_carry_is_reported_at_its_path"),
+    ("a table part left out of the written-text walk", DUDF,
+     'texts.append((f"{where}/{tag}", leaf))', "pass",
+     "tests/test_dudf.py::test_a_character_xml_cannot_carry_is_reported_at_its_path"),
+    ("the type check skipped", DUDF,
+     "if not isinstance(value, wanted) or kind is _PAIR and len(value) != 2:", "if False:",
+     "tests/test_dudf.py::test_a_part_of_the_wrong_type_is_reported_at_its_path"),
     # The validator's rules.
     ("a duplicate key passes", MODEL,
      "        if key in seen:\n", "        if False:\n",

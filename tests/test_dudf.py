@@ -27,7 +27,7 @@ from cudfkit.dudf import (
     xml_to_dudf,
 )
 from cudfkit.model import InvalidDocument
-from test_fuzz import DUDF_XML, mutated
+from test_fuzz import DUDF_XML, mutated, tree_edited
 
 TS = "Tue, 18 Aug 2026 09:30:00 +0200"
 
@@ -175,6 +175,38 @@ def test_xml_roundtrip_random():
 def test_serializing_invalid_document_fails():
     with pytest.raises(InvalidDocument):
         dudf_to_xml(sample(uid=""))
+
+
+def _with_lists(*lists):
+    return sample(problem=replace(sample().problem, package_universe=lists))
+
+
+MISTYPED = [
+    ("dudf/uid", sample(uid=5)),
+    ("dudf/uid", sample(uid=None)),
+    ("dudf/problem/package-universe/package-list[0]/filename",
+     _with_lists(PackageList("f", Extensional("x"), filename=3))),
+    ("dudf/problem/package-universe/package-list[0]", _with_lists(PackageList("f", None))),
+    ("dudf/problem/package-universe/package-list[1]",
+     _with_lists(PackageList("f", Extensional("x")), "f")),
+    ("dudf/problem/action", sample(problem=replace(sample().problem, action="text"))),
+    ("dudf/problem/desiderata",
+     sample(problem=replace(sample().problem, desiderata=Intensional(None)))),
+    ("dudf/installer", sample(installer=("x",))),
+    ("dudf/installer", sample(installer=())),
+    ("dudf/meta-installer/version", sample(meta_installer=("x", 1))),
+    ("dudf/problem", sample(problem="problem")),
+    ("dudf/outcome/result", sample(outcome=DudfOutcome(None, error=Extensional("e")))),
+]
+
+
+@pytest.mark.parametrize("path, doc", MISTYPED)
+def test_a_part_of_the_wrong_type_is_reported_at_its_path(path, doc):
+    assert [v.path for v in validate_dudf(doc)] == [path]
+    assert validate_dudf(doc)[0].detail.startswith("expected a ")
+    with pytest.raises(InvalidDocument) as info:
+        dudf_to_xml(doc)
+    assert [v.path for v in info.value.violations] == [path]
 
 
 # -- broken XML fixtures ------------------------------------------------------
@@ -430,6 +462,26 @@ def test_markup_inside_a_leaf_or_hole_is_refused(path):
 @pytest.mark.parametrize("path", SINGLES)
 def test_a_second_copy_of_a_single_element_is_refused(path):
     assert _refused(_second_copy(path)) == (path, "repeated element")
+
+
+def _first_two_swapped(elem):
+    first = elem[0]
+    elem.remove(first)
+    elem.insert(1, first)
+
+
+# Each container of FULL with two different first children, and the first.
+FIRST_CHILDREN = {"dudf": "timestamp", "dudf/installer": "name",
+                  "dudf/meta-installer": "name", "dudf/problem": "package-status",
+                  "dudf/problem/package-status": "installer",
+                  "dudf/outcome/package-status": "installer"}
+
+
+@pytest.mark.parametrize("path, first", FIRST_CHILDREN.items())
+def test_an_element_out_of_order_is_refused(path, first):
+    """The written XML could not keep another order, so it is not read."""
+    assert _refused(_edited(path, _first_two_swapped)) == (f"{path}/{first}",
+                                                           "element out of order")
 
 
 @pytest.mark.parametrize("path", CONTAINERS)
@@ -708,4 +760,12 @@ def test_an_unknown_encoding_is_refused():
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated((SUBMISSION, DUDF_XML)))
 def test_an_accepted_byte_edit_reads_without_loss(data):
+    assert_read_without_loss(data)
+
+
+# A tree edit keeps the XML well-formed, so far more of them reach the DUDF rules.
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree_edited())
+def test_an_accepted_tree_edit_reads_without_loss(data):
     assert_read_without_loss(data)

@@ -2,8 +2,10 @@
 exit code (0, 1, 2 or 3), never in an exception escaping cli.main."""
 
 import contextlib
+import copy
 import io
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,66 @@ def mutated(draw, seeds=tuple(SEEDS)):
     return bytes(data)
 
 
+SUBMISSION = (GOLDEN / "submission.xml").read_bytes()
+DUDF_SEEDS = (SUBMISSION, DUDF_XML)
+NS = f"{{{dudf.DUDF_NS}}}"
+# Names a tree edit gives an element or an attribute: every DUDF name, one
+# that DUDF lacks, and names outside its namespace.
+ELEMENT_NAMES = [NS + name for name in (
+    "dudf", "timestamp", "uid", "distribution", "installer", "meta-installer", "name",
+    "version", "problem", "package-status", "package-universe", "package-list", "action",
+    "desiderata", "outcome", "error", "extra")] + ["{urn:example}note", "plain"]
+ATTRIBUTE_NAMES = [NS + name for name in (
+    "version", "format", "filename", "reference", "result", "extra")] + [
+    "{urn:example}note", "lang"]
+TEXTS = ("", "\n  ", "x", "1.0", "success", "failure", "Package: aa\nVersion: 1\n")
+TREE_EDITS = ("drop", "duplicate", "move", "rename", "add attribute", "drop attribute",
+              "rename attribute", "text", "tail", "comment", "instruction", "child", "reference")
+
+
+@st.composite
+def tree_edited(draw, seeds=DUDF_SEEDS):
+    """One of seeds, parsed, after one to four edits of its tree: an element
+    dropped, duplicated, moved or renamed; an attribute added, dropped or
+    renamed; a text or tail set; a comment, processing instruction or child
+    inserted; or an element's text turned into a dudf:reference."""
+    root = ET.fromstring(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 4))):
+        elements = [elem for elem in root.iter() if isinstance(elem.tag, str)]
+        elem = draw(st.sampled_from(elements))
+        parent = next((p for p in root.iter() if any(child is elem for child in p)), None)
+        edit = draw(st.sampled_from(TREE_EDITS))
+        if edit in ("drop", "duplicate", "move") and parent is None:
+            continue  # the root stays
+        if edit == "drop":
+            parent.remove(elem)
+        elif edit == "duplicate":
+            parent.insert(draw(st.integers(0, len(parent))), copy.deepcopy(elem))
+        elif edit == "move":
+            parent.remove(elem)
+            target = draw(st.sampled_from([e for e in root.iter() if isinstance(e.tag, str)]))
+            target.insert(draw(st.integers(0, len(target))), elem)
+        elif edit == "rename":
+            elem.tag = draw(st.sampled_from(ELEMENT_NAMES))
+        elif edit == "add attribute":
+            elem.set(draw(st.sampled_from(ATTRIBUTE_NAMES)), draw(st.sampled_from(TEXTS)))
+        elif edit in ("drop attribute", "rename attribute") and elem.attrib:
+            value = elem.attrib.pop(draw(st.sampled_from(sorted(elem.attrib))))
+            if edit == "rename attribute":
+                elem.set(draw(st.sampled_from(ATTRIBUTE_NAMES)), value)
+        elif edit in ("text", "tail"):
+            setattr(elem, edit, draw(st.sampled_from(TEXTS)))
+        elif edit in ("comment", "instruction", "child"):
+            node = (ET.Comment(" c ") if edit == "comment"
+                    else ET.ProcessingInstruction("pi", "x") if edit == "instruction"
+                    else ET.Element(draw(st.sampled_from(ELEMENT_NAMES))))
+            elem.insert(draw(st.integers(0, len(elem))), node)
+        elif edit == "reference":
+            elem.set(NS + "reference", (elem.text or "").strip() or "sha1:0")
+            elem.text = None
+    return ET.tostring(root, encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -127,3 +189,16 @@ def test_every_subcommand_ends_in_a_documented_exit_code(paths, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1, 2, 3), argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=tree_edited())
+def test_every_dudf_command_ends_in_a_documented_exit_code_on_a_tree_edit(paths, data):
+    Path(paths["input"]).write_bytes(data)
+    for command in COMMANDS:
+        if command[0] == "dudf":
+            argv = [arg.format(**paths) for arg in command]
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) in (0, 1, 2, 3), argv
