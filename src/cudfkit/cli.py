@@ -155,8 +155,9 @@ def cmd_fmt(args):
 def cmd_verify(args):
     from . import semantics
 
+    entries = textio.parse_solution(_read(args.solution))  # needs no problem: read first
     problem = _read_problem(args.problem)
-    after = textio.apply_solution(problem, textio.parse_solution(_read(args.solution)))
+    after = textio.apply_solution(problem, entries)
     verdict = semantics.satisfies_request(problem, problem.request, after)
     if args.json:
         print(_json_text(_verdict_json(verdict)))

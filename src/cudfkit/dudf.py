@@ -25,7 +25,7 @@ import xml.etree.ElementTree as ET
 from . import textio
 from ._record import record
 from .model import CudfDocument, InvalidDocument, validate_document
-from .types import is_subtype_value
+from .types import is_oneliner
 
 DUDF_NS = "http://www.mancoosi.org/2008/cudf/dudf"
 DUDF_VERSION = "1.0"
@@ -403,22 +403,17 @@ def _extensional_text(payload, where):
     return payload.text
 
 
-def _parse_stanzas(text, where, installed=None):
+def _parse_stanzas(text, where):
+    """The package stanzas of a hole's CUDF text, which may hold no
+    problem stanza and nothing the reader drops."""
     if not text.strip():
         return []
-    body = text if text.endswith("\n") else text + "\n"
-    # borrow the CUDF parser by appending a throwaway problem stanza
-    try:
-        report = textio.parse_cudf((body + "\nProblem: _\n").encode("utf-8"))
-    except textio.FatalParseError as exc:
-        raise ConversionError(f"{where}: {exc}") from exc
-    if report.recovered_errors:
-        reasons = "; ".join(e.reason for e in report.recovered_errors)
-        raise ConversionError(f"{where}: {reasons}")
-    packages = report.document.packages
-    if installed is not None:
-        return [p.with_installed(installed) for p in packages]
-    return list(packages)
+    packages, requests, errors = textio.read_stanzas(text.encode("utf-8"))
+    if requests:
+        raise ConversionError(f"{where} holds a problem stanza")
+    if errors:
+        raise ConversionError(f"{where}: {'; '.join(e.reason for e in errors)}")
+    return packages
 
 
 def toy_convert(doc):
@@ -428,10 +423,10 @@ def toy_convert(doc):
     The uid becomes the Problem line, so it must be a oneliner, and the
     action hole may hold request properties only: a line break in the
     uid or a package stanza in the hole would change the problem."""
-    if not is_subtype_value(doc.uid, "oneliner"):
+    if not is_oneliner(doc.uid):
         raise ConversionError("uid is not a oneliner")
     status_text = _extensional_text(doc.problem.package_status.installer, "package-status")
-    packages = _parse_stanzas(status_text, "package-status", installed=True)
+    packages = [p.with_installed(True) for p in _parse_stanzas(status_text, "package-status")]
     for i, plist in enumerate(doc.problem.package_universe):
         if plist.format != "cudf-stanzas":
             raise UnsupportedFormat(f"package-list format {plist.format!r}")
@@ -439,21 +434,14 @@ def toy_convert(doc):
         packages.extend(_parse_stanzas(text, f"package-list[{i}]"))
 
     action_text = _extensional_text(doc.problem.action, "action")
-    try:
-        report = textio.parse_cudf(
-            f"Problem: {doc.uid}\n{action_text}".encode("utf-8")
-        )
-    except textio.FatalParseError as exc:
-        raise ConversionError(
-            "action hole did not parse as a problem stanza"
-        ) from exc
-    if report.recovered_errors:
+    stanzas, requests, errors = textio.read_stanzas(
+        f"Problem: {doc.uid}\n{action_text}".encode("utf-8"))
+    if len(requests) != 1 or errors:
         raise ConversionError("action hole did not parse as a problem stanza")
-    if report.document.packages:
+    if stanzas:
         raise ConversionError("action hole holds a package stanza")
-    request = report.document.request
 
-    out = CudfDocument(packages=tuple(packages), request=request)
+    out = CudfDocument(packages=tuple(packages), request=requests[0])
     violations = validate_document(out)
     if violations:
         raise ConversionError("; ".join(v.detail for v in violations))

@@ -255,6 +255,14 @@ def collector_paused():
             gc.enable()
 
 
+def read_stanzas(data, registry=None):
+    """(packages, requests, recovered_errors) of CUDF bytes, each a list in
+    line order: the reader's one walk, with no rule on how many problem
+    stanzas survive.  Invalid UTF-8 raises FatalEncoding."""
+    packages, requests, junk, dropped = _Reader(registry).read(data)
+    return packages, requests, junk + dropped
+
+
 def parse_cudf(data, registry=None):
     """Parse CUDF bytes into a ParseReport.
 
@@ -263,13 +271,13 @@ def parse_cudf(data, registry=None):
     are fatal.
     """
     with collector_paused():
-        packages, requests, junk, dropped = _Reader(registry).read(data)
+        packages, requests, recovered_errors = read_stanzas(data, registry)
         if len(requests) == 0:
             raise FatalNoProblemStanza("no surviving problem stanza")
         if len(requests) > 1:
             raise FatalMultipleProblemStanzas(f"{len(requests)} problem stanzas")
         doc = CudfDocument(packages=tuple(packages), request=requests[0])
-    return ParseReport(document=doc, recovered_errors=junk + dropped)
+    return ParseReport(document=doc, recovered_errors=recovered_errors)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ TIMEOUT_S = 900  # per pytest call
 MUTANTS = (
     # The reader's one walk over the lines.
     ("junk errors interleaved in line order", TEXTIO,
-     "recovered_errors=junk + dropped",
-     "recovered_errors=sorted(junk + dropped, key=lambda e: e.line)",
+     "return packages, requests, junk + dropped",
+     "return packages, requests, sorted(junk + dropped, key=lambda e: e.line)",
      "tests/test_textio.py::test_only_a_postmark_with_its_space_opens_a_stanza"),
     ("any whitespace makes a blank line", TEXTIO,
      'sep or line.strip(" \\t")', "sep or line.strip()",
@@ -293,6 +293,12 @@ MUTANTS = (
     ("main runs with the collector on", CLI,
      "with textio.collector_paused():", "if True:",
      "tests/test_cli.py::test_commands_run_with_the_collector_off"),
+    ("verify parses the problem before the solution", CLI,
+     "    entries = textio.parse_solution(_read(args.solution))  # needs no problem: read first\n"
+     "    problem = _read_problem(args.problem)\n",
+     "    problem = _read_problem(args.problem)\n"
+     "    entries = textio.parse_solution(_read(args.solution))\n",
+     "tests/test_cli.py::test_verify_refuses_a_bad_solution_before_it_parses_the_problem"),
     # The DUDF reader: the skeleton table read through its one child check.
     ("a leaf read without its child check", DUDF,
      "if part.tag:  # a hole", "if part.tag and kind is _HOLE:  # a hole",
@@ -353,6 +359,13 @@ MUTANTS = (
     ("the type check skipped", DUDF,
      "if not isinstance(value, wanted) or kind is _PAIR and len(value) != 2:", "if False:",
      "tests/test_dudf.py::test_a_part_of_the_wrong_type_is_reported_at_its_path"),
+    # DUDF to CUDF: each hole read by the CUDF reader under its own rule.
+    ("a package hole's problem stanza accepted", DUDF,
+     "if requests:", "if False:",
+     "tests/test_dudf.py::test_toy_convert_holes"),
+    ("the action hole's exactly-one-request test weakened", DUDF,
+     "if len(requests) != 1 or errors:", "if not requests or errors:",
+     "tests/test_dudf.py::test_each_hole_is_read_by_the_cudf_reader_under_its_own_rule"),
     # The validator's rules.
     ("a duplicate key passes", MODEL,
      "        if key in seen:\n", "        if False:\n",

@@ -194,6 +194,23 @@ def test_verify_rejects_bad_solution(mta_path, tmp_path, capsys):
     assert "remove" in clauses
 
 
+@pytest.mark.parametrize("solution, message", [
+    ("bad.sol", "error: stanza 0: Version: not an integer: 'x'\n"),
+    ("missing.sol", "usage error: [Errno 2] No such file or directory: '{path}'\n"),
+], ids=["malformed", "unreadable"])
+def test_verify_refuses_a_bad_solution_before_it_parses_the_problem(
+        mta_path, tmp_path, capsys, monkeypatch, solution, message):
+    write(tmp_path, "bad.sol", "Package: postfix\nVersion: x\n")
+    path = str(tmp_path / solution)
+    calls = []
+    parse_cudf = textio.parse_cudf
+    monkeypatch.setattr(textio, "parse_cudf",
+                        lambda *args, **kwargs: calls.append(args) or parse_cudf(*args, **kwargs))
+    assert cli.main(["verify", "--problem", mta_path, "--solution", path]) == 2
+    assert capsys.readouterr() == ("", message.format(path=path))
+    assert calls == []
+
+
 @pytest.mark.parametrize("flags", [("true", "false"), ("false", "true")])
 def test_verify_solution_repeating_a_key_is_usage_error(mta_path, tmp_path, capsys,
                                                         flags):

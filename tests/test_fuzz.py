@@ -73,12 +73,13 @@ COMMANDS = (
 
 
 @st.composite
-def mutated(draw, seeds=tuple(SEEDS)):
-    """One of seeds after up to four byte edits."""
+def mutated(draw, seeds=tuple(SEEDS), fewest=0):
+    """One of seeds after `fewest` to four byte edits."""
     data = bytearray(draw(st.sampled_from(seeds)))
-    for _ in range(draw(st.integers(0, 4))):
-        pos = draw(st.integers(0, len(data)))
+    for _ in range(draw(st.integers(fewest, 4))):
         op = draw(st.sampled_from(("insert", "line", "digits", "delete", "replace", "repeat")))
+        # only an edit that reads a position draws one
+        pos = draw(st.integers(0, len(data))) if op not in ("digits", "repeat") else 0
         if op == "line":  # a fragment at the start of the next line
             pos = data.find(b"\n", pos) + 1
         if op in ("insert", "line"):
